@@ -45,6 +45,10 @@ class DegenerateTraining(HomevitalsError):
     """Training data cannot support the requested model (e.g. single class)."""
 
 
+class TrainingBusy(HomevitalsError):
+    """Another training job is already running."""
+
+
 class TrainingDiverged(HomevitalsError):
     """Iterative training blew up instead of converging."""
 

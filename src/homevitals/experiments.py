@@ -11,14 +11,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .features import (
-    CHANNEL_COMBINATIONS,
-    FeatureMatrix,
-    bp_reduced_features,
-    select_features,
-    stress_feature_matrix,
-)
-from .labeling import label_windows, labels_to_targets
+from .datasets import bp_rows, stress_rows
+from .errors import InputError
+from .features import CHANNEL_COMBINATIONS, FeatureMatrix, select_features
 from .models import (
     AdaBoostR2,
     DecisionTreeRegressor,
@@ -29,14 +24,8 @@ from .models import (
     roc_points,
     subject_split,
 )
-from .signals import FilterConfig, WindowSpec, make_windows
-from .simulate import (
-    BpMode,
-    generate_cohort,
-    segment_targets,
-    simulate_bp_records,
-    simulate_session,
-)
+from .signals import FilterConfig, WindowSpec
+from .simulate import BpMode, generate_cohort, simulate_bp_records, simulate_session
 
 BP_SEGMENT_S = 40.0
 
@@ -59,12 +48,10 @@ def build_stress_dataset(
     }
     for i, profile in enumerate(profiles):
         bundle, samples = simulate_session(profile, script, seed=1000 + i)
-        windows = make_windows(bundle, spec)
-        y = labels_to_targets(label_windows(samples, windows))
-        full = stress_feature_matrix(windows)
+        full = stress_rows(bundle, samples, spec)
         for combo in CHANNEL_COMBINATIONS:
             names = [n for n in full.names if n.split("_")[0].upper() in combo]
-            per_combo[combo].append(full.select_columns(names).with_labels(y))
+            per_combo[combo].append(full.select_columns(names))
     return {combo: FeatureMatrix.concat(parts) for combo, parts in per_combo.items()}
 
 
@@ -164,28 +151,16 @@ def build_bp_dataset(
     segment_s: float = BP_SEGMENT_S,
 ) -> tuple[FeatureMatrix, np.ndarray, np.ndarray]:
     """Reduced-feature matrix over fixed-length segments plus SBP/DBP targets."""
-    records = simulate_bp_records(n_records, mode, seed=seed)
     cfg = FilterConfig.for_rate(125.0)
-    rows = []
-    sbp_targets: list[float] = []
-    dbp_targets: list[float] = []
-    for record in records:
+    segments = []
+    for record in simulate_bp_records(n_records, mode, seed=seed):
         for u, unit in enumerate(record.units):
-            rate = unit.ppg.rate_hz
-            seg_len = int(segment_s * rate)
-            for k in range(int(len(unit.ppg) // seg_len)):
-                i0, i1 = k * seg_len, (k + 1) * seg_len
-                rows.append(
-                    bp_reduced_features(
-                        unit.ppg.slice_samples(i0, i1),
-                        cfg,
-                        origin=f"{u}:{k}",
-                        subject_id=record.record_id,
-                    )
-                )
-                sbp, dbp = segment_targets(unit, i0, i1)
-                sbp_targets.append(sbp)
-                dbp_targets.append(dbp)
+            segments += bp_rows(
+                unit.ppg, unit.sbp, unit.dbp, segment_s, cfg, record.record_id, f"{u}:"
+            )
+    if not segments:
+        raise InputError(f"no whole {segment_s:g} s segment in the simulated records")
+    rows, sbp_targets, dbp_targets = zip(*segments)
     return FeatureMatrix(rows), np.asarray(sbp_targets), np.asarray(dbp_targets)
 
 

@@ -34,6 +34,7 @@ from ..errors import (
     NoWindow,
     RegistrationError,
     RejectedEvent,
+    TrainingBusy,
 )
 from ..location import TagKind, format_message
 from .config import ServiceConfig
@@ -83,7 +84,7 @@ class _Handler(BaseHTTPRequestHandler):
             status, body = 400, {"error": str(exc)}
         except (NotFound, NoWindow) as exc:
             status, body = 404, {"error": str(exc)}
-        except (NotReady, DegenerateTraining) as exc:
+        except (NotReady, DegenerateTraining, TrainingBusy) as exc:
             status, body = 409, {"error": str(exc)}
         except HomevitalsError as exc:
             status, body = 400, {"error": str(exc)}

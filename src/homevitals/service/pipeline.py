@@ -13,24 +13,10 @@ from typing import Callable
 
 import numpy as np
 
-from ..errors import (
-    DegenerateTraining,
-    InputError,
-    NoWindow,
-    NotReady,
-)
-from ..features import (
-    FeatureMatrix,
-    bp_reduced_features,
-    stress_feature_matrix,
-)
-from ..labeling import (
-    CortisolSample,
-    LabelRule,
-    Timepoint,
-    label_windows,
-    labels_to_targets,
-)
+from ..datasets import bp_rows, stress_rows
+from ..errors import DegenerateTraining, InputError, NotReady, NoWindow, TrainingBusy
+from ..features import FeatureMatrix, bp_reduced_features, stress_feature_matrix
+from ..labeling import CortisolSample, LabelRule, Timepoint
 from ..location import EventLog, LookupTable, MatchConfig, resolve_location
 from ..models import (
     AdaBoostR2,
@@ -40,16 +26,7 @@ from ..models import (
     load_document,
     model_document,
 )
-from ..signals import (
-    Channel,
-    ChannelBundle,
-    IbiSeries,
-    SampleSeries,
-    WindowSpec,
-    make_windows,
-)
-from ..simulate import segment_targets
-from ..simulate.bp_records import BpUnit
+from ..signals import Channel, ChannelBundle, IbiSeries, SampleSeries, make_windows
 from .config import ServiceConfig
 from .store import JsonlStore
 
@@ -240,29 +217,29 @@ class VitalsService:
 
     # -- training --------------------------------------------------------------
 
-    def train_stress(self, seed: int | None = None) -> dict:
+    def _exclusive(self, train: Callable[[int], dict], seed: int | None) -> dict:
         if not self._train_lock.acquire(blocking=False):
-            raise InputError("training already in progress")
+            raise TrainingBusy("training already in progress")
         try:
-            return self._train_stress(self.config.seed if seed is None else seed)
+            return train(self.config.seed if seed is None else seed)
         finally:
             self._train_lock.release()
+
+    def train_stress(self, seed: int | None = None) -> dict:
+        return self._exclusive(self._train_stress, seed)
 
     def _train_stress(self, seed: int) -> dict:
         spec = self.config.window_spec
         rule = LabelRule(threshold=self.config.label_threshold)
         matrices = []
-        targets = []
         for subject_id in self._subjects_with("cortisol"):
             bundle = self.assemble_bundle(subject_id)
             if bundle is None or bundle.duration_s < spec.length_s:
                 continue
-            windows = make_windows(bundle, spec)
             samples = self._subject_cortisol(subject_id)
             if len(samples) < 2:
                 continue
-            labels = labels_to_targets(label_windows(samples, windows, rule))
-            matrices.append(stress_feature_matrix(windows).with_labels(labels))
+            matrices.append(stress_rows(bundle, samples, spec, rule))
         if not matrices:
             raise DegenerateTraining("no labeled subjects with complete bundles in store")
         matrix = FeatureMatrix.concat(matrices)
@@ -283,39 +260,21 @@ class VitalsService:
         return {"model_key": "stress", "version": version, "rows": len(matrix)}
 
     def train_bp(self, seed: int | None = None) -> dict:
-        if not self._train_lock.acquire(blocking=False):
-            raise InputError("training already in progress")
-        try:
-            return self._train_bp(self.config.seed if seed is None else seed)
-        finally:
-            self._train_lock.release()
+        return self._exclusive(self._train_bp, seed)
 
     def _train_bp(self, seed: int) -> dict:
-        segment_s = self.config.bp_segment_s
-        rows = []
-        sbp_targets: list[float] = []
-        dbp_targets: list[float] = []
+        segments = []
         for subject_id in self._subjects_with("signal_chunk"):
             ppg = self._channel_series(subject_id, Channel.PPG)
             sbp = self._channel_series(subject_id, Channel.DERIVED, name="sbp_mmhg")
             dbp = self._channel_series(subject_id, Channel.DERIVED, name="dbp_mmhg")
             if ppg is None or sbp is None or dbp is None:
                 continue
-            unit = BpUnit(ppg=ppg, sbp=sbp, dbp=dbp)
             cfg = self.config.filter_config(ppg.rate_hz)
-            seg_len = int(segment_s * ppg.rate_hz)
-            for k in range(len(ppg) // seg_len):
-                i0, i1 = k * seg_len, (k + 1) * seg_len
-                rows.append(
-                    bp_reduced_features(
-                        ppg.slice_samples(i0, i1), cfg, origin=str(k), subject_id=subject_id
-                    )
-                )
-                s, d = segment_targets(unit, i0, i1)
-                sbp_targets.append(s)
-                dbp_targets.append(d)
-        if not rows:
+            segments += bp_rows(ppg, sbp, dbp, self.config.bp_segment_s, cfg, subject_id)
+        if not segments:
             raise DegenerateTraining("no PPG records with pressure targets in store")
+        rows, sbp_targets, dbp_targets = zip(*segments)
         matrix = FeatureMatrix(rows)
         result = {"rows": len(rows)}
         for key, targets in (("bp_sbp", sbp_targets), ("bp_dbp", dbp_targets)):

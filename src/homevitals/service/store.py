@@ -28,7 +28,6 @@ RECORD_KINDS = (
     "signal_chunk",
     "ibi_chunk",
     "cortisol",
-    "feature_row",
     "model",
     "prediction",
     "tag_event",

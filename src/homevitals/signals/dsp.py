@@ -2,9 +2,8 @@
 
 The low-pass filter is designed from the analog Butterworth prototype via the
 bilinear transform and applied forward-backward for zero phase, so detected
-peak timings are not shifted. Coefficient application delegates to
-scipy.signal.lfilter when scipy is importable (identical output, much faster);
-otherwise a pure-Python direct-form II transposed loop is used.
+peak timings are not shifted. Coefficients are applied with
+scipy.signal.lfilter.
 """
 
 from __future__ import annotations
@@ -12,14 +11,10 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy.signal import lfilter
 
 from ..errors import ConfigError, DegenerateInput, InputError
 from .series import Channel, FilterConfig, SampleSeries, Spectrum
-
-try:  # pragma: no cover - exercised indirectly
-    from scipy.signal import lfilter as _scipy_lfilter
-except ImportError:  # pragma: no cover
-    _scipy_lfilter = None
 
 
 def detrend(s: SampleSeries) -> SampleSeries:
@@ -96,34 +91,14 @@ def butter_lowpass_coefficients(order_n: int, cutoff_wn: float) -> tuple[np.ndar
     return b, a
 
 
-def _lfilter_python(b: np.ndarray, a: np.ndarray, x: np.ndarray, zi: np.ndarray) -> np.ndarray:
-    # Direct form II transposed; reference implementation for scipy-free installs.
-    n_state = max(len(a), len(b)) - 1
-    bb = np.zeros(n_state + 1)
-    aa = np.zeros(n_state + 1)
-    bb[: len(b)] = b
-    aa[: len(a)] = a
-    z = list(zi)
-    y = np.empty_like(x)
-    for i, xi in enumerate(x):
-        yi = bb[0] * xi + z[0]
-        for k in range(n_state - 1):
-            z[k] = bb[k + 1] * xi + z[k + 1] - aa[k + 1] * yi
-        z[n_state - 1] = bb[n_state] * xi - aa[n_state] * yi
-        y[i] = yi
-    return y
-
-
 def single_pass_filter(
     b: np.ndarray, a: np.ndarray, x: np.ndarray, zi: np.ndarray | None = None
 ) -> np.ndarray:
     """Apply the recursion once, forward, from the given (or zero) state."""
     if zi is None:
         zi = np.zeros(max(len(a), len(b)) - 1)
-    if _scipy_lfilter is not None:
-        y, _ = _scipy_lfilter(b, a, x, zi=np.asarray(zi, dtype=np.float64))
-        return y
-    return _lfilter_python(np.asarray(b), np.asarray(a), np.asarray(x, dtype=np.float64), zi)
+    y, _ = lfilter(b, a, x, zi=np.asarray(zi, dtype=np.float64))
+    return y
 
 
 def _steady_state_zi(b: np.ndarray, a: np.ndarray) -> np.ndarray:

@@ -8,7 +8,6 @@ from .bp_records import (
     LONG_TERM_UNITS,
     PPG_RATE_HZ,
     SHORT_TERM_UNIT_S,
-    segment_targets,
     simulate_bp_records,
 )
 from .profiles import (
@@ -48,7 +47,6 @@ __all__ = [
     "default_session_script",
     "default_session_timeline",
     "generate_cohort",
-    "segment_targets",
     "simulate_bp_records",
     "simulate_session",
     "stream_session",

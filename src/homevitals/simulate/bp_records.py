@@ -156,12 +156,3 @@ def simulate_bp_records(
         records.append(BpRecord(record_id=f"R{i:02d}", units=units))
     return records
 
-
-def segment_targets(unit: BpUnit, start_idx: int, stop_idx: int) -> tuple[float, float]:
-    """Mean latent SBP/DBP over a PPG sample-index span of the unit."""
-    lo = int(start_idx / PPG_RATE_HZ)
-    hi = max(lo + 1, int(np.ceil(stop_idx / PPG_RATE_HZ)))
-    return (
-        float(unit.sbp.values[lo:hi].mean()),
-        float(unit.dbp.values[lo:hi].mean()),
-    )

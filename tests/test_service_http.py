@@ -133,6 +133,13 @@ class TestRoutes:
         _, raw = get_raw(server, "/location/bob")
         assert '"status":"ok"' in raw
 
+    def test_concurrent_training_is_409(self, server):
+        with server.service._train_lock:
+            with pytest.raises(urllib.error.HTTPError) as err:
+                post(server, "/train/stress", {"seed": 0})
+        code, body = status_of(err.value)
+        assert code == 409 and "in progress" in body["error"]
+
     def test_unknown_route_is_404(self, server):
         with pytest.raises(urllib.error.HTTPError) as err:
             get(server, "/nope")

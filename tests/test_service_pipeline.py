@@ -1,9 +1,15 @@
 """Service pipeline: sync validation, training, and versioned queries."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from helpers import pulse_wave
+import homevitals
 from homevitals.errors import InputError, NotReady, NoWindow
 from homevitals.service import JsonlStore, ServiceConfig, VitalsService, series_to_payload
 from homevitals.signals import Channel, SampleSeries
@@ -197,3 +203,17 @@ class TestLocationThroughService:
         assert fix.room == "kitchen"
         stored = list(service.store.records(kind="tag_event"))
         assert len(stored) == 2
+
+
+class TestBoundaries:
+    def test_service_does_not_import_the_simulator(self):
+        src = str(Path(homevitals.__file__).resolve().parent.parent)
+        code = (
+            "import sys, homevitals.service; "
+            "print(sorted(m for m in sys.modules if m.startswith('homevitals.simulate')))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert out.stdout.strip() == "[]"

@@ -15,7 +15,6 @@ from homevitals.simulate import (
     capacity_check,
     default_session_script,
     generate_cohort,
-    segment_targets,
     simulate_bp_records,
     simulate_session,
     stream_session,
@@ -135,12 +134,6 @@ class TestSimulateBpRecords:
         b = simulate_bp_records(1, "short_term", seed=5)[0]
         assert np.array_equal(a.units[0].ppg.values, b.units[0].ppg.values)
         assert np.array_equal(a.units[0].sbp.values, b.units[0].sbp.values)
-
-    def test_segment_targets_are_span_means(self):
-        unit = simulate_bp_records(1, "short_term", seed=6)[0].units[0]
-        sbp, dbp = segment_targets(unit, 0, 40 * 125)
-        assert sbp == pytest.approx(unit.sbp.values[:40].mean())
-        assert dbp == pytest.approx(unit.dbp.values[:40].mean())
 
 
 @pytest.fixture(scope="module")
