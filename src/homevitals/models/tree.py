@@ -1,9 +1,13 @@
 """CART decision trees built from scratch: Gini splits for classification,
 variance-reduction splits for regression, mean-payload leaves.
 
-Split search is vectorized: per candidate feature the node's values are
-sorted once and every boundary between distinct values is scored from prefix
-sums, so training stays fast enough for hundred-tree forests and boosting.
+Split search is vectorized across a node's candidate features: their values
+form one (features x rows) block, sorted row-wise by a single argsort, and
+every boundary between distinct values of every candidate is scored from
+prefix sums along the rows. The winner is the first minimal boundary within a
+feature and, across features, the first minimal feature in candidate order,
+exactly as a per-feature loop would choose, so training stays fast enough for
+hundred-tree forests and boosting.
 """
 
 from __future__ import annotations
@@ -58,22 +62,23 @@ class _TreeBase:
     def _leaf_ids(self, X: np.ndarray) -> np.ndarray:
         """Leaf node id for every row, routed level by level."""
         n = X.shape[0]
+        feature = np.asarray(self.feature)
+        threshold = np.asarray(self.threshold)
+        left = np.asarray(self.left)
+        right = np.asarray(self.right)
         node_of = np.zeros(n, dtype=np.int64)
         active = np.arange(n)
         while active.size:
             nodes = node_of[active]
-            feats = np.asarray(self.feature)[nodes]
+            feats = feature[nodes]
             internal = feats != _LEAF
             active = active[internal]
             if not active.size:
                 break
             nodes = nodes[internal]
             feats = feats[internal]
-            thresh = np.asarray(self.threshold)[nodes]
-            go_left = X[active, feats] < thresh
-            node_of[active] = np.where(
-                go_left, np.asarray(self.left)[nodes], np.asarray(self.right)[nodes]
-            )
+            go_left = X[active, feats] < threshold[nodes]
+            node_of[active] = np.where(go_left, left[nodes], right[nodes])
         return node_of
 
     def _split_structure(self) -> dict:
@@ -91,45 +96,76 @@ class _TreeBase:
         self.right = [int(v) for v in doc["right"]]
 
 
-def _best_split_classification(x, onehot, min_leaf):
-    """Return (cost, threshold) for the best boundary of one sorted feature."""
-    order = np.argsort(x, kind="stable")
-    xs = x[order]
-    n = x.size
-    counts_left = np.cumsum(onehot[order], axis=0)[:-1]  # split after position i
-    n_left = np.arange(1, n, dtype=np.float64)
-    n_right = n - n_left
-    counts_right = counts_left[-1] + onehot[order][-1] - counts_left
-    gini_left = 1.0 - np.sum((counts_left / n_left[:, None]) ** 2, axis=1)
-    gini_right = 1.0 - np.sum((counts_right / n_right[:, None]) ** 2, axis=1)
-    cost = (n_left * gini_left + n_right * gini_right) / n
-    valid = (xs[:-1] < xs[1:]) & (n_left >= min_leaf) & (n_right >= min_leaf)
-    if not valid.any():
-        return None
+def _sorted_block(X: np.ndarray, idx: np.ndarray, features: np.ndarray, kind: str):
+    """Candidate columns of the node's rows as a (features x rows) block,
+    each row sorted; returns (sort order, sorted values)."""
+    block = X[np.ix_(idx, features)].T
+    order = np.argsort(block, axis=1, kind=kind)
+    return order, np.take_along_axis(block, order, axis=1)
+
+
+def _pick_split(cost, xs, min_leaf):
+    """Return (cost, row of xs, threshold) for the lowest-cost valid boundary.
+
+    cost[f, i] scores splitting feature row f after sorted position i; a
+    boundary is valid between distinct values with min_leaf rows each side.
+    """
+    n = xs.shape[1]
+    n_left = np.arange(1, n)
+    valid = (xs[:, :-1] < xs[:, 1:]) & (n_left >= min_leaf) & (n - n_left >= min_leaf)
     cost = np.where(valid, cost, np.inf)
-    i = int(np.argmin(cost))
-    return float(cost[i]), float((xs[i] + xs[i + 1]) / 2.0)
+    at = np.argmin(cost, axis=1)
+    per_feature = cost[np.arange(cost.shape[0]), at]
+    f = int(np.argmin(per_feature))
+    if per_feature[f] == np.inf:
+        return None
+    i = at[f]
+    return float(per_feature[f]), f, float((xs[f, i] + xs[f, i + 1]) / 2.0)
 
 
-def _best_split_regression(x, y, min_leaf):
-    order = np.argsort(x, kind="stable")
-    xs = x[order]
-    ys = y[order]
-    n = x.size
-    s = np.cumsum(ys)[:-1]
-    s2 = np.cumsum(ys**2)[:-1]
+def _best_split_classification(X, idx, features, onehot, min_leaf):
+    """Best Gini split of rows idx over the candidate features, or None."""
+    # Costs are only read at boundaries between distinct values, where the
+    # whole-number class counts do not depend on how tied values are ordered,
+    # so the faster unstable sort picks the same split.
+    order, xs = _sorted_block(X, idx, features, "quicksort")
+    n = idx.size
     n_left = np.arange(1, n, dtype=np.float64)
     n_right = n - n_left
-    total, total2 = ys.sum(), (ys**2).sum()
+    if onehot.shape[1] == 2:
+        # Two classes: class-0 counts follow from class-1 counts, and a
+        # two-term sum rounds the same in either order, so this equals the
+        # general path below without its (features x rows x classes) arrays.
+        ones_left = np.cumsum(onehot[:, 1][order], axis=1)[:, :-1]
+        ones_right = onehot[:, 1].sum() - ones_left
+        gini_left = 1.0 - (((n_left - ones_left) / n_left) ** 2 + (ones_left / n_left) ** 2)
+        gini_right = 1.0 - (((n_right - ones_right) / n_right) ** 2 + (ones_right / n_right) ** 2)
+    else:
+        counts_left = np.cumsum(onehot[order], axis=1)[:, :-1]  # split after position i
+        counts_right = onehot.sum(axis=0) - counts_left
+        gini_left = 1.0 - np.sum((counts_left / n_left[:, None]) ** 2, axis=2)
+        gini_right = 1.0 - np.sum((counts_right / n_right[:, None]) ** 2, axis=2)
+    cost = (n_left * gini_left + n_right * gini_right) / n
+    return _pick_split(cost, xs, min_leaf)
+
+
+def _best_split_regression(X, idx, features, y, min_leaf):
+    """Best variance-reduction split of rows idx over the candidate features, or None."""
+    # Stable: the float prefix sums of tied rows depend on their order.
+    order, xs = _sorted_block(X, idx, features, "stable")
+    ys = y[order]
+    n = idx.size
+    s = np.cumsum(ys, axis=1)[:, :-1]
+    s2 = np.cumsum(ys**2, axis=1)[:, :-1]
+    n_left = np.arange(1, n, dtype=np.float64)
+    n_right = n - n_left
+    # Row sums of C-contiguous rows: the same pairwise summation as a 1-D sum.
+    total = ys.sum(axis=1)[:, None]
+    total2 = (ys**2).sum(axis=1)[:, None]
     sse_left = s2 - s**2 / n_left
     sse_right = (total2 - s2) - (total - s) ** 2 / n_right
     cost = (sse_left + sse_right) / n
-    valid = (xs[:-1] < xs[1:]) & (n_left >= min_leaf) & (n_right >= min_leaf)
-    if not valid.any():
-        return None
-    cost = np.where(valid, cost, np.inf)
-    i = int(np.argmin(cost))
-    return float(cost[i]), float((xs[i] + xs[i + 1]) / 2.0)
+    return _pick_split(cost, xs, min_leaf)
 
 
 class DecisionTreeClassifier(_TreeBase):
@@ -139,6 +175,7 @@ class DecisionTreeClassifier(_TreeBase):
         super().__init__(max_depth, min_samples_leaf, features_per_split, seed)
         self.classes_: np.ndarray | None = None
         self.leaf_counts: list[np.ndarray | None] = []
+        self._leaf_proba: np.ndarray | None = None
 
     def fit(self, X, y) -> "DecisionTreeClassifier":
         X, y = _validate_xy(X, y)
@@ -170,16 +207,15 @@ class DecisionTreeClassifier(_TreeBase):
             )
             best = None
             if not stop:
-                for f in self._candidate_features(rng, d):
-                    found = _best_split_classification(
-                        X[idx, f], onehot[idx], self.min_samples_leaf
-                    )
-                    if found and (best is None or found[0] < best[0]):
-                        best = (found[0], int(f), found[1])
+                features = self._candidate_features(rng, d)
+                best = _best_split_classification(
+                    X, idx, features, onehot[idx], self.min_samples_leaf
+                )
             if best is None:
                 self.leaf_counts[node] = counts
                 continue
-            cost, f, thr = best
+            cost, at, thr = best
+            f = int(features[at])
             # cost is already the weighted child Gini; decrease is gini - cost.
             importances[f] += (idx.size / n) * (gini - cost)
             go_left = X[idx, f] < thr
@@ -196,16 +232,20 @@ class DecisionTreeClassifier(_TreeBase):
 
         total = importances.sum()
         self.feature_importances_ = importances / total if total > 0 else importances
+        self._leaf_proba = self._proba_table()
         return self
+
+    def _proba_table(self) -> np.ndarray:
+        """Class probabilities per node (zero rows for internal nodes)."""
+        table = np.zeros((len(self.leaf_counts), len(self.classes_)))
+        for node, counts in enumerate(self.leaf_counts):
+            if counts is not None:
+                table[node] = counts / counts.sum()
+        return table
 
     def predict_proba(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
-        leaf = self._leaf_ids(X)
-        out = np.empty((X.shape[0], len(self.classes_)))
-        for i, node in enumerate(leaf):
-            counts = self.leaf_counts[node]
-            out[i] = counts / counts.sum()
-        return out
+        return self._leaf_proba[self._leaf_ids(X)]
 
     def predict(self, X) -> np.ndarray:
         proba = self.predict_proba(X)
@@ -229,6 +269,7 @@ class DecisionTreeClassifier(_TreeBase):
             None if c is None else np.asarray(c, dtype=np.float64)
             for c in doc["leaf_counts"]
         ]
+        tree._leaf_proba = tree._proba_table()
         return tree
 
 
@@ -269,14 +310,13 @@ class DecisionTreeRegressor(_TreeBase):
             )
             best = None
             if not stop:
-                for f in self._candidate_features(rng, d):
-                    found = _best_split_regression(X[idx, f], target, self.min_samples_leaf)
-                    if found and (best is None or found[0] < best[0]):
-                        best = (found[0], int(f), found[1])
+                features = self._candidate_features(rng, d)
+                best = _best_split_regression(X, idx, features, target, self.min_samples_leaf)
             if best is None:
                 self.leaf_values[node] = float(target.mean())
                 continue
-            cost, f, thr = best
+            cost, at, thr = best
+            f = int(features[at])
             importances[f] += (idx.size / n) * (variance - cost)
             go_left = X[idx, f] < thr
             self.feature[node] = f

@@ -48,6 +48,30 @@ _BP = re.compile(r"^/bp/([^/]+)$")
 _LOCATION = re.compile(r"^/location/([^/]+)$")
 
 
+def _field(source: dict, key: str, convert):
+    """source[key] passed through convert; absent or unconvertible is an InputError."""
+    if key not in source:
+        raise InputError(f"missing field {key!r}")
+    try:
+        return convert(source[key])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InputError(f"{key}: {exc}") from exc
+
+
+def _text(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"must be a string, got {type(value).__name__}")
+    return value
+
+
+def _seed(body: dict) -> int | None:
+    """The optional training seed: absent or null, or a non-negative integer."""
+    seed = body.get("seed")
+    if seed is not None and (type(seed) is not int or seed < 0):
+        raise InputError(f"seed: must be a non-negative integer, got {seed!r}")
+    return seed
+
+
 class _Handler(BaseHTTPRequestHandler):
     service: VitalsService  # set on the server class
 
@@ -64,9 +88,12 @@ class _Handler(BaseHTTPRequestHandler):
             return {}
         raw = self.rfile.read(length)
         try:
-            return json.loads(raw)
+            body = json.loads(raw)
         except json.JSONDecodeError as exc:
             raise InputError(f"request body is not valid JSON: {exc}") from exc
+        if not isinstance(body, dict):
+            raise InputError("request body must be a JSON object")
+        return body
 
     def _send(self, status: int, body: dict | str) -> None:
         data = body.encode() if isinstance(body, str) else json.dumps(body).encode()
@@ -103,23 +130,21 @@ class _Handler(BaseHTTPRequestHandler):
             return 200, service.sync_signals(self._read_json())
         if method == "POST" and path == "/tags/event":
             body = self._read_json()
-            if "kind" not in body or "index" not in body:
-                raise InputError("tags/event needs 'kind' and 'index'")
-            return 200, service.ingest_tag_event(
-                body["kind"], int(body["index"]), self.client_address[0]
-            )
+            kind, index = _field(body, "kind", TagKind), _field(body, "index", int)
+            return 200, service.ingest_tag_event(kind, index, self.client_address[0])
         if method == "POST" and path == "/tags/register":
             body = self._read_json()
-            kind = TagKind(body.get("kind", ""))
+            kind, index = _field(body, "kind", TagKind), _field(body, "index", int)
+            name = _field(body, "name", _text)
             if kind is TagKind.USER:
-                service.tag_log.table.register_user(int(body["index"]), body["name"])
+                service.tag_log.table.register_user(index, name)
             else:
-                service.tag_log.table.register_location(int(body["index"]), body["name"])
+                service.tag_log.table.register_location(index, name)
             return 200, {"registered": True}
         if method == "POST" and path == "/train/stress":
-            return 200, service.train_stress(self._read_json().get("seed"))
+            return 200, service.train_stress(_seed(self._read_json()))
         if method == "POST" and path == "/train/bp":
-            return 200, service.train_bp(self._read_json().get("seed"))
+            return 200, service.train_bp(_seed(self._read_json()))
         if method == "GET":
             match = _STRESS.match(path)
             if match:
@@ -131,7 +156,7 @@ class _Handler(BaseHTTPRequestHandler):
             if match:
                 tolerance = None
                 if "tolerance_s" in query:
-                    tolerance = float(query["tolerance_s"][0])
+                    tolerance = _field(query, "tolerance_s", lambda v: float(v[0]))
                 result = service.locate(match.group(1), tolerance)
                 return 200, format_message(result)
         raise NotFound(f"no route for {method} {path}")

@@ -17,7 +17,7 @@ from ..datasets import bp_rows, stress_rows
 from ..errors import DegenerateTraining, InputError, NotReady, NoWindow, TrainingBusy
 from ..features import FeatureMatrix, bp_reduced_features, stress_feature_matrix
 from ..labeling import CortisolSample, LabelRule, Timepoint
-from ..location import EventLog, LookupTable, MatchConfig, resolve_location
+from ..location import EventLog, LookupTable, MatchConfig, TagKind, resolve_location
 from ..models import (
     AdaBoostR2,
     RandomForestClassifier,
@@ -57,6 +57,13 @@ def payload_to_series(payload: dict, field: str = "chunk") -> SampleSeries:
         raise InputError(f"{field}: {exc}") from exc
 
 
+def _list_field(request: dict, key: str) -> list:
+    items = request.get(key, [])
+    if not isinstance(items, list):
+        raise InputError(f"{key}: must be a list")
+    return items
+
+
 class VitalsService:
     def __init__(self, config: ServiceConfig, store: JsonlStore, clock: Callable[[], int] | None = None):
         self.config = config
@@ -85,9 +92,12 @@ class VitalsService:
         if not subject_id or not isinstance(subject_id, str):
             raise InputError("subject_id: must be a non-empty string")
         chunk_payloads = []
-        for i, chunk in enumerate(request.get("chunks", [])):
+        for i, chunk in enumerate(_list_field(request, "chunks")):
             series = payload_to_series(chunk, field=f"chunks[{i}]")
-            chunk_payloads.append(series_to_payload(series, name=chunk.get("name")))
+            name = chunk.get("name")
+            if name is not None and not isinstance(name, str):
+                raise InputError(f"chunks[{i}]: name must be a string")
+            chunk_payloads.append(series_to_payload(series, name=name))
         ibi_events = request.get("ibi", [])
         if ibi_events:
             try:
@@ -95,7 +105,7 @@ class VitalsService:
             except (InputError, ValueError, TypeError) as exc:
                 raise InputError(f"ibi: {exc}") from exc
         cortisol_payloads = []
-        for i, sample in enumerate(request.get("cortisol", [])):
+        for i, sample in enumerate(_list_field(request, "cortisol")):
             try:
                 parsed = CortisolSample(
                     subject_id=subject_id,
@@ -134,20 +144,20 @@ class VitalsService:
 
     # -- bundle assembly -------------------------------------------------------
 
-    def _channel_series(self, subject_id: str, channel: Channel, name: str | None = None):
-        chunks = []
+    def _subject_chunks(self, subject_id: str) -> dict[tuple[str, str | None], list[dict]]:
+        """The subject's signal_chunk payloads, read once, grouped by (channel, name)."""
+        groups: dict[tuple[str, str | None], list[dict]] = {}
         for record in self.store.records(kind="signal_chunk", subject_id=subject_id):
             payload = record["payload"]
-            if payload["channel"] != channel.value:
-                continue
-            if name is not None and payload.get("name") != name:
-                continue
-            if name is None and payload.get("name") is not None:
-                continue
-            chunks.append(payload_to_series(payload))
-        if not chunks:
+            groups.setdefault((payload["channel"], payload.get("name")), []).append(payload)
+        return groups
+
+    @staticmethod
+    def _channel_series(groups: dict, channel: Channel, name: str | None = None):
+        payloads = groups.get((channel.value, name))
+        if not payloads:
             return None
-        chunks.sort(key=lambda s: s.start_ms)
+        chunks = sorted((payload_to_series(p) for p in payloads), key=lambda s: s.start_ms)
         # Latest contiguous run: queries answer from fresh, gap-free signal.
         run = [chunks[-1]]
         for prev in reversed(chunks[:-1]):
@@ -171,9 +181,10 @@ class VitalsService:
         return IbiSeries.from_pairs(deduped)
 
     def assemble_bundle(self, subject_id: str) -> ChannelBundle | None:
-        eda = self._channel_series(subject_id, Channel.EDA)
-        bvp = self._channel_series(subject_id, Channel.BVP)
-        st = self._channel_series(subject_id, Channel.ST)
+        groups = self._subject_chunks(subject_id)
+        eda = self._channel_series(groups, Channel.EDA)
+        bvp = self._channel_series(groups, Channel.BVP)
+        st = self._channel_series(groups, Channel.ST)
         if eda is None or bvp is None or st is None:
             return None
         start = max(eda.start_ms, bvp.start_ms, st.start_ms)
@@ -209,12 +220,6 @@ class VitalsService:
             )
         return samples
 
-    def _subjects_with(self, kind: str) -> list[str]:
-        seen: dict[str, None] = {}
-        for record in self.store.records(kind=kind):
-            seen.setdefault(record["subject_id"])
-        return list(seen)
-
     # -- training --------------------------------------------------------------
 
     def _exclusive(self, train: Callable[[int], dict], seed: int | None) -> dict:
@@ -232,7 +237,7 @@ class VitalsService:
         spec = self.config.window_spec
         rule = LabelRule(threshold=self.config.label_threshold)
         matrices = []
-        for subject_id in self._subjects_with("cortisol"):
+        for subject_id in self.store.subjects("cortisol"):
             bundle = self.assemble_bundle(subject_id)
             if bundle is None or bundle.duration_s < spec.length_s:
                 continue
@@ -264,10 +269,11 @@ class VitalsService:
 
     def _train_bp(self, seed: int) -> dict:
         segments = []
-        for subject_id in self._subjects_with("signal_chunk"):
-            ppg = self._channel_series(subject_id, Channel.PPG)
-            sbp = self._channel_series(subject_id, Channel.DERIVED, name="sbp_mmhg")
-            dbp = self._channel_series(subject_id, Channel.DERIVED, name="dbp_mmhg")
+        for subject_id in self.store.subjects("signal_chunk"):
+            groups = self._subject_chunks(subject_id)
+            ppg = self._channel_series(groups, Channel.PPG)
+            sbp = self._channel_series(groups, Channel.DERIVED, name="sbp_mmhg")
+            dbp = self._channel_series(groups, Channel.DERIVED, name="dbp_mmhg")
             if ppg is None or sbp is None or dbp is None:
                 continue
             cfg = self.config.filter_config(ppg.rate_hz)
@@ -329,9 +335,10 @@ class VitalsService:
     def query_bp(self, subject_id: str) -> dict:
         sbp_model, sbp_meta = self._latest_model("bp_sbp")
         dbp_model, dbp_meta = self._latest_model("bp_dbp")
-        source = self._channel_series(subject_id, Channel.PPG)
+        groups = self._subject_chunks(subject_id)
+        source = self._channel_series(groups, Channel.PPG)
         if source is None:
-            source = self._channel_series(subject_id, Channel.BVP)
+            source = self._channel_series(groups, Channel.BVP)
         segment_s = self.config.bp_segment_s
         if source is None or source.duration_s < 5.0:
             raise NoWindow(f"no recent pulse signal for {subject_id}")
@@ -361,7 +368,7 @@ class VitalsService:
 
     # -- location ------------------------------------------------------------------
 
-    def ingest_tag_event(self, kind: str, index: int, source_addr: str = "") -> dict:
+    def ingest_tag_event(self, kind: TagKind | str, index: int, source_addr: str = "") -> dict:
         event = self.tag_log.ingest_event(kind, index, source_addr)
         self.store.append(
             "tag_event",

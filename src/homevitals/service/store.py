@@ -187,6 +187,15 @@ class JsonlStore:
                 continue
             yield self._read_entry(entry)
 
+    def subjects(self, kind: str) -> list[str]:
+        """Subjects with at least one record of kind, in first-append order.
+
+        Answered from the in-memory index; no record is read.
+        """
+        with self._lock:
+            entries = list(self._entries)
+        return list(dict.fromkeys(e.subject_id for e in entries if e.kind == kind))
+
     def latest(self, kind: str, **payload_match) -> dict | None:
         found = None
         for record in self.records(kind=kind):

@@ -236,8 +236,10 @@ def spectrum(s: SampleSeries) -> Spectrum:
 def detect_peaks(s: SampleSeries, min_dist_s: float = 0.0, threshold_k: float = 0.5) -> list[int]:
     """Indices of strict local maxima above mean + threshold_k * std.
 
-    Candidates closer than min_dist_s are thinned greedily, keeping the
-    larger peak (earlier index wins ties).
+    Candidates closer than min_dist_s are thinned greedily: visiting them
+    largest first (earlier index wins ties), each kept peak suppresses every
+    candidate less than min_dist_s away. Index gaps are whole numbers, so
+    they are compared against ceil(min_dist_s * rate_hz) without rounding.
     """
     v = s.values
     n = len(s)
@@ -248,11 +250,12 @@ def detect_peaks(s: SampleSeries, min_dist_s: float = 0.0, threshold_k: float = 
     candidates = np.flatnonzero(core) + 1
     if candidates.size == 0 or min_dist_s <= 0:
         return [int(i) for i in candidates]
-    min_gap = min_dist_s * s.rate_hz
-    # Largest first; index order breaks amplitude ties deterministically.
-    order = sorted(candidates, key=lambda i: (-v[i], i))
-    kept: list[int] = []
-    for idx in order:
-        if all(abs(idx - j) >= min_gap for j in kept):
-            kept.append(int(idx))
-    return sorted(kept)
+    reach = np.ceil(min_dist_s * s.rate_hz) - 1  # largest gap that suppresses
+    lo = np.searchsorted(candidates, candidates - reach, side="left")
+    hi = np.searchsorted(candidates, candidates + reach, side="right")
+    keep = np.ones(candidates.size, dtype=bool)
+    for i in np.argsort(-v[candidates], kind="stable").tolist():
+        if keep[i]:
+            keep[lo[i] : hi[i]] = False
+            keep[i] = True
+    return candidates[keep].tolist()

@@ -1,16 +1,89 @@
 """CART and random-forest behavior, including a brute-force split oracle."""
 
+import hashlib
 import itertools
+import json
 
 import numpy as np
 import pytest
 
 from homevitals.errors import DegenerateTraining
 from homevitals.models import (
+    AdaBoostR2,
     DecisionTreeClassifier,
     DecisionTreeRegressor,
     RandomForestClassifier,
 )
+from homevitals.models.tree import _best_split_classification, _best_split_regression
+
+
+def reference_split(X, idx, features, score):
+    """Per-feature loop: the first minimal boundary within a feature, then the
+    first minimal feature in candidate order. Returns (cost, position, thr)."""
+    best = None
+    for at, f in enumerate(features):
+        found = score(X[idx, f])
+        if found and (best is None or found[0] < best[0]):
+            best = (found[0], at, found[1])
+    return best
+
+
+def reference_gini(x, onehot, min_leaf):
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    n = x.size
+    counts_left = np.cumsum(onehot[order], axis=0)[:-1]
+    n_left = np.arange(1, n, dtype=np.float64)
+    n_right = n - n_left
+    counts_right = counts_left[-1] + onehot[order][-1] - counts_left
+    gini_left = 1.0 - np.sum((counts_left / n_left[:, None]) ** 2, axis=1)
+    gini_right = 1.0 - np.sum((counts_right / n_right[:, None]) ** 2, axis=1)
+    cost = (n_left * gini_left + n_right * gini_right) / n
+    valid = (xs[:-1] < xs[1:]) & (n_left >= min_leaf) & (n_right >= min_leaf)
+    if not valid.any():
+        return None
+    cost = np.where(valid, cost, np.inf)
+    i = int(np.argmin(cost))
+    return float(cost[i]), float((xs[i] + xs[i + 1]) / 2.0)
+
+
+def reference_variance(x, y, min_leaf):
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    ys = y[order]
+    n = x.size
+    s = np.cumsum(ys)[:-1]
+    s2 = np.cumsum(ys**2)[:-1]
+    n_left = np.arange(1, n, dtype=np.float64)
+    n_right = n - n_left
+    total, total2 = ys.sum(), (ys**2).sum()
+    sse_left = s2 - s**2 / n_left
+    sse_right = (total2 - s2) - (total - s) ** 2 / n_right
+    cost = (sse_left + sse_right) / n
+    valid = (xs[:-1] < xs[1:]) & (n_left >= min_leaf) & (n_right >= min_leaf)
+    if not valid.any():
+        return None
+    cost = np.where(valid, cost, np.inf)
+    i = int(np.argmin(cost))
+    return float(cost[i]), float((xs[i] + xs[i + 1]) / 2.0)
+
+
+def split_cases(n_cases):
+    """Tied feature values, leaf minima above one, and candidate subsets in
+    random order, as features_per_split draws them."""
+    for case in range(n_cases):
+        rng = np.random.default_rng(case)
+        n = int(rng.integers(2, 120))
+        d = int(rng.integers(1, 9))
+        X = np.round(rng.normal(size=(n, d)), int(rng.integers(0, 2)))
+        idx = np.sort(rng.choice(n, size=int(rng.integers(2, n + 1)), replace=False))
+        k = int(rng.integers(1, d + 1))
+        features = rng.choice(d, size=k, replace=False)
+        yield rng, X, idx, features, int(rng.choice([1, 2, 5]))
+
+
+def digest(doc):
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()[:16]
 
 
 def brute_force_best_accuracy(X, y):
@@ -177,3 +250,47 @@ class TestRandomForest:
         y = (X[:, 3] > 0).astype(int)
         forest = RandomForestClassifier(n_trees=25, seed=4).fit(X, y)
         assert np.argmax(forest.feature_importances_) == 3
+
+
+class TestSplitSearch:
+    def test_classification_matches_per_feature_reference(self):
+        for rng, X, idx, features, min_leaf in split_cases(300):
+            n_classes = int(rng.choice([2, 3]))
+            y = rng.integers(0, n_classes, size=X.shape[0])
+            onehot = np.eye(n_classes)[y[idx]]
+            expected = reference_split(
+                X, idx, features, lambda x: reference_gini(x, onehot, min_leaf)
+            )
+            assert _best_split_classification(X, idx, features, onehot, min_leaf) == expected
+
+    def test_regression_matches_per_feature_reference(self):
+        for rng, X, idx, features, min_leaf in split_cases(300):
+            y = np.round(rng.normal(size=X.shape[0]) * 10, int(rng.integers(0, 3)))
+            target = y[idx]
+            expected = reference_split(
+                X, idx, features, lambda x: reference_variance(x, target, min_leaf)
+            )
+            assert _best_split_regression(X, idx, features, target, min_leaf) == expected
+
+    def test_fixed_seed_models_match_recorded_digests(self):
+        # Digests of to_dict() recorded with the per-feature split search.
+        rng = np.random.default_rng(2024)
+        X = np.round(rng.normal(size=(150, 9)), 1)
+        noise = rng.normal(scale=0.5, size=150)
+        y = (X[:, 0] + X[:, 3] + noise > 0).astype(int) + (X[:, 5] > 0.8)
+        forest = RandomForestClassifier(n_trees=12, min_samples_leaf=2, seed=7).fit(X, y)
+        assert digest(forest.to_dict()) == "3d8e10e4b63f8717"
+        t = X[:, 1] * 3.0 + np.round(X[:, 2], 0) + rng.normal(scale=0.2, size=150)
+        params = {"max_depth": 6, "min_samples_leaf": 3}
+        boost = AdaBoostR2("dt", n_estimators=8, seed=5, base_params=params).fit(X, t)
+        assert digest(boost.to_dict()) == "65d38d3ceaadb1ee"
+
+    def test_predict_proba_is_leaf_count_fraction(self, rng):
+        X = np.round(rng.normal(size=(90, 3)), 1)
+        y = rng.integers(0, 3, size=90)
+        tree = DecisionTreeClassifier(max_depth=3, seed=2).fit(X, y)
+        for model in (tree, DecisionTreeClassifier.from_dict(tree.to_dict())):
+            proba = model.predict_proba(X)
+            for row, node in zip(proba, model._leaf_ids(X)):
+                counts = model.leaf_counts[node]
+                assert np.array_equal(row, counts / counts.sum())

@@ -140,6 +140,58 @@ class TestRoutes:
         code, body = status_of(err.value)
         assert code == 409 and "in progress" in body["error"]
 
+    @pytest.mark.parametrize(
+        "path, body",
+        [
+            ("/tags/event", {"kind": "user", "index": "one"}),
+            ("/tags/event", {"kind": "badge", "index": 1}),
+            ("/tags/register", {"kind": "user", "index": 2}),
+            ("/tags/register", {"kind": "badge", "index": 2, "name": "bob"}),
+            ("/tags/register", {"kind": "user", "index": [2], "name": "bob"}),
+            ("/tags/register", {"kind": "user", "index": 2, "name": None}),
+            ("/train/stress", [1, 2]),
+            ("/train/stress", {"seed": "x"}),
+            ("/train/bp", {"seed": -1}),
+            ("/signals/sync", "S00"),
+            ("/signals/sync", {"subject_id": "S00", "chunks": 5}),
+            ("/signals/sync", {"subject_id": "S00", "cortisol": 3}),
+            (
+                "/signals/sync",
+                {
+                    "subject_id": "S00",
+                    "chunks": [
+                        {"channel": "EDA", "rate_hz": 4.0, "start_ms": 0, "values": [1.0], "name": [1]}
+                    ],
+                },
+            ),
+        ],
+        ids=[
+            "event-index-not-int",
+            "event-bad-kind",
+            "register-without-name",
+            "register-bad-kind",
+            "register-bad-index",
+            "register-name-not-string",
+            "body-is-a-list",
+            "train-seed-not-int",
+            "train-seed-negative",
+            "body-is-a-string",
+            "sync-chunks-not-a-list",
+            "sync-cortisol-not-a-list",
+            "sync-chunk-name-not-string",
+        ],
+    )
+    def test_malformed_body_is_400(self, server, path, body):
+        with pytest.raises(urllib.error.HTTPError) as err:
+            post(server, path, body)
+        assert status_of(err.value)[0] == 400
+
+    def test_malformed_tolerance_is_400(self, server):
+        with pytest.raises(urllib.error.HTTPError) as err:
+            get_raw(server, "/location/alice?tolerance_s=abc")
+        code, body = status_of(err.value)
+        assert code == 400 and "tolerance_s" in body["error"]
+
     def test_unknown_route_is_404(self, server):
         with pytest.raises(urllib.error.HTTPError) as err:
             get(server, "/nope")

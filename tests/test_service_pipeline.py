@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -107,6 +108,23 @@ class TestStressTrainQuery:
         service.sync_signals(stress_payload("S00", stressed=False))
         with pytest.raises(NotReady):
             service.query_stress("S00")
+
+    def test_query_reads_each_record_once(self, service, monkeypatch):
+        for i in range(2):
+            service.sync_signals(stress_payload(f"R{i}", stressed=False, seed=i))
+            service.sync_signals(stress_payload(f"S{i}", stressed=True, seed=10 + i))
+        service.train_stress(seed=0)
+        reads = Counter()
+        read_entry = service.store._read_entry
+
+        def counting(entry):
+            reads[entry.kind, entry.subject_id] += 1
+            return read_entry(entry)
+
+        monkeypatch.setattr(service.store, "_read_entry", counting)
+        service.query_stress("S0")
+        # The model, then S0's three channel chunks and its beat events.
+        assert reads == {("model", ""): 1, ("signal_chunk", "S0"): 3, ("ibi_chunk", "S0"): 1}
 
     def test_query_without_data(self, service):
         for i in range(2):

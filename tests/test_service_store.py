@@ -88,6 +88,25 @@ class TestJsonlStore:
         assert store.latest("model", model_key="stress")["payload"]["version"] == "c"
         store.close()
 
+    def test_subjects_listed_from_index_without_reading(self, tmp_path, monkeypatch):
+        path = tmp_path / "log.jsonl"
+        store = JsonlStore(path)
+        store.append("signal_chunk", "S02", chunk_payload())
+        store.append("cortisol", "S01", {"timepoint": "T1"})
+        store.append("signal_chunk", "S01", chunk_payload())
+        store.append("signal_chunk", "S02", chunk_payload(start_ms=2000))
+        store.close()
+        reopened = JsonlStore(path)
+
+        def no_reads(entry):
+            raise AssertionError("subjects() read a record")
+
+        monkeypatch.setattr(reopened, "_read_entry", no_reads)
+        assert reopened.subjects("signal_chunk") == ["S02", "S01"]
+        assert reopened.subjects("cortisol") == ["S01"]
+        assert reopened.subjects("model") == []
+        reopened.close()
+
     def test_records_are_schema_versioned(self, tmp_path):
         path = tmp_path / "log.jsonl"
         store = JsonlStore(path)

@@ -28,6 +28,25 @@ def series(values, rate=125.0, channel=Channel.PPG, start_ms=0):
     return SampleSeries(channel=channel, rate_hz=rate, start_ms=start_ms, values=values)
 
 
+def greedy_peaks(s, min_dist_s=0.0, threshold_k=0.5):
+    """Reference thinning: O(k^2) greedy over candidates, largest first."""
+    v = s.values
+    threshold = v.mean() + threshold_k * v.std()
+    candidates = [
+        i
+        for i in range(1, len(v) - 1)
+        if v[i] > v[i - 1] and v[i] > v[i + 1] and v[i] > threshold
+    ]
+    if not candidates or min_dist_s <= 0:
+        return candidates
+    min_gap = min_dist_s * s.rate_hz
+    kept = []
+    for idx in sorted(candidates, key=lambda i: (-v[i], i)):
+        if all(abs(idx - j) >= min_gap for j in kept):
+            kept.append(idx)
+    return sorted(kept)
+
+
 class TestDetrend:
     def test_line_removed_exactly(self):
         out = detrend(series([1, 2, 3, 4]))
@@ -287,3 +306,35 @@ class TestDetectPeaks:
         v = [0, 5, 0, 3, 0, 0, 0, 0, 0, 4, 0]
         idx = detect_peaks(series(v, rate=1.0), min_dist_s=3.0, threshold_k=0.0)
         assert 1 in idx and 3 not in idx and 9 in idx
+
+    @given(
+        values=st.lists(st.integers(0, 6), min_size=3, max_size=400),
+        rate=st.sampled_from([1.0, 4.0, 62.5, 64.0, 125.0]),
+        min_dist_s=st.one_of(
+            st.sampled_from([0.0, 0.3, 0.05, 1.0]), st.floats(0.0, 3.0, allow_nan=False)
+        ),
+        threshold_k=st.sampled_from([-1.0, 0.0, 0.5]),
+    )
+    def test_matches_greedy_reference(self, values, rate, min_dist_s, threshold_k):
+        # Small integer values give amplitude ties; 0.3 s at 64 Hz is a
+        # fractional gap of 19.2 samples.
+        s = series(np.asarray(values, dtype=np.float64), rate=rate)
+        assert detect_peaks(s, min_dist_s, threshold_k) == greedy_peaks(s, min_dist_s, threshold_k)
+
+    @pytest.mark.parametrize(
+        "rate, min_dist_s, gap, kept",
+        [
+            # 0.3 s at 64 Hz is 19.2 samples: a gap of 19 suppresses, 20 does not.
+            (64.0, 0.3, 19, False),
+            (64.0, 0.3, 20, True),
+            # 1 s at 4 Hz is exactly 4 samples: a gap of 4 is far enough.
+            (4.0, 1.0, 3, False),
+            (4.0, 1.0, 4, True),
+        ],
+    )
+    def test_gap_boundaries(self, rate, min_dist_s, gap, kept):
+        v = np.zeros(gap + 3)
+        v[1], v[1 + gap] = 2.0, 1.0
+        s = series(v, rate=rate)
+        expected = [1, 1 + gap] if kept else [1]
+        assert detect_peaks(s, min_dist_s, 0.0) == expected == greedy_peaks(s, min_dist_s, 0.0)
