@@ -96,11 +96,12 @@ class _TreeBase:
         self.right = [int(v) for v in doc["right"]]
 
 
-def _sorted_block(X: np.ndarray, idx: np.ndarray, features: np.ndarray, kind: str):
+def _sorted_block(X: np.ndarray, idx: np.ndarray, features: np.ndarray):
     """Candidate columns of the node's rows as a (features x rows) block,
-    each row sorted; returns (sort order, sorted values)."""
+    each row sorted; returns (sort order, sorted values). The sort is stable
+    because float prefix sums over tied rows depend on their order."""
     block = X[np.ix_(idx, features)].T
-    order = np.argsort(block, axis=1, kind=kind)
+    order = np.argsort(block, axis=1, kind="stable")
     return order, np.take_along_axis(block, order, axis=1)
 
 
@@ -125,34 +126,21 @@ def _pick_split(cost, xs, min_leaf):
 
 def _best_split_classification(X, idx, features, onehot, min_leaf):
     """Best Gini split of rows idx over the candidate features, or None."""
-    # Costs are only read at boundaries between distinct values, where the
-    # whole-number class counts do not depend on how tied values are ordered,
-    # so the faster unstable sort picks the same split.
-    order, xs = _sorted_block(X, idx, features, "quicksort")
+    order, xs = _sorted_block(X, idx, features)
     n = idx.size
+    counts_left = np.cumsum(onehot[order], axis=1)[:, :-1]  # split after position i
+    counts_right = onehot.sum(axis=0) - counts_left
     n_left = np.arange(1, n, dtype=np.float64)
     n_right = n - n_left
-    if onehot.shape[1] == 2:
-        # Two classes: class-0 counts follow from class-1 counts, and a
-        # two-term sum rounds the same in either order, so this equals the
-        # general path below without its (features x rows x classes) arrays.
-        ones_left = np.cumsum(onehot[:, 1][order], axis=1)[:, :-1]
-        ones_right = onehot[:, 1].sum() - ones_left
-        gini_left = 1.0 - (((n_left - ones_left) / n_left) ** 2 + (ones_left / n_left) ** 2)
-        gini_right = 1.0 - (((n_right - ones_right) / n_right) ** 2 + (ones_right / n_right) ** 2)
-    else:
-        counts_left = np.cumsum(onehot[order], axis=1)[:, :-1]  # split after position i
-        counts_right = onehot.sum(axis=0) - counts_left
-        gini_left = 1.0 - np.sum((counts_left / n_left[:, None]) ** 2, axis=2)
-        gini_right = 1.0 - np.sum((counts_right / n_right[:, None]) ** 2, axis=2)
+    gini_left = 1.0 - np.sum((counts_left / n_left[:, None]) ** 2, axis=2)
+    gini_right = 1.0 - np.sum((counts_right / n_right[:, None]) ** 2, axis=2)
     cost = (n_left * gini_left + n_right * gini_right) / n
     return _pick_split(cost, xs, min_leaf)
 
 
 def _best_split_regression(X, idx, features, y, min_leaf):
     """Best variance-reduction split of rows idx over the candidate features, or None."""
-    # Stable: the float prefix sums of tied rows depend on their order.
-    order, xs = _sorted_block(X, idx, features, "stable")
+    order, xs = _sorted_block(X, idx, features)
     ys = y[order]
     n = idx.size
     s = np.cumsum(ys, axis=1)[:, :-1]

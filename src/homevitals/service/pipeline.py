@@ -17,7 +17,7 @@ from ..datasets import bp_rows, stress_rows
 from ..errors import DegenerateTraining, InputError, NotReady, NoWindow, TrainingBusy
 from ..features import FeatureMatrix, bp_reduced_features, stress_feature_matrix
 from ..labeling import CortisolSample, LabelRule, Timepoint
-from ..location import EventLog, LookupTable, MatchConfig, TagKind, resolve_location
+from ..location import EventLog, LookupTable, MatchConfig, resolve_location
 from ..models import (
     AdaBoostR2,
     RandomForestClassifier,
@@ -368,7 +368,7 @@ class VitalsService:
 
     # -- location ------------------------------------------------------------------
 
-    def ingest_tag_event(self, kind: TagKind | str, index: int, source_addr: str = "") -> dict:
+    def ingest_tag_event(self, kind: str, index: int, source_addr: str = "") -> dict:
         event = self.tag_log.ingest_event(kind, index, source_addr)
         self.store.append(
             "tag_event",
