@@ -76,6 +76,9 @@ class _Handler(BaseHTTPRequestHandler):
     service: VitalsService  # set on the server class
 
     protocol_version = "HTTP/1.1"
+    # Headers and body go out in separate writes; without TCP_NODELAY the
+    # body waits for the client's delayed ACK of the headers (~40 ms).
+    disable_nagle_algorithm = True
 
     def log_message(self, fmt, *args):  # route through logging, not stderr
         log.debug("%s - %s", self.address_string(), fmt % args)
@@ -83,7 +86,14 @@ class _Handler(BaseHTTPRequestHandler):
     # -- plumbing -----------------------------------------------------------
 
     def _read_json(self) -> dict:
-        length = int(self.headers.get("Content-Length", 0))
+        try:
+            length = int(self.headers.get("Content-Length", 0))
+        except ValueError:
+            length = -1
+        if length < 0:
+            # Where the body ends is unknown, so the connection cannot be reused.
+            self.close_connection = True
+            raise InputError("Content-Length must be a non-negative integer")
         if length == 0:
             return {}
         raw = self.rfile.read(length)

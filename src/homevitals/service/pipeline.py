@@ -9,6 +9,7 @@ version and the exact input span it was computed over.
 from __future__ import annotations
 
 import threading
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -26,9 +27,9 @@ from ..models import (
     load_document,
     model_document,
 )
-from ..signals import Channel, ChannelBundle, IbiSeries, SampleSeries, make_windows
+from ..signals import Channel, ChannelBundle, IbiSeries, SampleSeries, Window
 from .config import ServiceConfig
-from .store import JsonlStore
+from .store import IndexEntry, JsonlStore
 
 CONTIGUITY_SLOP_MS = 2
 
@@ -64,6 +65,72 @@ def _list_field(request: dict, key: str) -> list:
     return items
 
 
+@dataclass(frozen=True)
+class _Span:
+    """Samples [lo, hi) of one channel's latest contiguous run, planned from
+    index metadata. Lengths, times and bounds checks follow SampleSeries, so
+    slicing a span places it exactly where slicing the decoded run would."""
+
+    channel: Channel
+    rate_hz: float
+    start_ms: int
+    chunks: tuple[IndexEntry, ...]  # the run's chunks, oldest first
+    lo: int
+    hi: int
+
+    def __len__(self) -> int:
+        return self.hi - self.lo
+
+    @property
+    def duration_s(self) -> float:
+        return len(self) / self.rate_hz
+
+    @property
+    def end_ms(self) -> int:
+        return self.start_ms + int(round(1000.0 * len(self) / self.rate_hz))
+
+    def slice_samples(self, start_idx: int, stop_idx: int) -> "_Span":
+        if not 0 <= start_idx <= stop_idx <= len(self):
+            raise InputError(
+                f"slice [{start_idx}:{stop_idx}] out of range for length {len(self)}"
+            )
+        return replace(
+            self,
+            start_ms=self.start_ms + int(round(1000.0 * start_idx / self.rate_hz)),
+            lo=self.lo + start_idx,
+            hi=self.lo + stop_idx,
+        )
+
+
+def _latest_run(
+    entries: list[IndexEntry], channel: Channel, name: str | None = None
+) -> _Span | None:
+    """The latest contiguous run of (channel, name) chunks: queries answer
+    from fresh, gap-free signal."""
+    chunks = sorted(
+        (e for e in entries if e.meta.channel == channel.value and e.meta.name == name),
+        key=lambda e: int(e.meta.start_ms),
+    )
+    if not chunks:
+        return None
+    run = [chunks[-1]]
+    for prev in reversed(chunks[:-1]):
+        m = prev.meta
+        end_ms = int(m.start_ms) + int(round(1000.0 * m.n_samples / float(m.rate_hz)))
+        if abs(end_ms - int(run[0].meta.start_ms)) <= CONTIGUITY_SLOP_MS:
+            run.insert(0, prev)
+        else:
+            break
+    return _Span(
+        channel=channel,
+        rate_hz=float(run[0].meta.rate_hz),
+        start_ms=int(run[0].meta.start_ms),
+        chunks=tuple(run),
+        lo=0,
+        hi=sum(entry.meta.n_samples for entry in run),
+    )
+
+
 class VitalsService:
     def __init__(self, config: ServiceConfig, store: JsonlStore, clock: Callable[[], int] | None = None):
         self.config = config
@@ -79,6 +146,7 @@ class VitalsService:
             else EventLog(table, config.match_config)
         )
         self._train_lock = threading.Lock()
+        self._models: dict[str, tuple[object, dict]] = {}
 
     # -- ingestion -----------------------------------------------------------
 
@@ -94,6 +162,8 @@ class VitalsService:
         chunk_payloads = []
         for i, chunk in enumerate(_list_field(request, "chunks")):
             series = payload_to_series(chunk, field=f"chunks[{i}]")
+            if len(series) == 0:
+                raise InputError(f"chunks[{i}]: values must not be empty")
             name = chunk.get("name")
             if name is not None and not isinstance(name, str):
                 raise InputError(f"chunks[{i}]: name must be a string")
@@ -143,68 +213,134 @@ class VitalsService:
         return {"subject_id": subject_id, "stored": stored, "duplicates": duplicates}
 
     # -- bundle assembly -------------------------------------------------------
+    #
+    # Which samples a bundle or segment covers is planned from the store's
+    # index metadata alone; only the chunks under the planned samples are
+    # decoded. Training reads whole runs, queries only what they answer from.
 
-    def _subject_chunks(self, subject_id: str) -> dict[tuple[str, str | None], list[dict]]:
-        """The subject's signal_chunk payloads, read once, grouped by (channel, name)."""
-        groups: dict[tuple[str, str | None], list[dict]] = {}
-        for record in self.store.records(kind="signal_chunk", subject_id=subject_id):
-            payload = record["payload"]
-            groups.setdefault((payload["channel"], payload.get("name")), []).append(payload)
-        return groups
-
-    @staticmethod
-    def _channel_series(groups: dict, channel: Channel, name: str | None = None):
-        payloads = groups.get((channel.value, name))
-        if not payloads:
-            return None
-        chunks = sorted((payload_to_series(p) for p in payloads), key=lambda s: s.start_ms)
-        # Latest contiguous run: queries answer from fresh, gap-free signal.
-        run = [chunks[-1]]
-        for prev in reversed(chunks[:-1]):
-            if abs(prev.end_ms - run[0].start_ms) <= CONTIGUITY_SLOP_MS:
-                run.insert(0, prev)
-            else:
-                break
+    def _read_series(
+        self, subject_id: str, span: _Span, start_ms: int | None = None
+    ) -> SampleSeries:
+        """The span's samples, decoded from only the chunks under them; placed
+        at start_ms when given, else where slicing the run would place them."""
+        under, offset = [], 0  # (first sample within the run, chunk)
+        for entry in span.chunks:
+            n = entry.meta.n_samples
+            if n and offset < span.hi and offset + n > span.lo:
+                under.append((offset, entry))
+            offset += n
+        seqs = {entry.seq for _offset, entry in under}
+        decoded = {
+            record["seq"]: record["payload"]["values"]
+            for record in self.store.records(
+                "signal_chunk", subject_id, where=lambda e: e.seq in seqs
+            )
+        }
+        values = np.empty(0)
+        if under:
+            first = under[0][0]
+            parts = [np.asarray(decoded[entry.seq], dtype=np.float64) for _offset, entry in under]
+            values = np.concatenate(parts)[span.lo - first : span.hi - first]
         return SampleSeries(
-            channel=channel,
-            rate_hz=run[0].rate_hz,
-            start_ms=run[0].start_ms,
-            values=np.concatenate([s.values for s in run]),
+            channel=span.channel,
+            rate_hz=span.rate_hz,
+            start_ms=span.start_ms if start_ms is None else start_ms,
+            values=values,
         )
 
-    def _subject_ibi(self, subject_id: str) -> IbiSeries:
+    def _read_ibi(self, subject_id: str, start_ms: int, end_ms: int) -> IbiSeries:
+        """Beat events with start_ms <= t < end_ms, from the chunks that reach
+        into that span; equal times keep the first-synced event."""
         pairs: list[tuple[int, float]] = []
-        for record in self.store.records(kind="ibi_chunk", subject_id=subject_id):
+        for record in self.store.records(
+            "ibi_chunk",
+            subject_id,
+            where=lambda e: e.meta.first_ms is not None
+            and e.meta.first_ms < end_ms
+            and e.meta.last_ms >= start_ms,
+        ):
             pairs.extend((int(t), float(v)) for t, v in record["payload"]["events"])
         pairs.sort(key=lambda p: p[0])
         deduped = [p for i, p in enumerate(pairs) if i == 0 or p[0] > pairs[i - 1][0]]
-        return IbiSeries.from_pairs(deduped)
+        return IbiSeries.from_pairs(deduped).between(start_ms, end_ms)
 
-    def assemble_bundle(self, subject_id: str) -> ChannelBundle | None:
-        groups = self._subject_chunks(subject_id)
-        eda = self._channel_series(groups, Channel.EDA)
-        bvp = self._channel_series(groups, Channel.BVP)
-        st = self._channel_series(groups, Channel.ST)
-        if eda is None or bvp is None or st is None:
+    def _read_bundle(
+        self, subject_id: str, spans: tuple[_Span, _Span, _Span], start_ms: int, end_ms: int
+    ) -> ChannelBundle:
+        """The one place a bundle is decoded: the EDA, BVP and ST spans placed
+        at start_ms, with the beat events in [start_ms, end_ms)."""
+        eda, bvp, st = (self._read_series(subject_id, span, start_ms) for span in spans)
+        return ChannelBundle(
+            subject_id=subject_id,
+            eda=eda,
+            bvp=bvp,
+            st=st,
+            ibi=self._read_ibi(subject_id, start_ms, end_ms),
+            session_start_ms=start_ms,
+        )
+
+    def _bundle_spans(self, subject_id: str) -> tuple[int, int, tuple[_Span, _Span, _Span]] | None:
+        """Session start, end, and each wristband channel's latest run trimmed
+        to their common span; None when a channel is missing or they do not
+        overlap."""
+        entries = self.store.index("signal_chunk", subject_id)
+        runs = [_latest_run(entries, channel) for channel in (Channel.EDA, Channel.BVP, Channel.ST)]
+        if any(run is None for run in runs):
             return None
-        start = max(eda.start_ms, bvp.start_ms, st.start_ms)
-        end = min(eda.end_ms, bvp.end_ms, st.end_ms)
+        start = max(run.start_ms for run in runs)
+        end = min(run.end_ms for run in runs)
         if end <= start:
             return None
 
-        def trim(series: SampleSeries) -> SampleSeries:
-            i0 = int(round((start - series.start_ms) * series.rate_hz / 1000.0))
-            i1 = int(round((end - series.start_ms) * series.rate_hz / 1000.0))
-            return series.slice_samples(i0, min(i1, len(series)))
+        def trim(span: _Span) -> _Span:
+            i0 = int(round((start - span.start_ms) * span.rate_hz / 1000.0))
+            i1 = int(round((end - span.start_ms) * span.rate_hz / 1000.0))
+            return span.slice_samples(i0, min(i1, len(span)))
 
-        return ChannelBundle(
-            subject_id=subject_id,
-            eda=trim(eda),
-            bvp=trim(bvp),
-            st=trim(st),
-            ibi=self._subject_ibi(subject_id).between(start, end),
-            session_start_ms=start,
-        )
+        spans = tuple(trim(run) for run in runs)
+        for name, span in zip(("eda", "bvp", "st"), spans):
+            if span.start_ms != start:  # as ChannelBundle checks it
+                raise InputError(
+                    f"{name} starts at {span.start_ms}, expected session origin {start}"
+                )
+        return start, end, spans
+
+    def assemble_bundle(self, subject_id: str) -> ChannelBundle | None:
+        """The subject's whole bundle, as training reads it."""
+        planned = self._bundle_spans(subject_id)
+        if planned is None:
+            return None
+        start, end, spans = planned
+        return self._read_bundle(subject_id, spans, start, end)
+
+    def _last_window(self, subject_id: str) -> Window:
+        """The last window of the subject's bundle, decoding only its samples.
+
+        The bundle returned inside the window holds just those samples, placed
+        at the window start; features read sample values and rates only.
+        """
+        spec = self.config.window_spec
+        planned = self._bundle_spans(subject_id)
+        # ChannelBundle.duration_s: the shortest channel.
+        duration_s = min(span.duration_s for span in planned[2]) if planned else 0.0
+        if duration_s < spec.length_s:
+            raise NoWindow(f"no complete {spec.length_s:.0f} s window for {subject_id}")
+        start, end, spans = planned
+        # make_windows' grid, in the same integer milliseconds.
+        length_ms = int(round(spec.length_s * 1000))
+        step_ms = int(round(spec.step_s * 1000))
+        index = (int(round(duration_s * 1000)) - length_ms) // step_ms
+        w_start = start + index * step_ms
+        w_end = w_start + length_ms
+
+        def window_slice(span: _Span) -> _Span:  # Window._slice
+            i0 = int(round((w_start - span.start_ms) * span.rate_hz / 1000.0))
+            count = int(round((w_end - w_start) * span.rate_hz / 1000.0))
+            return span.slice_samples(i0, i0 + count)
+
+        window_spans = tuple(window_slice(span) for span in spans)
+        bundle = self._read_bundle(subject_id, window_spans, w_start, min(end, w_end))
+        return Window(index=index, start_ms=w_start, end_ms=w_end, bundle=bundle)
 
     def _subject_cortisol(self, subject_id: str) -> list[CortisolSample]:
         samples = []
@@ -270,12 +406,15 @@ class VitalsService:
     def _train_bp(self, seed: int) -> dict:
         segments = []
         for subject_id in self.store.subjects("signal_chunk"):
-            groups = self._subject_chunks(subject_id)
-            ppg = self._channel_series(groups, Channel.PPG)
-            sbp = self._channel_series(groups, Channel.DERIVED, name="sbp_mmhg")
-            dbp = self._channel_series(groups, Channel.DERIVED, name="dbp_mmhg")
-            if ppg is None or sbp is None or dbp is None:
+            entries = self.store.index("signal_chunk", subject_id)
+            runs = (
+                _latest_run(entries, Channel.PPG),
+                _latest_run(entries, Channel.DERIVED, name="sbp_mmhg"),
+                _latest_run(entries, Channel.DERIVED, name="dbp_mmhg"),
+            )
+            if any(run is None for run in runs):
                 continue
+            ppg, sbp, dbp = (self._read_series(subject_id, run) for run in runs)
             cfg = self.config.filter_config(ppg.rate_hz)
             segments += bp_rows(ppg, sbp, dbp, self.config.bp_segment_s, cfg, subject_id)
         if not segments:
@@ -304,19 +443,21 @@ class VitalsService:
     # -- queries -----------------------------------------------------------------
 
     def _latest_model(self, model_key: str) -> tuple[object, dict]:
-        record = self.store.latest("model", model_key=model_key)
-        if record is None:
+        """The newest model of model_key, loaded once per version."""
+        versions = [
+            e.meta.version for e in self.store.index("model", "") if e.meta.model_key == model_key
+        ]
+        if not versions:
             raise NotReady(f"no trained {model_key} model")
-        doc = record["payload"]["document"]
-        return load_document(doc), record["payload"]
+        cached = self._models.get(model_key)
+        if cached is None or cached[1]["version"] != versions[-1]:
+            payload = self.store.latest("model", model_key=model_key)["payload"]
+            cached = self._models[model_key] = (load_document(payload["document"]), payload)
+        return cached
 
     def query_stress(self, subject_id: str) -> dict:
         model, meta = self._latest_model("stress")
-        bundle = self.assemble_bundle(subject_id)
-        spec = self.config.window_spec
-        if bundle is None or bundle.duration_s < spec.length_s:
-            raise NoWindow(f"no complete {spec.length_s:.0f} s window for {subject_id}")
-        window = make_windows(bundle, spec)[-1]
+        window = self._last_window(subject_id)
         matrix = stress_feature_matrix([window])
         check_feature_schema(meta["document"], matrix.names)
         proba = float(model.predict_proba(matrix.X)[0, -1])
@@ -335,15 +476,16 @@ class VitalsService:
     def query_bp(self, subject_id: str) -> dict:
         sbp_model, sbp_meta = self._latest_model("bp_sbp")
         dbp_model, dbp_meta = self._latest_model("bp_dbp")
-        groups = self._subject_chunks(subject_id)
-        source = self._channel_series(groups, Channel.PPG)
+        entries = self.store.index("signal_chunk", subject_id)
+        source = _latest_run(entries, Channel.PPG)
         if source is None:
-            source = self._channel_series(groups, Channel.BVP)
+            source = _latest_run(entries, Channel.BVP)
         segment_s = self.config.bp_segment_s
         if source is None or source.duration_s < 5.0:
             raise NoWindow(f"no recent pulse signal for {subject_id}")
         take = min(len(source), int(segment_s * source.rate_hz))
-        segment = source.slice_samples(len(source) - take, len(source))
+        last = source.slice_samples(len(source) - take, len(source))
+        segment = self._read_series(subject_id, last)
         cfg = self.config.filter_config(source.rate_hz)
         features = bp_reduced_features(segment, cfg, subject_id=subject_id)
         check_feature_schema(sbp_meta["document"], features.names)

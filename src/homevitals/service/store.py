@@ -4,10 +4,17 @@ One JSON document per line; every record carries a schema version and a
 sequence number. Appends are serialized, flushed, and fsynced before the
 call returns, so an acknowledged write survives an ungraceful kill.
 
-Only an index lives in memory: byte offsets per record plus the dedup keys.
-The index is snapshotted to a sidecar file periodically and on close; on
-open a fresh snapshot lets the store replay just the log tail. A torn
-trailing line from a crash was never acknowledged and is ignored.
+Only an index lives in memory, kept per (kind, subject_id): each entry holds
+the record's byte offset and length plus the small metadata queries plan
+with, taken from the payload at append or scan time (a signal chunk's
+channel, name, start, sample count and rate; a beat-event chunk's first and
+last event time; a model's key and version). Queries pick the records they
+need from that metadata and read only those, through one long-lived read
+handle with positional reads. The index, metadata and dedup keys included,
+is snapshotted to a sidecar file periodically and on close; on open a fresh
+snapshot lets the store replay just the log tail, and a snapshot in any
+other format is ignored in favour of a full rescan. A torn trailing line
+from a crash was never acknowledged and is ignored.
 """
 
 from __future__ import annotations
@@ -18,11 +25,14 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from ..errors import FormatError, InputError
 
 SCHEMA_VERSION = 1
+
+#: Layout of the sidecar index; a snapshot without this value is rescanned.
+INDEX_FORMAT = 2
 
 RECORD_KINDS = (
     "signal_chunk",
@@ -34,6 +44,44 @@ RECORD_KINDS = (
 )
 
 SNAPSHOT_EVERY = 256
+
+
+class ChunkMeta(NamedTuple):
+    channel: str
+    name: str | None
+    start_ms: int
+    n_samples: int
+    rate_hz: float
+
+
+class IbiMeta(NamedTuple):
+    first_ms: int | None
+    last_ms: int | None
+
+
+class ModelMeta(NamedTuple):
+    model_key: str
+    version: str
+
+
+_META_TYPES = {"signal_chunk": ChunkMeta, "ibi_chunk": IbiMeta, "model": ModelMeta}
+
+
+def _metadata(kind: str, payload: dict) -> tuple | None:
+    if kind == "signal_chunk":
+        return ChunkMeta(
+            payload.get("channel"),
+            payload.get("name"),
+            payload.get("start_ms"),
+            len(payload.get("values", ())),
+            payload.get("rate_hz"),
+        )
+    if kind == "ibi_chunk":
+        events = payload.get("events", ())
+        return IbiMeta(events[0][0], events[-1][0]) if events else IbiMeta(None, None)
+    if kind == "model":
+        return ModelMeta(payload.get("model_key"), payload.get("version"))
+    return None
 
 
 def _dedup_key(kind: str, subject_id: str, payload: dict) -> tuple | None:
@@ -56,19 +104,23 @@ def _dedup_key(kind: str, subject_id: str, payload: dict) -> tuple | None:
 
 
 @dataclass(frozen=True)
-class _Entry:
+class IndexEntry:
+    """Where one record lives in the log, and its kind's metadata (or None)."""
+
     seq: int
     kind: str
     subject_id: str
     offset: int
     length: int
+    meta: tuple | None
 
 
 class JsonlStore:
     def __init__(self, path: str | Path):
         self.path = Path(path)
         self._lock = threading.Lock()
-        self._entries: list[_Entry] = []
+        self._entries: list[IndexEntry] = []
+        self._by_key: dict[tuple[str, str], list[IndexEntry]] = {}
         self._dedup: set[tuple] = set()
         self._seq = 0
         self._appends_since_snapshot = 0
@@ -76,6 +128,7 @@ class JsonlStore:
         self.path.touch(exist_ok=True)
         self._scan()
         self._fh = open(self.path, "ab")
+        self._reader = open(self.path, "rb")
 
     @property
     def snapshot_path(self) -> Path:
@@ -89,7 +142,7 @@ class JsonlStore:
         if start_offset > file_size:
             # Snapshot is ahead of the log (log was truncated/replaced):
             # distrust it entirely.
-            self._entries, self._dedup, self._seq = [], set(), 0
+            self._entries, self._by_key, self._dedup, self._seq = [], {}, set(), 0
             start_offset = 0
         with open(self.path, "rb") as fh:
             fh.seek(start_offset)
@@ -114,29 +167,44 @@ class JsonlStore:
             return 0
         try:
             doc = json.loads(snap.read_text())
-            entries = [_Entry(*e) for e in doc["entries"]]
+            if doc["format"] != INDEX_FORMAT:
+                return 0
+            entries = []
+            for seq, kind, subject_id, offset, length, meta in doc["entries"]:
+                meta_type = _META_TYPES.get(kind)
+                meta = meta_type(*meta) if meta_type is not None else None
+                entries.append(IndexEntry(seq, kind, subject_id, offset, length, meta))
             dedup = {tuple(k) for k in doc["dedup"]}
             offset = int(doc["offset"])
             seq = int(doc["seq"])
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError):
+        except (json.JSONDecodeError, KeyError, IndexError, TypeError, ValueError):
             return 0
-        self._entries = entries
+        self._entries, self._by_key = [], {}
+        for entry in entries:
+            self._index(entry)
         self._dedup = dedup
         self._seq = seq
         return offset
 
+    def _index(self, entry: IndexEntry) -> None:
+        self._entries.append(entry)
+        self._by_key.setdefault((entry.kind, entry.subject_id), []).append(entry)
+
     def _register(self, record: dict, offset: int, length: int) -> None:
-        self._entries.append(
-            _Entry(
+        kind, subject_id = record["kind"], record.get("subject_id", "")
+        payload = record.get("payload", {})
+        self._index(
+            IndexEntry(
                 seq=record["seq"],
-                kind=record["kind"],
-                subject_id=record.get("subject_id", ""),
+                kind=kind,
+                subject_id=subject_id,
                 offset=offset,
                 length=length,
+                meta=_metadata(kind, payload),
             )
         )
         self._seq = max(self._seq, record["seq"])
-        key = _dedup_key(record["kind"], record.get("subject_id", ""), record.get("payload", {}))
+        key = _dedup_key(kind, subject_id, payload)
         if key is not None:
             self._dedup.add(key)
 
@@ -172,20 +240,35 @@ class JsonlStore:
 
     # -- reading -----------------------------------------------------------
 
-    def _read_entry(self, entry: _Entry) -> dict:
-        with open(self.path, "rb") as fh:
-            fh.seek(entry.offset)
-            return json.loads(fh.read(entry.length))
+    def _read_entry(self, entry: IndexEntry) -> dict:
+        return json.loads(os.pread(self._reader.fileno(), entry.length, entry.offset))
 
-    def records(self, kind: str | None = None, subject_id: str | None = None) -> Iterator[dict]:
+    def index(self, kind: str, subject_id: str) -> list[IndexEntry]:
+        """The subject's index entries of kind, in append order; no record is read."""
         with self._lock:
-            entries = list(self._entries)
+            return list(self._by_key.get((kind, subject_id), ()))
+
+    def records(
+        self,
+        kind: str | None = None,
+        subject_id: str | None = None,
+        where: Callable[[IndexEntry], bool] | None = None,
+    ) -> Iterator[dict]:
+        """Records in append order; with `where`, only those whose index entry
+        it accepts are read."""
+        if kind is not None and subject_id is not None:
+            entries = self.index(kind, subject_id)
+        else:
+            with self._lock:
+                entries = [
+                    e
+                    for e in self._entries
+                    if (kind is None or e.kind == kind)
+                    and (subject_id is None or e.subject_id == subject_id)
+                ]
         for entry in entries:
-            if kind is not None and entry.kind != kind:
-                continue
-            if subject_id is not None and entry.subject_id != subject_id:
-                continue
-            yield self._read_entry(entry)
+            if where is None or where(entry):
+                yield self._read_entry(entry)
 
     def subjects(self, kind: str) -> list[str]:
         """Subjects with at least one record of kind, in first-append order.
@@ -193,16 +276,27 @@ class JsonlStore:
         Answered from the in-memory index; no record is read.
         """
         with self._lock:
-            entries = list(self._entries)
-        return list(dict.fromkeys(e.subject_id for e in entries if e.kind == kind))
+            return [subject for k, subject in self._by_key if k == kind]
 
-    def latest(self, kind: str, **payload_match) -> dict | None:
+    def latest(self, kind: str, **meta_match) -> dict | None:
+        """The newest record of kind whose index metadata has the given field
+        values, e.g. latest("model", model_key="stress"); one record is read."""
+
+        def matches(entry: IndexEntry) -> bool:
+            meta = entry.meta
+            return meta is not None and all(
+                f in meta._fields and getattr(meta, f) == v for f, v in meta_match.items()
+            )
+
         found = None
-        for record in self.records(kind=kind):
-            payload = record.get("payload", {})
-            if all(payload.get(k) == v for k, v in payload_match.items()):
-                found = record
-        return found
+        with self._lock:
+            for (k, _subject), entries in self._by_key.items():
+                if k != kind:
+                    continue
+                newest = next((e for e in reversed(entries) if matches(e)), None)
+                if newest is not None and (found is None or newest.seq > found.seq):
+                    found = newest
+        return None if found is None else self._read_entry(found)
 
     def __len__(self) -> int:
         with self._lock:
@@ -212,11 +306,12 @@ class JsonlStore:
 
     def _write_snapshot_locked(self) -> None:
         doc = {
+            "format": INDEX_FORMAT,
             "seq": self._seq,
             "offset": self._fh.tell(),
             "dedup": [list(k) for k in self._dedup],
             "entries": [
-                [e.seq, e.kind, e.subject_id, e.offset, e.length] for e in self._entries
+                [e.seq, e.kind, e.subject_id, e.offset, e.length, e.meta] for e in self._entries
             ],
         }
         tmp = self.snapshot_path.with_name(self.snapshot_path.name + ".tmp")
@@ -229,3 +324,4 @@ class JsonlStore:
             if not self._fh.closed:
                 self._write_snapshot_locked()
                 self._fh.close()
+                self._reader.close()

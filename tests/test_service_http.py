@@ -1,6 +1,7 @@
 """HTTP API: routes, status codes, canonical location wire format."""
 
 import json
+import socket
 import urllib.error
 import urllib.request
 
@@ -153,6 +154,13 @@ class TestRoutes:
             ("/train/stress", {"seed": "x"}),
             ("/train/bp", {"seed": -1}),
             ("/signals/sync", "S00"),
+            (
+                "/signals/sync",
+                {
+                    "subject_id": "S00",
+                    "chunks": [{"channel": "EDA", "rate_hz": 4.0, "start_ms": 0, "values": []}],
+                },
+            ),
             ("/signals/sync", {"subject_id": "S00", "chunks": 5}),
             ("/signals/sync", {"subject_id": "S00", "cortisol": 3}),
             (
@@ -176,6 +184,7 @@ class TestRoutes:
             "train-seed-not-int",
             "train-seed-negative",
             "body-is-a-string",
+            "sync-chunk-empty",
             "sync-chunks-not-a-list",
             "sync-cortisol-not-a-list",
             "sync-chunk-name-not-string",
@@ -196,3 +205,21 @@ class TestRoutes:
         with pytest.raises(urllib.error.HTTPError) as err:
             get(server, "/nope")
         assert status_of(err.value)[0] == 404
+
+    @pytest.mark.parametrize("length", ["abc", "-5", "-1"])
+    def test_bad_content_length_is_400(self, server, length):
+        request = (
+            "POST /signals/sync HTTP/1.1\r\n"
+            "Host: 127.0.0.1\r\n"
+            f"Content-Length: {length}\r\n"
+            "\r\n"
+            "{}"
+        )
+        with socket.create_connection(("127.0.0.1", server.port), timeout=10) as sock:
+            sock.sendall(request.encode())
+            reply = b""
+            while chunk := sock.recv(4096):  # the server closes the connection
+                reply += chunk
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert "Content-Length" in json.loads(body)["error"]

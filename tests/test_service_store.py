@@ -5,8 +5,16 @@ import json
 import pytest
 
 from homevitals.errors import ConfigError, InputError
-from homevitals.service import JsonlStore, ServiceConfig, format_config, parse_config
+from homevitals.service import (
+    JsonlStore,
+    ServiceConfig,
+    VitalsService,
+    format_config,
+    parse_config,
+)
 from homevitals.service.store import SNAPSHOT_EVERY
+from homevitals.simulate import simulate_bp_records
+from test_service_pipeline import bp_payload, stress_payload
 
 
 def chunk_payload(start_ms=0, n=8, channel="EDA", name=None):
@@ -105,6 +113,45 @@ class TestJsonlStore:
         assert reopened.subjects("signal_chunk") == ["S02", "S01"]
         assert reopened.subjects("cortisol") == ["S01"]
         assert reopened.subjects("model") == []
+        reopened.close()
+
+    def test_snapshot_in_the_older_layout_is_rescanned(self, tmp_path):
+        # Snapshots once held five fields per entry and no format number.
+        config = ServiceConfig(
+            storage_path=str(tmp_path / "log.jsonl"),
+            forest_n_trees=5,
+            forest_max_depth=6,
+            bp_boost_estimators=4,
+            bp_segment_s=40.0,
+        )
+        store = JsonlStore(config.storage_path)
+        service = VitalsService(config, store)
+        for i in range(2):
+            service.sync_signals(stress_payload(f"R{i}", stressed=False, seed=i))
+            service.sync_signals(stress_payload(f"S{i}", stressed=True, seed=10 + i))
+        unit = simulate_bp_records(1, "short_term", seed=0)[0].units[0]
+        for i, offset in enumerate((0.0, 300.0)):
+            service.sync_signals(bp_payload(f"P{i}", unit, offset))
+        service.train_stress(seed=0)
+        service.train_bp(seed=0)
+        answers = [service.query_stress("S0"), service.query_bp("P1"), service.query_bp("R0")]
+        size, subjects = len(store), store.subjects("signal_chunk")
+        store.close()
+        doc = json.loads(store.snapshot_path.read_text())
+        older = {
+            "seq": doc["seq"],
+            "offset": doc["offset"],
+            "dedup": doc["dedup"],
+            "entries": [entry[:5] for entry in doc["entries"]],
+        }
+        store.snapshot_path.write_text(json.dumps(older))
+
+        reopened = JsonlStore(config.storage_path)
+        assert len(reopened) == size
+        assert reopened.subjects("signal_chunk") == subjects
+        service = VitalsService(config, reopened)
+        again = [service.query_stress("S0"), service.query_bp("P1"), service.query_bp("R0")]
+        assert again == answers
         reopened.close()
 
     def test_records_are_schema_versioned(self, tmp_path):
