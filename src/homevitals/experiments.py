@@ -151,10 +151,10 @@ def build_bp_dataset(
     segment_s: float = BP_SEGMENT_S,
 ) -> tuple[FeatureMatrix, np.ndarray, np.ndarray]:
     """Reduced-feature matrix over fixed-length segments plus SBP/DBP targets."""
-    cfg = FilterConfig.for_rate(125.0)
     segments = []
     for record in simulate_bp_records(n_records, mode, seed=seed):
         for u, unit in enumerate(record.units):
+            cfg = FilterConfig.for_rate(unit.ppg.rate_hz)
             segments += bp_rows(
                 unit.ppg, unit.sbp, unit.dbp, segment_s, cfg, record.record_id, f"{u}:"
             )

@@ -6,7 +6,10 @@ magnitude spectrum, and the spectrum's first and second derivatives along the
 frequency axis. Each stream contributes 15 statistics (90 features); 16 more
 come from the detected spectral peaks (8 statistics of peak frequencies and 8
 of peak amplitudes), totalling 106. The reduced set keeps the 10 max/min
-features of peak frequency, peak amplitude, signal, and both derivatives.
+features of peak frequency, peak amplitude, signal, and both derivatives. It
+is computed directly from the shared front half (preprocessing, derivatives,
+spectrum, spectral peaks) without the other 96 statistics, and its values
+equal the catalog's identically named columns bit for bit.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from ..signals import (
     preprocess_ppg,
     spectrum,
 )
+from .stress import _skew_kurtosis
 from .vectors import FeatureVector
 
 STREAM_NAMES = ("ppg", "d1", "d2", "fft", "fft_d1", "fft_d2")
@@ -75,17 +79,6 @@ SPECTRAL_PEAK_THRESHOLD_K = 1.0
 SPECTRAL_PEAK_RELATIVE_FLOOR = 0.05
 
 
-def _skew_kurtosis(values: np.ndarray) -> tuple[float, float]:
-    centered = values - values.mean()
-    m2 = float(np.mean(centered**2))
-    if m2 <= 0:
-        return 0.0, 0.0
-    return (
-        float(np.mean(centered**3)) / m2**1.5,
-        float(np.mean(centered**4)) / m2**2 - 3.0,
-    )
-
-
 def _stream_stats(values: np.ndarray) -> list[float]:
     skew, kurt = _skew_kurtosis(values)
     p25, p75 = np.percentile(values, [25, 75])
@@ -124,13 +117,12 @@ def _peak_stats(values: np.ndarray) -> list[float]:
     ]
 
 
-def bp_feature_vector(
-    segment: SampleSeries,
-    cfg: FilterConfig | None = None,
-    origin: str = "0",
-    subject_id: str = "",
-) -> FeatureVector:
-    """All 106 named features for one PPG segment (>= 5 s)."""
+def _decompose(
+    segment: SampleSeries, cfg: FilterConfig | None
+) -> tuple[SampleSeries, SampleSeries, SampleSeries, SampleSeries, np.ndarray, np.ndarray]:
+    """The front half both extractors share: the processed signal, its two
+    derivatives, the spectrum as a series along frequency, and the frequencies
+    and amplitudes of the spectral peaks above the relative floor."""
     if segment.duration_s < MIN_SEGMENT_S:
         raise DegenerateInput(
             f"segment covers {segment.duration_s:.2f} s; need >= {MIN_SEGMENT_S} s"
@@ -145,8 +137,6 @@ def bp_feature_vector(
     # Wrap the spectrum as a series sampled along frequency (1/df bins per Hz)
     # so the same finite-difference operator yields d/df of the magnitudes.
     spec_series = SampleSeries(Channel.DERIVED, 1.0 / df, 0, spec.magnitudes)
-    fft_d1 = derivative(spec_series, 1)
-    fft_d2 = derivative(spec_series, 2)
 
     peak_idx = detect_peaks(
         spec_series,
@@ -155,23 +145,36 @@ def bp_feature_vector(
     )
     floor = SPECTRAL_PEAK_RELATIVE_FLOOR * spec.magnitudes.max()
     peak_idx = [i for i in peak_idx if spec.magnitudes[i] >= floor]
-    peak_freqs = spec.freqs_hz[peak_idx]
-    peak_amps = spec.magnitudes[peak_idx]
+    return processed, d1, d2, spec_series, spec.freqs_hz[peak_idx], spec.magnitudes[peak_idx]
 
+
+def _flags(peak_freqs: np.ndarray) -> tuple[str, ...]:
+    return () if peak_freqs.size else ("bp_no_spectral_peaks",)
+
+
+def bp_feature_vector(
+    segment: SampleSeries,
+    cfg: FilterConfig | None = None,
+    origin: str = "0",
+    subject_id: str = "",
+) -> FeatureVector:
+    """All 106 named features for one PPG segment (>= 5 s)."""
+    processed, d1, d2, spec_series, peak_freqs, peak_amps = _decompose(segment, cfg)
     values: list[float] = []
     for stream in (
         processed.values,
         d1.values,
         d2.values,
-        spec.magnitudes,
-        fft_d1.values,
-        fft_d2.values,
+        spec_series.values,
+        derivative(spec_series, 1).values,
+        derivative(spec_series, 2).values,
     ):
         values.extend(_stream_stats(stream))
     values.extend(_peak_stats(peak_freqs))
     values.extend(_peak_stats(peak_amps))
-    flags = () if len(peak_idx) else ("bp_no_spectral_peaks",)
-    return FeatureVector(subject_id or "segment", origin, BP_FEATURE_NAMES, values, flags)
+    return FeatureVector(
+        subject_id or "segment", origin, BP_FEATURE_NAMES, values, _flags(peak_freqs)
+    )
 
 
 def bp_reduced_features(
@@ -181,10 +184,14 @@ def bp_reduced_features(
     subject_id: str = "",
 ) -> FeatureVector:
     """The 10-feature set: max/min of peak frequency, peak amplitude, signal,
-    first derivative, and second derivative; values equal the identically
-    named columns of the full catalog."""
-    full = bp_feature_vector(segment, cfg, origin=origin, subject_id=subject_id)
-    idx = [full.names.index(n) for n in BP_REDUCED_NAMES]
+    first derivative, and second derivative. Only these are computed; their
+    values equal the identically named columns of the full catalog."""
+    processed, d1, d2, _, peak_freqs, peak_amps = _decompose(segment, cfg)
+    values: list[float] = []
+    for peaks in (peak_freqs, peak_amps):
+        values += [float(peaks.max()), float(peaks.min())] if peaks.size else [0.0, 0.0]
+    for stream in (processed.values, d1.values, d2.values):
+        values += [float(stream.max()), float(stream.min())]
     return FeatureVector(
-        full.subject_id, full.origin, BP_REDUCED_NAMES, full.values[idx], full.flags
+        subject_id or "segment", origin, BP_REDUCED_NAMES, values, _flags(peak_freqs)
     )

@@ -16,7 +16,7 @@ import numpy as np
 
 from ..datasets import bp_rows, stress_rows
 from ..errors import DegenerateTraining, InputError, NotReady, NoWindow, TrainingBusy
-from ..features import FeatureMatrix, bp_reduced_features, stress_feature_matrix
+from ..features import MIN_SEGMENT_S, FeatureMatrix, bp_reduced_features, stress_feature_matrix
 from ..labeling import CortisolSample, LabelRule, Timepoint
 from ..location import EventLog, LookupTable, MatchConfig, resolve_location
 from ..models import (
@@ -481,7 +481,7 @@ class VitalsService:
         if source is None:
             source = _latest_run(entries, Channel.BVP)
         segment_s = self.config.bp_segment_s
-        if source is None or source.duration_s < 5.0:
+        if source is None or source.duration_s < MIN_SEGMENT_S:
             raise NoWindow(f"no recent pulse signal for {subject_id}")
         take = min(len(source), int(segment_s * source.rate_hz))
         last = source.slice_samples(len(source) - take, len(source))

@@ -1,10 +1,13 @@
 """Training-row assembly shared by the service trainers and the experiments."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from helpers import make_bundle
 from homevitals.datasets import bp_rows, segment_targets, stress_rows
+from homevitals.experiments import build_bp_dataset
 from homevitals.features import BP_REDUCED_NAMES
 from homevitals.labeling import CortisolSample, Timepoint
 from homevitals.signals import Channel, FilterConfig, SampleSeries, WindowSpec
@@ -71,6 +74,19 @@ class TestBpRows:
         segments = bp_rows(ppg, short, short, 40.0, FilterConfig.for_rate(125.0), "R00")
         assert [row.origin for row, _, _ in segments] == ["0"]
         assert segments[0][1] == pytest.approx(unit.sbp.values[:40].mean())
+
+    def test_build_bp_dataset_rows_are_pinned(self):
+        # Digests of the rows, names and targets the experiments train on, so
+        # any drift in BP features or target alignment fails here.
+        def digest(data: bytes) -> str:
+            return hashlib.sha256(data).hexdigest()[:16]
+
+        matrix, sbp, dbp = build_bp_dataset(4, seed=100)
+        assert matrix.X.shape == (180, 10)
+        assert digest(matrix.X.tobytes()) == "4c639607c439913a"
+        assert digest("\n".join(matrix.names).encode()) == "54205d58a5c2be0e"
+        assert digest(sbp.tobytes()) == "148869ed140d5671"
+        assert digest(dbp.tobytes()) == "54ec46fa2b409c01"
 
 
 class TestStressRows:

@@ -7,9 +7,11 @@ import urllib.request
 
 import pytest
 
+from homevitals.features import MIN_SEGMENT_S
 from homevitals.location import parse_message
-from homevitals.service import ServiceConfig, VitalsHttpServer
-from test_service_pipeline import stress_payload
+from homevitals.service import ServiceConfig, VitalsHttpServer, series_to_payload
+from homevitals.simulate import simulate_bp_records
+from test_service_pipeline import bp_payload, stress_payload
 
 
 @pytest.fixture
@@ -91,6 +93,22 @@ class TestRoutes:
         with pytest.raises(urllib.error.HTTPError) as err:
             get(server, "/stress/ghost")
         assert status_of(err.value)[0] == 404
+
+    def test_bp_needs_a_latest_pulse_run_of_min_segment_s(self, server):
+        unit = simulate_bp_records(1, "short_term", seed=0)[0].units[0]
+        for i, offset in enumerate((0.0, 300.0)):
+            post(server, "/signals/sync", bp_payload(f"P{i}", unit, offset))
+        post(server, "/train/bp", {"seed": 0})
+        at_bound = int(MIN_SEGMENT_S * unit.ppg.rate_hz)
+        for subject, n in (("B0", at_bound - 1), ("B1", at_bound)):
+            chunk = series_to_payload(unit.ppg.slice_samples(0, n))
+            post(server, "/signals/sync", {"subject_id": subject, "chunks": [chunk]})
+        with pytest.raises(urllib.error.HTTPError) as err:
+            get(server, "/bp/B0")
+        assert status_of(err.value)[0] == 404
+        status, response = get(server, "/bp/B1")
+        assert status == 200
+        assert response["segment_end_ms"] - response["segment_start_ms"] == 1000 * MIN_SEGMENT_S
 
     def test_tag_events_and_location_message(self, server):
         post(server, "/tags/event", {"kind": "user", "index": 1})
