@@ -26,7 +26,7 @@ import numpy as np
 from . import experiments
 from .errors import HomevitalsError, NotFound
 from .labeling import save_cortisol_csv
-from .location import EventLog, LookupTable, format_message, resolve_location
+from .location import EventLog, format_message, register, resolve_location
 from .service import JsonlStore, ServiceConfig, VitalsHttpServer, VitalsService, load_config
 from .signals import save_ibi_csv, save_series_csv
 from .simulate import generate_cohort, simulate_bp_records, simulate_session
@@ -65,14 +65,11 @@ def _cmd_simulate_bp(args) -> int:
 
 def _cmd_simulate_locate(args) -> int:
     script = json.loads(Path(args.script).read_text())
-    table = LookupTable()
-    for index, identity in script.get("users", {}).items():
-        table.register_user(int(index), identity)
-    rooms = {}
-    for index, room in script.get("locations", {}).items():
-        table.register_location(int(index), room)
-        rooms[room] = int(index)
-    identity_index = {v: int(k) for k, v in script.get("users", {}).items()}
+    users = [(int(index), identity) for index, identity in script.get("users", {}).items()]
+    locations = [(int(index), room) for index, room in script.get("locations", {}).items()]
+    table = register(users, locations)
+    rooms = {room: index for index, room in locations}
+    identity_index = {identity: index for index, identity in users}
 
     clock_ms = [0]
     log = EventLog(table, clock=lambda: clock_ms[0])
@@ -178,11 +175,7 @@ def _cmd_evaluate_stress(args) -> int:
         n_subjects=args.subjects,
         cohort_seed=args.seed,
         split_seeds=range(args.seeds),
-        forest_params={
-            "n_trees": args.trees,
-            "max_depth": 12,
-            "min_samples_leaf": 3,
-        },
+        forest_params={**experiments.FOREST_PARAMS, "n_trees": args.trees},
     )
     rows = [result.as_row() for result in results.values()]
     report = {"experiment": "stress_sensor_fusion", "subjects": args.subjects, "rows": rows}
@@ -227,7 +220,7 @@ def _cmd_report_roc(args) -> int:
     curves = experiments.stress_roc_curves(
         n_subjects=args.subjects,
         cohort_seed=args.seed,
-        forest_params={"n_trees": args.trees, "max_depth": 12, "min_samples_leaf": 3},
+        forest_params={**experiments.FOREST_PARAMS, "n_trees": args.trees},
     )
     report = {
         "experiment": "stress_roc",

@@ -91,7 +91,7 @@ def stress_fusion_experiment(
     forest_params = forest_params or FOREST_PARAMS
     results: dict[tuple[str, ...], StressComboResult] = {}
     for combo, matrix in datasets.items():
-        selection = select_features(matrix, mode="significance", seed=cohort_seed)
+        selection = select_features(matrix)
         result = StressComboResult(
             channels=combo,
             total_features=len(matrix.names),

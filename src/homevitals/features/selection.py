@@ -1,14 +1,12 @@
 """Supervised feature selection over a labeled matrix.
 
-Two modes:
-  rank_topk     — impurity-importance ranking from a random forest fit on the
-                  matrix; the top k names are selected.
-  significance  — per-feature two-sided Mann-Whitney U between the classes,
-                  Benjamini-Hochberg corrected at alpha; every surviving
-                  feature is selected, ranked by p-value.
+Each feature gets a two-sided Mann-Whitney U test between the classes; the
+p-values are Benjamini-Hochberg corrected at BH_ALPHA and every surviving
+feature is selected, ranked by p-value. The experiments report the selected
+count per channel combination; the models train on every column.
 
-The U test is rank-based, so the significance ranking is invariant under any
-strictly monotone per-feature rescaling.
+The U test is rank-based, so the ranking is invariant under any strictly
+monotone per-feature rescaling.
 """
 
 from __future__ import annotations
@@ -18,12 +16,9 @@ import math
 import numpy as np
 
 from ..errors import InputError, LabelMissing
-from ..models.forest import RandomForestClassifier
 from .vectors import FeatureMatrix, SelectionResult
 
 BH_ALPHA = 0.05
-
-MODES = ("rank_topk", "significance")
 
 
 def _average_ranks(values: np.ndarray) -> tuple[np.ndarray, list[int]]:
@@ -88,50 +83,22 @@ def benjamini_hochberg(p_values: np.ndarray, alpha: float = BH_ALPHA) -> np.ndar
     return keep
 
 
-def select_features(
-    matrix: FeatureMatrix,
-    k: int | None = None,
-    mode: str = "significance",
-    alpha: float = BH_ALPHA,
-    seed: int = 0,
-    n_trees: int = 60,
-) -> SelectionResult:
+def select_features(matrix: FeatureMatrix) -> SelectionResult:
     if matrix.labels is None:
         raise LabelMissing("feature selection needs a labeled matrix")
-    if mode not in MODES:
-        raise InputError(f"mode must be one of {MODES}, got {mode!r}")
     X = matrix.X
     y = matrix.labels.astype(np.int64)
     names = matrix.names
-
-    if mode == "rank_topk":
-        if k is None:
-            raise InputError("rank_topk mode needs k")
-        if k > len(names):
-            raise InputError(f"k={k} exceeds {len(names)} features")
-        forest = RandomForestClassifier(n_trees=n_trees, seed=seed)
-        forest.fit(X, y)
-        scores = forest.feature_importances_
-        order = np.argsort(-scores, kind="stable")
-        ranked = tuple(names[i] for i in order)
-        return SelectionResult(
-            ranked_names=ranked,
-            scores=tuple(float(scores[i]) for i in order),
-            selected=ranked[:k],
-        )
-
     mask0 = y == 0
     mask1 = y == 1
     if not mask0.any() or not mask1.any():
-        raise LabelMissing("significance mode needs both classes present")
+        raise LabelMissing("feature selection needs both classes present")
     p_values = np.array(
         [mann_whitney_u(X[mask1, j], X[mask0, j])[1] for j in range(len(names))]
     )
-    keep = benjamini_hochberg(p_values, alpha)
+    keep = benjamini_hochberg(p_values)
     order = np.argsort(p_values, kind="stable")
     ranked = tuple(names[i] for i in order)
     scores = tuple(float(1.0 - p_values[i]) for i in order)
     selected = tuple(names[i] for i in order if keep[i])
-    if k is not None:
-        selected = selected[: min(k, len(selected))]
     return SelectionResult(ranked_names=ranked, scores=scores, selected=selected)

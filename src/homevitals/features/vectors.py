@@ -1,20 +1,18 @@
 """Feature containers: named per-window/per-segment vectors, rectangular
 matrices with subject provenance, and selection results.
 
-Feature names are the stable public contract; the CSV layout is
-`subject_id,origin[,label],<feature names...>`.
+Feature names are the stable public contract: model artifacts record them and
+queries check them before predicting.
 """
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from ..errors import FormatError, InputError
+from ..errors import InputError
 
 
 @dataclass(frozen=True)
@@ -155,44 +153,6 @@ class FeatureMatrix:
             if has_labels:
                 labels.append(p.labels)
         return FeatureMatrix(rows, np.concatenate(labels) if has_labels else None)
-
-    def save_csv(self, path: str | Path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            head = ["subject_id", "origin"]
-            if self._labels is not None:
-                head.append("label")
-            writer.writerow(head + list(self._names))
-            for i, r in enumerate(self._rows):
-                row: list[str] = [r.subject_id, r.origin]
-                if self._labels is not None:
-                    row.append(repr(float(self._labels[i])))
-                row.extend(repr(float(v)) for v in r.values)
-                writer.writerow(row)
-
-    @staticmethod
-    def load_csv(path: str | Path) -> "FeatureMatrix":
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or header[:2] != ["subject_id", "origin"]:
-                raise FormatError(f"{path}: expected 'subject_id,origin[,label],...' header")
-            has_label = len(header) > 2 and header[2] == "label"
-            names = tuple(header[3:] if has_label else header[2:])
-            rows: list[FeatureVector] = []
-            labels: list[float] = []
-            for lineno, rec in enumerate(reader, start=2):
-                expected = 2 + int(has_label) + len(names)
-                if len(rec) != expected:
-                    raise FormatError(f"{path}:{lineno}: expected {expected} columns")
-                cursor = 2
-                if has_label:
-                    labels.append(float(rec[cursor]))
-                    cursor += 1
-                rows.append(
-                    FeatureVector(rec[0], rec[1], names, [float(v) for v in rec[cursor:]])
-                )
-        return FeatureMatrix(rows, labels if has_label else None)
 
 
 @dataclass(frozen=True)

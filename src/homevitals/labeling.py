@@ -1,10 +1,9 @@
 """Cortisol-anchored stress labels.
 
-Each analysis window maps to the nearest cortisol timepoint at-or-after its
-midpoint (cortisol lags the stressor), and is labeled stressed when that
-sample's concentration rises at least a threshold fraction above the
-subject's T1 baseline. The rule object also offers an at-or-before mapping
-so alternative lag assumptions can be swapped without touching callers.
+Each analysis window maps to the first cortisol timepoint at or after its
+midpoint, because cortisol lags the stressor; windows past the last sample
+map to it. A window is labeled stressed when that sample's concentration is
+at least (1 + threshold) times the subject's T1 baseline.
 """
 
 from __future__ import annotations
@@ -109,13 +108,10 @@ class LabelRule:
     """Stressed when concentration >= baseline * (1 + threshold)."""
 
     threshold: float = 0.10
-    mapping: str = "at_or_after"
 
     def __post_init__(self) -> None:
         if self.threshold < 0:
             raise InputError("threshold must be non-negative")
-        if self.mapping not in ("at_or_after", "at_or_before"):
-            raise InputError(f"unknown mapping {self.mapping!r}")
 
 
 def check_session_samples(samples: Sequence[CortisolSample]) -> list[CortisolSample]:
@@ -156,11 +152,7 @@ def label_windows(
     labels: list[StressLabel] = []
     for w in windows:
         mid = w.midpoint_ms
-        if rule.mapping == "at_or_after":
-            anchor = next((s for s in ordered if s.t_ms >= mid), ordered[-1])
-        else:
-            candidates = [s for s in ordered if s.t_ms <= mid]
-            anchor = candidates[-1] if candidates else ordered[0]
+        anchor = next((s for s in ordered if s.t_ms >= mid), ordered[-1])
         stressed = anchor.concentration_ugdl >= baseline.concentration_ugdl * (
             1.0 + rule.threshold
         )

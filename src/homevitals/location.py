@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import threading
 import time
 from dataclasses import dataclass
@@ -39,8 +40,9 @@ class MatchConfig:
     search_window_s: float = 60.0
 
     def __post_init__(self) -> None:
-        if self.tolerance_s <= 0 or self.search_window_s <= 0:
-            raise InputError("tolerance_s and search_window_s must be positive")
+        for value in (self.tolerance_s, self.search_window_s):
+            if not (math.isfinite(value) and value > 0):
+                raise InputError("tolerance_s and search_window_s must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -88,11 +90,6 @@ class LookupTable:
         table = self._users if kind is TagKind.USER else self._rooms
         return index in table
 
-    def user_identity(self, index: int) -> str:
-        if index not in self._users:
-            raise NotFound(f"no user tag with index {index}")
-        return self._users[index]
-
     def user_index(self, identity: str) -> int:
         if identity not in self._user_index:
             raise NotFound(f"no registered user {identity!r}")
@@ -102,10 +99,6 @@ class LookupTable:
         if index not in self._rooms:
             raise NotFound(f"no location tag with index {index}")
         return self._rooms[index]
-
-    @property
-    def location_indices(self) -> tuple[int, ...]:
-        return tuple(sorted(self._rooms))
 
 
 def register(
@@ -135,11 +128,11 @@ class EventLog:
         self,
         table: LookupTable,
         cfg: MatchConfig | None = None,
-        clock: Callable[[], int] = _now_ms,
+        clock: Callable[[], int] | None = None,
     ) -> None:
         self.table = table
         self.cfg = cfg or MatchConfig()
-        self._clock = clock
+        self._clock = clock or _now_ms
         self._events: list[TagEvent] = []
         self._lock = threading.Lock()
         self._last_t_ms = -(2**63)
@@ -198,11 +191,10 @@ def resolve_location(
     identity: str,
     log_: EventLog,
     cfg: MatchConfig | None = None,
-    snapshot: Sequence[TagEvent] | None = None,
 ) -> LocationFix | NoFix:
     cfg = cfg or log_.cfg
     i_tag = log_.table.user_index(identity)  # raises NotFound if unknown
-    events = list(snapshot) if snapshot is not None else log_.snapshot()
+    events = log_.snapshot()
     user_events = [e for e in events if e.kind is TagKind.USER and e.index == i_tag]
     location_events = [e for e in events if e.kind is TagKind.LOCATION]
     pair = match_events(user_events, location_events, cfg.tolerance_s)

@@ -20,9 +20,7 @@ from .serialize import (
     document_version,
     dumps_model,
     load_document,
-    load_model,
     model_document,
-    save_model,
 )
 from .split import subject_split
 from .tree import DecisionTreeClassifier, DecisionTreeRegressor
@@ -42,12 +40,10 @@ __all__ = [
     "document_version",
     "dumps_model",
     "load_document",
-    "load_model",
     "model_document",
     "regression_metrics",
     "roc_auc",
     "roc_points",
-    "save_model",
     "subject_split",
     "trapezoid_auc",
 ]

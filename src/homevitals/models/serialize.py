@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from pathlib import Path
 from typing import Sequence
 
 from ..errors import FormatError, InputError
@@ -65,10 +64,6 @@ def document_version(doc: dict) -> str:
     return hashlib.sha256(canonical_json(doc).encode()).hexdigest()[:12]
 
 
-def save_model(model, feature_names: Sequence[str], path: str | Path, seed: int | None = None) -> None:
-    Path(path).write_text(dumps_model(model, feature_names, seed))
-
-
 def load_document(doc: dict):
     if doc.get("format") != FORMAT_NAME:
         raise FormatError(f"not a {FORMAT_NAME} document")
@@ -78,11 +73,6 @@ def load_document(doc: dict):
     if loader is None:
         raise FormatError(f"unknown model kind {doc.get('kind')!r}")
     return loader(doc["model"])
-
-
-def load_model(path: str | Path):
-    doc = json.loads(Path(path).read_text())
-    return load_document(doc), tuple(doc["feature_names"])
 
 
 def check_feature_schema(doc: dict, names: Sequence[str]) -> None:

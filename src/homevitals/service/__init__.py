@@ -1,6 +1,6 @@
 """Smart-home cloud facade: config, append-only store, pipeline, HTTP API."""
 
-from .config import ServiceConfig, format_config, load_config, parse_config, save_config
+from .config import ServiceConfig, format_config, load_config, parse_config
 from .http import VitalsHttpServer
 from .pipeline import VitalsService, payload_to_series, series_to_payload
 from .store import RECORD_KINDS, JsonlStore
@@ -15,6 +15,5 @@ __all__ = [
     "load_config",
     "parse_config",
     "payload_to_series",
-    "save_config",
     "series_to_payload",
 ]

@@ -115,7 +115,3 @@ def format_config(config: ServiceConfig) -> str:
 
 def load_config(path: str | Path) -> ServiceConfig:
     return parse_config(Path(path).read_text())
-
-
-def save_config(config: ServiceConfig, path: str | Path) -> None:
-    Path(path).write_text(format_config(config))

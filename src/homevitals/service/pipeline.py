@@ -18,7 +18,7 @@ from ..datasets import bp_rows, stress_rows
 from ..errors import DegenerateTraining, InputError, NotReady, NoWindow, TrainingBusy
 from ..features import MIN_SEGMENT_S, FeatureMatrix, bp_reduced_features, stress_feature_matrix
 from ..labeling import CortisolSample, LabelRule, Timepoint
-from ..location import EventLog, LookupTable, MatchConfig, resolve_location
+from ..location import EventLog, MatchConfig, register, resolve_location
 from ..models import (
     AdaBoostR2,
     RandomForestClassifier,
@@ -135,16 +135,8 @@ class VitalsService:
     def __init__(self, config: ServiceConfig, store: JsonlStore, clock: Callable[[], int] | None = None):
         self.config = config
         self.store = store
-        table = LookupTable()
-        for index, identity in sorted(config.user_tags.items()):
-            table.register_user(index, identity)
-        for index, room in sorted(config.location_tags.items()):
-            table.register_location(index, room)
-        self.tag_log = (
-            EventLog(table, config.match_config, clock=clock)
-            if clock is not None
-            else EventLog(table, config.match_config)
-        )
+        table = register(sorted(config.user_tags.items()), sorted(config.location_tags.items()))
+        self.tag_log = EventLog(table, config.match_config, clock)
         self._train_lock = threading.Lock()
         self._models: dict[str, tuple[object, dict]] = {}
 
@@ -366,6 +358,15 @@ class VitalsService:
         finally:
             self._train_lock.release()
 
+    def _save_model(self, model_key: str, model, names, seed: int, rows: int) -> str:
+        """Append the model's document to the store; returns its version."""
+        doc = model_document(model, names, seed=seed)
+        version = document_version(doc)
+        self.store.append(
+            "model", "", {"model_key": model_key, "version": version, "document": doc, "rows": rows}
+        )
+        return version
+
     def train_stress(self, seed: int | None = None) -> dict:
         return self._exclusive(self._train_stress, seed)
 
@@ -391,13 +392,7 @@ class VitalsService:
             seed=seed,
         )
         forest.fit(matrix.X, matrix.labels.astype(int))
-        doc = model_document(forest, matrix.names, seed=seed)
-        version = document_version(doc)
-        self.store.append(
-            "model",
-            "",
-            {"model_key": "stress", "version": version, "document": doc, "rows": len(matrix)},
-        )
+        version = self._save_model("stress", forest, matrix.names, seed, len(matrix))
         return {"model_key": "stress", "version": version, "rows": len(matrix)}
 
     def train_bp(self, seed: int | None = None) -> dict:
@@ -430,14 +425,7 @@ class VitalsService:
                 base_params={"max_depth": self.config.bp_tree_max_depth, "min_samples_leaf": 3},
             )
             model.fit(matrix.X, np.asarray(targets))
-            doc = model_document(model, matrix.names, seed=seed)
-            version = document_version(doc)
-            self.store.append(
-                "model",
-                "",
-                {"model_key": key, "version": version, "document": doc, "rows": len(rows)},
-            )
-            result[key] = version
+            result[key] = self._save_model(key, model, matrix.names, seed, len(rows))
         return result
 
     # -- queries -----------------------------------------------------------------

@@ -147,10 +147,6 @@ def butterworth_lowpass(s: SampleSeries, cfg: FilterConfig | None = None) -> Sam
     return s.with_values(zero_phase_filter(b, a, s.values))
 
 
-#: Canonical step names emitted by preprocess_ppg, in order.
-PREPROCESS_STEPS = ("mean-subtract", "concat", "detrend", "normalize", "mod-subtract", "filter")
-
-
 def preprocess_ppg(
     records: Sequence[SampleSeries],
     cfg: FilterConfig | None = None,

@@ -36,13 +36,6 @@ def make_windows(bundle: ChannelBundle, spec: WindowSpec | None = None) -> list[
     ]
 
 
-def instantaneous_hr(ibi: IbiSeries) -> list[tuple[int, float]]:
-    """Per-beat heart rate: (event t_ms, 60 / ibi_s) in bpm."""
-    if len(ibi) == 0:
-        raise DegenerateInput("no IBI events")
-    return [(t, 60.0 / v) for t, v in ibi]
-
-
 def hr_series_bpm(ibi: IbiSeries) -> np.ndarray:
     """Heart-rate values only, as an array (convenience for feature code)."""
     return 60.0 / ibi.ibi_s if len(ibi) else np.empty(0)

@@ -5,7 +5,6 @@ from .bp_records import (
     BpRecord,
     BpUnit,
     LONG_TERM_UNIT_S,
-    LONG_TERM_UNITS,
     PPG_RATE_HZ,
     SHORT_TERM_UNIT_S,
     simulate_bp_records,
@@ -36,7 +35,6 @@ __all__ = [
     "CapacityModel",
     "COHORT_CORTISOL_MEANS_UGDL",
     "COHORT_CORTISOL_T1_SD_UGDL",
-    "LONG_TERM_UNITS",
     "LONG_TERM_UNIT_S",
     "PPG_RATE_HZ",
     "SHORT_TERM_UNIT_S",

@@ -25,7 +25,6 @@ TARGET_RATE_HZ = 1.0
 
 SHORT_TERM_UNIT_S = 30 * 60
 LONG_TERM_UNIT_S = 60 * 60
-LONG_TERM_UNITS = 3
 #: Long-term units are drawn from the beginning, middle, and end of a nominal
 #: six-hour record.
 LONG_TERM_UNIT_OFFSETS_S = (0, int(2.5 * 3600), 5 * 3600)

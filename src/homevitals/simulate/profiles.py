@@ -9,7 +9,7 @@ signal structure and makes the classification task learnable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 

@@ -7,13 +7,17 @@ import pytest
 
 from helpers import make_bundle
 from homevitals.datasets import bp_rows, segment_targets, stress_rows
-from homevitals.experiments import build_bp_dataset
+from homevitals.experiments import build_bp_dataset, build_stress_dataset, stress_fusion_experiment
 from homevitals.features import BP_REDUCED_NAMES
 from homevitals.labeling import CortisolSample, Timepoint
 from homevitals.signals import Channel, FilterConfig, SampleSeries, WindowSpec
 from homevitals.simulate import simulate_bp_records
 
 MIN_MS = 60_000
+
+
+def digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
 
 
 def pressure(values, rate_hz=1.0, start_ms=0):
@@ -78,9 +82,6 @@ class TestBpRows:
     def test_build_bp_dataset_rows_are_pinned(self):
         # Digests of the rows, names and targets the experiments train on, so
         # any drift in BP features or target alignment fails here.
-        def digest(data: bytes) -> str:
-            return hashlib.sha256(data).hexdigest()[:16]
-
         matrix, sbp, dbp = build_bp_dataset(4, seed=100)
         assert matrix.X.shape == (180, 10)
         assert digest(matrix.X.tobytes()) == "4c639607c439913a"
@@ -101,3 +102,23 @@ class TestStressRows:
         assert matrix.X.shape == (3, 47)
         assert matrix.labels.tolist() == [1.0, 1.0, 1.0]
         assert set(matrix.subject_ids) == {"S00"}
+
+    def test_build_stress_dataset_rows_are_pinned(self):
+        # Per combination: (X digest, names digest, selected feature count).
+        # Every combination shares one label column.
+        pinned = {
+            ("EDA",): ("0614d43e651f8995", "ff69ac4fa0620a6d", 10),
+            ("EDA", "BVP"): ("63eb1e79a0d003a0", "5af66012c1af03d7", 24),
+            ("EDA", "BVP", "IBI"): ("252815f85b18c257", "e08b77d4fba0c46c", 30),
+            ("EDA", "BVP", "IBI", "ST"): ("9f3fce74a2866261", "4edb3a8f9e36af30", 35),
+        }
+        datasets = build_stress_dataset(4, cohort_seed=0)
+        results = stress_fusion_experiment(datasets, split_seeds=range(1))
+        assert list(datasets) == list(pinned)
+        for combo, (x_digest, names_digest, selected) in pinned.items():
+            matrix = datasets[combo]
+            assert matrix.X.shape[0] == 260
+            assert digest(matrix.X.tobytes()) == x_digest, combo
+            assert digest("\n".join(matrix.names).encode()) == names_digest, combo
+            assert digest(matrix.labels.tobytes()) == "d3cc43b096db8769", combo
+            assert results[combo].selected_features == selected, combo

@@ -1,9 +1,15 @@
-"""Feature selection: both modes, Mann-Whitney oracle, BH null behavior."""
+"""Feature selection: Mann-Whitney oracle, BH step-up and null behavior."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.stats
 
+import homevitals
 from homevitals.errors import LabelMissing
 from homevitals.features import (
     FeatureMatrix,
@@ -59,19 +65,9 @@ class TestSelectFeatures:
         y = rng.integers(0, 2, size=n)
         X = rng.normal(size=(n, 6))
         X[:, 2] = y * 4.0 + 0.1 * rng.normal(size=n)  # near-perfect separator
-        m = labeled_matrix(X, y)
-        for mode, kwargs in (("rank_topk", {"k": 3}), ("significance", {})):
-            result = select_features(m, mode=mode, seed=1, **kwargs)
-            assert result.ranked_names[0] == "f2", mode
-            assert "f2" in result.selected
-
-    def test_k_equals_column_count_selects_all(self, rng):
-        y = rng.integers(0, 2, size=60)
-        X = rng.normal(size=(60, 4))
-        X[:, 0] += y
-        m = labeled_matrix(X, y)
-        result = select_features(m, k=4, mode="rank_topk", seed=0)
-        assert set(result.selected) == set(m.names)
+        result = select_features(labeled_matrix(X, y))
+        assert result.ranked_names[0] == "f2"
+        assert "f2" in result.selected
 
     def test_null_matrix_selects_nothing_mostly(self):
         empties = 0
@@ -80,7 +76,7 @@ class TestSelectFeatures:
             rng = np.random.default_rng(seed)
             y = rng.integers(0, 2, size=80)
             X = rng.normal(size=(80, 12))  # labels independent of features
-            result = select_features(labeled_matrix(X, y), mode="significance")
+            result = select_features(labeled_matrix(X, y))
             empties += len(result.selected) == 0
         assert empties >= 0.9 * trials
 
@@ -90,12 +86,12 @@ class TestSelectFeatures:
         X[:, 1] += 0.8 * y
         X[:, 4] -= 0.5 * y
         m = labeled_matrix(X, y)
-        base = select_features(m, mode="significance")
+        base = select_features(m)
         X2 = X.copy()
         X2[:, 1] = np.exp(X2[:, 1])  # strictly monotone per-feature maps
         X2[:, 4] = X2[:, 4] ** 3
         X2[:, 0] = 10 * X2[:, 0] - 3
-        rescaled = select_features(labeled_matrix(X2, y), mode="significance")
+        rescaled = select_features(labeled_matrix(X2, y))
         assert base.ranked_names == rescaled.ranked_names
         assert base.selected == rescaled.selected
         assert np.allclose(base.scores, rescaled.scores)
@@ -104,7 +100,7 @@ class TestSelectFeatures:
         y = rng.integers(0, 2, size=90)
         X = rng.normal(size=(90, 8))
         X[:, 3] += y
-        result = select_features(labeled_matrix(X, y), k=5, mode="rank_topk", seed=2)
+        result = select_features(labeled_matrix(X, y))
         assert all(a >= b for a, b in zip(result.scores, result.scores[1:]))
 
     def test_labels_required(self, rng):
@@ -113,4 +109,17 @@ class TestSelectFeatures:
             FeatureVector("S0", str(i), ("a", "b", "c"), X[i]) for i in range(30)
         ]
         with pytest.raises(LabelMissing):
-            select_features(FeatureMatrix(rows), mode="significance")
+            select_features(FeatureMatrix(rows))
+
+
+def test_features_do_not_import_the_models():
+    src = str(Path(homevitals.__file__).resolve().parent.parent)
+    code = (
+        "import sys, homevitals.features; "
+        "print(sorted(m for m in sys.modules if m.startswith('homevitals.models')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.stdout.strip() == "[]"

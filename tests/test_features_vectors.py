@@ -1,4 +1,4 @@
-"""FeatureVector/FeatureMatrix container contracts and CSV round-trips."""
+"""FeatureVector/FeatureMatrix/SelectionResult container contracts."""
 
 import numpy as np
 import pytest
@@ -38,30 +38,6 @@ class TestFeatureMatrix:
     def test_rectangularity_enforced(self):
         with pytest.raises(InputError):
             FeatureMatrix([vec(), vec(names=("a", "c"))])
-
-    def test_csv_round_trip_with_labels(self, tmp_path, rng):
-        rows = [
-            vec(subject=f"S{i % 3}", origin=str(i), values=rng.normal(size=2))
-            for i in range(10)
-        ]
-        matrix = FeatureMatrix(rows, labels=rng.integers(0, 2, size=10))
-        path = tmp_path / "features.csv"
-        matrix.save_csv(path)
-        back = FeatureMatrix.load_csv(path)
-        assert back.names == matrix.names
-        assert back.subject_ids == matrix.subject_ids
-        assert np.array_equal(back.X, matrix.X)
-        assert np.array_equal(back.labels, matrix.labels)
-        header = path.read_text().splitlines()[0]
-        assert header.startswith("subject_id,origin,label,")
-
-    def test_csv_round_trip_unlabeled(self, tmp_path):
-        matrix = FeatureMatrix([vec(origin="7")])
-        path = tmp_path / "features.csv"
-        matrix.save_csv(path)
-        back = FeatureMatrix.load_csv(path)
-        assert back.labels is None
-        assert back.rows[0].origin == "7"
 
     def test_select_columns_preserves_rows(self):
         matrix = FeatureMatrix([vec(), vec(origin="1", values=(3.0, 4.0))])

@@ -7,7 +7,6 @@ from helpers import make_bundle
 from homevitals.errors import BaselineMissing, InputError
 from homevitals.labeling import (
     CortisolSample,
-    LabelRule,
     StressState,
     Timepoint,
     label_windows,
@@ -81,18 +80,6 @@ class TestLabelWindows:
     def test_exactly_one_label_per_window(self, session_windows):
         labels = label_windows(cortisol([0.1, 0.2, 0.15, 0.1, 0.1]), session_windows)
         assert sorted(l.window_index for l in labels) == [w.index for w in session_windows]
-
-    def test_mapping_at_or_before_mode(self, session_windows):
-        rule = LabelRule(mapping="at_or_before")
-        labels = label_windows(cortisol([0.10, 0.20, 0.10, 0.10, 0.10]), session_windows)
-        labels_before = label_windows(
-            cortisol([0.10, 0.20, 0.10, 0.10, 0.10]), session_windows, rule
-        )
-        # The lagged (at-or-after) mapping anchors strictly more early windows to T2.
-        t2_after = sum(l.source_timepoint is Timepoint.T2 for l in labels)
-        t2_before = sum(l.source_timepoint is Timepoint.T2 for l in labels_before)
-        assert t2_after > 0 and t2_before > 0
-        assert t2_after != t2_before
 
     def test_spacing_validated(self, session_windows):
         samples = cortisol([0.1] * 5)

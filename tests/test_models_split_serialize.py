@@ -13,9 +13,7 @@ from homevitals.models import (
     document_version,
     dumps_model,
     load_document,
-    load_model,
     model_document,
-    save_model,
     subject_split,
 )
 
@@ -63,17 +61,15 @@ class TestSubjectSplit:
 
 
 class TestSerialization:
-    def test_artifact_round_trip_and_version(self, tmp_path, rng):
+    def test_artifact_round_trip_and_version(self, rng):
         X = rng.normal(size=(60, 4))
         y = (X[:, 0] > 0).astype(int)
         names = ("a", "b", "c", "d")
         forest = RandomForestClassifier(n_trees=5, seed=1).fit(X, y)
-        path = tmp_path / "model.json"
-        save_model(forest, names, path)
-        loaded, loaded_names = load_model(path)
-        assert loaded_names == names
+        doc = json.loads(dumps_model(forest, names))
+        loaded = load_document(doc)
+        assert tuple(doc["feature_names"]) == names
         assert np.array_equal(loaded.predict(X), forest.predict(X))
-        doc = json.loads(path.read_text())
         assert doc["format"] == "homevitals-model"
         assert doc["schema_version"] == 1
         assert len(document_version(doc)) == 12

@@ -219,6 +219,17 @@ class TestRoutes:
         code, body = status_of(err.value)
         assert code == 400 and "tolerance_s" in body["error"]
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_tolerance_is_400(self, server, value):
+        # A NaN tolerance compared false against every gap and paired events
+        # any distance apart.
+        post(server, "/tags/event", {"kind": "user", "index": 1})
+        post(server, "/tags/event", {"kind": "location", "index": 11})
+        with pytest.raises(urllib.error.HTTPError) as err:
+            get_raw(server, f"/location/alice?tolerance_s={value}")
+        code, body = status_of(err.value)
+        assert code == 400 and "tolerance_s" in body["error"]
+
     def test_unknown_route_is_404(self, server):
         with pytest.raises(urllib.error.HTTPError) as err:
             get(server, "/nope")

@@ -181,6 +181,19 @@ class TestServiceConfig:
         with pytest.raises(ConfigError):
             parse_config("bogus.key = 1\n")
 
+    @pytest.mark.parametrize(
+        "line",
+        ["match.search_window_s = nan", "match.search_window_s = inf", "match.tolerance_s = nan"],
+    )
+    def test_non_finite_match_setting_fails_at_service_start(self, tmp_path, line):
+        config = parse_config(line + "\n").with_storage(tmp_path / "store.jsonl")
+        store = JsonlStore(config.storage_path)
+        try:
+            with pytest.raises(InputError, match="finite"):
+                VitalsService(config, store)
+        finally:
+            store.close()
+
     def test_derived_objects(self):
         config = ServiceConfig()
         assert config.window_spec.length_s == 90.0

@@ -13,7 +13,7 @@ from homevitals.signals import (
     SampleSeries,
     Window,
     WindowSpec,
-    instantaneous_hr,
+    hr_series_bpm,
     make_windows,
 )
 
@@ -103,9 +103,8 @@ class TestMakeWindows:
 class TestInstantaneousHr:
     @pytest.mark.parametrize("ibi_s,bpm", [(1.0, 60.0), (0.5, 120.0), (0.8, 75.0)])
     def test_conversion(self, ibi_s, bpm):
-        events = instantaneous_hr(IbiSeries.from_pairs([(1000, ibi_s)]))
-        assert events == [(1000, pytest.approx(bpm))]
+        rates = hr_series_bpm(IbiSeries.from_pairs([(1000, ibi_s)]))
+        assert rates.tolist() == [pytest.approx(bpm)]
 
-    def test_empty_rejected(self):
-        with pytest.raises(DegenerateInput):
-            instantaneous_hr(IbiSeries.from_pairs([]))
+    def test_empty_gives_no_rates(self):
+        assert hr_series_bpm(IbiSeries.from_pairs([])).size == 0

@@ -1,0 +1,85 @@
+"""Source hygiene without a linter: every exported name resolves and no module
+under src/homevitals keeps a top-level import it never uses."""
+
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+import homevitals
+
+PACKAGE_ROOT = Path(homevitals.__file__).resolve().parent
+MODULES = sorted(PACKAGE_ROOT.rglob("*.py"))
+
+
+def module_name(path: Path) -> str:
+    parts = path.relative_to(PACKAGE_ROOT.parent).with_suffix("").parts
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+def imported_names(tree: ast.Module) -> dict[str, int]:
+    """Names bound by the module's top-level imports, with their line numbers."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                names[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                names[alias.asname or alias.name] = node.lineno
+    return names
+
+
+def exported_names(tree: ast.Module) -> set[str]:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return {elt.value for elt in node.value.elts}
+    return set()
+
+
+def annotations(tree: ast.AST):
+    """Every annotation expression; absent ones are None."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            params = args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg]
+            yield node.returns
+            yield from (arg.annotation for arg in params if arg is not None)
+        elif isinstance(node, ast.AnnAssign):
+            yield node.annotation
+
+
+def used_names(tree: ast.AST) -> set[str]:
+    """Every Name in the tree, including those inside string annotations."""
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for annotation in filter(None, annotations(tree)):
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                used |= used_names(ast.parse(node.value, mode="eval"))
+    return used
+
+
+def test_source_tree_found():
+    assert len(MODULES) > 30
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: module_name(p))
+def test_every_exported_name_resolves(path):
+    module = importlib.import_module(module_name(path))
+    missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+    assert missing == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: module_name(p))
+def test_no_unused_top_level_import(path):
+    tree = ast.parse(path.read_text())
+    used = used_names(tree) | exported_names(tree)
+    unused = sorted(
+        f"{name} (line {lineno})"
+        for name, lineno in imported_names(tree).items()
+        if name not in used
+    )
+    assert unused == []
