@@ -29,22 +29,20 @@ from .labeling import save_cortisol_csv
 from .location import EventLog, format_message, register, resolve_location
 from .service import JsonlStore, ServiceConfig, VitalsHttpServer, VitalsService, load_config
 from .signals import save_ibi_csv, save_series_csv
-from .simulate import generate_cohort, simulate_bp_records, simulate_session
+from .simulate import cohort_sessions, simulate_bp_records
 
 
 def _cmd_simulate_stress(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    profiles, script = generate_cohort(args.subjects, seed=args.seed)
-    for i, profile in enumerate(profiles):
-        bundle, samples = simulate_session(profile, script, seed=args.seed * 1000 + i)
+    for profile, bundle, samples in cohort_sessions(args.subjects, seed=args.seed):
         sid = profile.subject_id
         save_series_csv(bundle.eda, out / f"{sid}_eda.csv")
         save_series_csv(bundle.bvp, out / f"{sid}_bvp.csv")
         save_series_csv(bundle.st, out / f"{sid}_st.csv")
         save_ibi_csv(bundle.ibi, out / f"{sid}_ibi.csv")
         save_cortisol_csv(samples, out / f"{sid}_cortisol.csv")
-    print(f"wrote {len(profiles)} subject sessions to {out}")
+    print(f"wrote {args.subjects} subject sessions to {out}")
     return 0
 
 

@@ -25,7 +25,7 @@ from .models import (
     subject_split,
 )
 from .signals import FilterConfig, WindowSpec
-from .simulate import BpMode, generate_cohort, simulate_bp_records, simulate_session
+from .simulate import BpMode, cohort_sessions, simulate_bp_records
 
 BP_SEGMENT_S = 40.0
 
@@ -42,12 +42,10 @@ def build_stress_dataset(
 ) -> dict[tuple[str, ...], FeatureMatrix]:
     """Labeled feature matrices for every reported channel combination."""
     spec = spec or WindowSpec()
-    profiles, script = generate_cohort(n_subjects, seed=cohort_seed)
     per_combo: dict[tuple[str, ...], list[FeatureMatrix]] = {
         combo: [] for combo in CHANNEL_COMBINATIONS
     }
-    for i, profile in enumerate(profiles):
-        bundle, samples = simulate_session(profile, script, seed=1000 + i)
+    for _profile, bundle, samples in cohort_sessions(n_subjects, seed=cohort_seed):
         full = stress_rows(bundle, samples, spec)
         for combo in CHANNEL_COMBINATIONS:
             names = [n for n in full.names if n.split("_")[0].upper() in combo]

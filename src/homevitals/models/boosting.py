@@ -21,20 +21,11 @@ log = logging.getLogger(__name__)
 
 _MIN_BETA = 1e-10
 
-BASE_KINDS = ("dt", "mlp")
-
-
-def _make_base(kind: str, seed: int, base_params: dict | None):
-    params = dict(base_params or {})
-    if kind == "dt":
-        params.setdefault("max_depth", 8)
-        params.setdefault("min_samples_leaf", 3)
-        return DecisionTreeRegressor(seed=seed, **params)
-    if kind == "mlp":
-        params.setdefault("hidden", 32)
-        params.setdefault("epochs", 60)
-        return MlpRegressor(seed=seed, **params)
-    raise InputError(f"base_kind must be one of {BASE_KINDS}, got {kind!r}")
+#: Base learner class per kind, with the parameters `base_params` may override.
+_BASES = {
+    "dt": (DecisionTreeRegressor, {"max_depth": 8, "min_samples_leaf": 3}),
+    "mlp": (MlpRegressor, {"hidden": 32, "epochs": 60}),
+}
 
 
 class AdaBoostR2:
@@ -45,8 +36,8 @@ class AdaBoostR2:
         seed: int = 0,
         base_params: dict | None = None,
     ):
-        if base_kind not in BASE_KINDS:
-            raise InputError(f"base_kind must be one of {BASE_KINDS}, got {base_kind!r}")
+        if base_kind not in _BASES:
+            raise InputError(f"base_kind must be one of {tuple(_BASES)}, got {base_kind!r}")
         if n_estimators < 1:
             raise InputError("n_estimators must be >= 1")
         self.base_kind = base_kind
@@ -63,10 +54,12 @@ class AdaBoostR2:
             raise InputError("empty training set")
         rng = np.random.default_rng(self.seed)
         weights = np.full(n, 1.0 / n)
+        base_cls, defaults = _BASES[self.base_kind]
+        params = {**defaults, **self.base_params}
         self.members = []
         for round_idx in range(self.n_estimators):
             boot = rng.choice(n, size=n, replace=True, p=weights)
-            base = _make_base(self.base_kind, int(rng.integers(0, 2**31 - 1)), self.base_params)
+            base = base_cls(seed=int(rng.integers(0, 2**31 - 1)), **params)
             base.fit(X[boot], y[boot])
             errors = np.abs(base.predict(X) - y)
             max_error = errors.max()
@@ -134,8 +127,8 @@ class AdaBoostR2:
             seed=doc["seed"],
             base_params=doc.get("base_params") or {},
         )
-        loader = DecisionTreeRegressor if doc["base_kind"] == "dt" else MlpRegressor
+        base_cls = _BASES[ensemble.base_kind][0]
         ensemble.members = [
-            (loader.from_dict(m["model"]), float(m["weight"])) for m in doc["members"]
+            (base_cls.from_dict(m["model"]), float(m["weight"])) for m in doc["members"]
         ]
         return ensemble

@@ -34,7 +34,6 @@ class RandomForestClassifier:
         self.trees: list[DecisionTreeClassifier] = []
         self.bootstrap_indices: list[np.ndarray] = []
         self.classes_: np.ndarray | None = None
-        self.feature_importances_: np.ndarray | None = None
 
     def fit(self, X, y) -> "RandomForestClassifier":
         X, y = _validate_xy(X, y)
@@ -46,7 +45,6 @@ class RandomForestClassifier:
         seeds = np.random.SeedSequence(self.seed).spawn(self.n_trees)
         self.trees = []
         self.bootstrap_indices = []
-        importances = np.zeros(d)
         for tree_seed in seeds:
             rng = np.random.default_rng(tree_seed)
             boot = rng.integers(0, n, size=n)
@@ -63,21 +61,15 @@ class RandomForestClassifier:
                 boot = rng.integers(0, n, size=n)
                 yb = y[boot]
             tree.fit(X[boot], yb)
-            # Trees trained on a one-class resample vote for that class only;
-            # align their class axis with the forest's.
             self.trees.append(tree)
             self.bootstrap_indices.append(boot)
-            importances += self._aligned_importances(tree, d)
-        self.feature_importances_ = importances / self.n_trees
         return self
 
-    @staticmethod
-    def _aligned_importances(tree: DecisionTreeClassifier, d: int) -> np.ndarray:
-        imp = tree.feature_importances_
-        return imp if imp is not None else np.zeros(d)
-
     def _vote_matrix(self, X: np.ndarray) -> np.ndarray:
-        """votes[i, k]: number of trees predicting class k for row i."""
+        """votes[i, k]: number of trees predicting class k for row i.
+
+        A tree fit on a one-class resample predicts only that class;
+        searchsorted finds that class's column among the forest's."""
         X = np.asarray(X, dtype=np.float64)
         votes = np.zeros((X.shape[0], len(self.classes_)))
         for tree in self.trees:

@@ -28,13 +28,7 @@ _KINDS = {
     AdaBoostR2: "adaboost_r2",
 }
 
-_LOADERS = {
-    "random_forest": RandomForestClassifier.from_dict,
-    "decision_tree_classifier": DecisionTreeClassifier.from_dict,
-    "decision_tree_regressor": DecisionTreeRegressor.from_dict,
-    "mlp_regressor": MlpRegressor.from_dict,
-    "adaboost_r2": AdaBoostR2.from_dict,
-}
+_CLASSES = {kind: cls for cls, kind in _KINDS.items()}
 
 
 def model_document(model, feature_names: Sequence[str], seed: int | None = None) -> dict:
@@ -69,10 +63,10 @@ def load_document(doc: dict):
         raise FormatError(f"not a {FORMAT_NAME} document")
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise FormatError(f"unsupported schema version {doc.get('schema_version')}")
-    loader = _LOADERS.get(doc.get("kind"))
-    if loader is None:
+    cls = _CLASSES.get(doc.get("kind"))
+    if cls is None:
         raise FormatError(f"unknown model kind {doc.get('kind')!r}")
-    return loader(doc["model"])
+    return cls.from_dict(doc["model"])
 
 
 def check_feature_schema(doc: dict, names: Sequence[str]) -> None:

@@ -1,6 +1,12 @@
 """CART decision trees built from scratch: Gini splits for classification,
 variance-reduction splits for regression, mean-payload leaves.
 
+Both trees grow through one loop, `_TreeBase._grow`: it pops nodes depth
+first, stops on a pure node, too few rows or the depth limit, draws the
+node's candidate features, splits, and pushes the left child before the
+right. Each tree supplies only its node statistics (impurity and leaf
+payload) and its split scorer.
+
 Split search is vectorized across a node's candidate features: their values
 form one (features x rows) block, sorted row-wise by a single argsort, and
 every boundary between distinct values of every candidate is scored from
@@ -43,14 +49,13 @@ class _TreeBase:
         self.threshold: list[float] = []
         self.left: list[int] = []
         self.right: list[int] = []
-        self.n_features_: int | None = None
-        self.feature_importances_: np.ndarray | None = None
 
-    def _new_node(self) -> int:
+    def _new_node(self, payloads: list) -> int:
         self.feature.append(_LEAF)
         self.threshold.append(0.0)
         self.left.append(_LEAF)
         self.right.append(_LEAF)
+        payloads.append(None)
         return len(self.feature) - 1
 
     def _candidate_features(self, rng: np.random.Generator, d: int) -> np.ndarray:
@@ -58,6 +63,45 @@ class _TreeBase:
         if k is None or k >= d:
             return np.arange(d)
         return rng.choice(d, size=k, replace=False)
+
+    def _grow(self, X: np.ndarray, node_stats, best_split) -> list:
+        """Grow the tree over every row of X; return each node's leaf payload
+        (None for internal nodes).
+
+        node_stats(idx) gives (impurity, leaf payload) for the rows idx, and
+        best_split(idx, features) gives (cost, position in features,
+        threshold) or None. Features are drawn only for nodes that do not
+        stop, so the seed's draws follow the depth-first order exactly.
+        """
+        rng = np.random.default_rng(self.seed)
+        self.feature, self.threshold, self.left, self.right = [], [], [], []
+        payloads: list = []
+        stack = [(self._new_node(payloads), np.arange(X.shape[0]), 0)]
+        while stack:
+            node, idx, depth = stack.pop()
+            impurity, payload = node_stats(idx)
+            stop = (
+                impurity == 0.0
+                or idx.size < 2 * self.min_samples_leaf
+                or (self.max_depth is not None and depth >= self.max_depth)
+            )
+            best = None
+            if not stop:
+                features = self._candidate_features(rng, X.shape[1])
+                best = best_split(idx, features)
+            if best is None:
+                payloads[node] = payload
+                continue
+            _cost, at, thr = best
+            f = int(features[at])
+            go_left = X[idx, f] < thr
+            self.feature[node] = f
+            self.threshold[node] = thr
+            self.left[node] = self._new_node(payloads)
+            self.right[node] = self._new_node(payloads)
+            stack.append((self.left[node], idx[go_left], depth + 1))
+            stack.append((self.right[node], idx[~go_left], depth + 1))
+        return payloads
 
     def _leaf_ids(self, X: np.ndarray) -> np.ndarray:
         """Leaf node id for every row, routed level by level."""
@@ -170,56 +214,19 @@ class DecisionTreeClassifier(_TreeBase):
         if X.shape[0] == 0:
             raise DegenerateTraining("empty training set")
         self.classes_ = np.unique(y)
-        y_enc = np.searchsorted(self.classes_, y)
-        n, d = X.shape
-        self.n_features_ = d
-        k = len(self.classes_)
-        onehot = np.zeros((n, k))
-        onehot[np.arange(n), y_enc] = 1.0
-        rng = np.random.default_rng(self.seed)
-        importances = np.zeros(d)
+        onehot = np.zeros((X.shape[0], len(self.classes_)))
+        onehot[np.arange(X.shape[0]), np.searchsorted(self.classes_, y)] = 1.0
 
-        self.feature, self.threshold, self.left, self.right = [], [], [], []
-        self.leaf_counts = []
-        root = self._new_node()
-        self.leaf_counts.append(None)
-        stack = [(root, np.arange(n), 0)]
-        while stack:
-            node, idx, depth = stack.pop()
+        def gini_and_counts(idx):
             counts = onehot[idx].sum(axis=0)
-            gini = 1.0 - np.sum((counts / idx.size) ** 2)
-            stop = (
-                gini == 0.0
-                or idx.size < 2 * self.min_samples_leaf
-                or (self.max_depth is not None and depth >= self.max_depth)
-            )
-            best = None
-            if not stop:
-                features = self._candidate_features(rng, d)
-                best = _best_split_classification(
-                    X, idx, features, onehot[idx], self.min_samples_leaf
-                )
-            if best is None:
-                self.leaf_counts[node] = counts
-                continue
-            cost, at, thr = best
-            f = int(features[at])
-            # cost is already the weighted child Gini; decrease is gini - cost.
-            importances[f] += (idx.size / n) * (gini - cost)
-            go_left = X[idx, f] < thr
-            self.feature[node] = f
-            self.threshold[node] = thr
-            left_id = self._new_node()
-            self.leaf_counts.append(None)
-            right_id = self._new_node()
-            self.leaf_counts.append(None)
-            self.left[node] = left_id
-            self.right[node] = right_id
-            stack.append((left_id, idx[go_left], depth + 1))
-            stack.append((right_id, idx[~go_left], depth + 1))
+            return 1.0 - np.sum((counts / idx.size) ** 2), counts
 
-        total = importances.sum()
-        self.feature_importances_ = importances / total if total > 0 else importances
+        def best_split(idx, features):
+            return _best_split_classification(
+                X, idx, features, onehot[idx], self.min_samples_leaf
+            )
+
+        self.leaf_counts = self._grow(X, gini_and_counts, best_split)
         self._leaf_proba = self._proba_table()
         return self
 
@@ -267,68 +274,37 @@ class DecisionTreeRegressor(_TreeBase):
     def __init__(self, max_depth=None, min_samples_leaf=1, features_per_split=None, seed=0):
         super().__init__(max_depth, min_samples_leaf, features_per_split, seed)
         self.leaf_values: list[float | None] = []
+        self._leaf_value: np.ndarray | None = None
 
     def fit(self, X, y) -> "DecisionTreeRegressor":
         X, y = _validate_xy(X, y)
         y = y.astype(np.float64)
-        n, d = X.shape
+        n = X.shape[0]
         if n == 0:
             raise DegenerateTraining("empty training set")
         if n < self.min_samples_leaf:
             raise DegenerateTraining(
                 f"{n} rows cannot satisfy min_samples_leaf={self.min_samples_leaf}"
             )
-        self.n_features_ = d
-        rng = np.random.default_rng(self.seed)
-        importances = np.zeros(d)
 
-        self.feature, self.threshold, self.left, self.right = [], [], [], []
-        self.leaf_values = []
-        root = self._new_node()
-        self.leaf_values.append(None)
-        stack = [(root, np.arange(n), 0)]
-        while stack:
-            node, idx, depth = stack.pop()
+        def variance_and_mean(idx):
             target = y[idx]
-            variance = float(target.var())
-            stop = (
-                variance == 0.0
-                or idx.size < 2 * self.min_samples_leaf
-                or (self.max_depth is not None and depth >= self.max_depth)
-            )
-            best = None
-            if not stop:
-                features = self._candidate_features(rng, d)
-                best = _best_split_regression(X, idx, features, target, self.min_samples_leaf)
-            if best is None:
-                self.leaf_values[node] = float(target.mean())
-                continue
-            cost, at, thr = best
-            f = int(features[at])
-            importances[f] += (idx.size / n) * (variance - cost)
-            go_left = X[idx, f] < thr
-            self.feature[node] = f
-            self.threshold[node] = thr
-            left_id = self._new_node()
-            self.leaf_values.append(None)
-            right_id = self._new_node()
-            self.leaf_values.append(None)
-            self.left[node] = left_id
-            self.right[node] = right_id
-            stack.append((left_id, idx[go_left], depth + 1))
-            stack.append((right_id, idx[~go_left], depth + 1))
+            return float(target.var()), float(target.mean())
 
-        total = importances.sum()
-        self.feature_importances_ = importances / total if total > 0 else importances
+        def best_split(idx, features):
+            return _best_split_regression(X, idx, features, y[idx], self.min_samples_leaf)
+
+        self.leaf_values = self._grow(X, variance_and_mean, best_split)
+        self._leaf_value = self._value_table()
         return self
+
+    def _value_table(self) -> np.ndarray:
+        """Leaf mean per node (zero for internal nodes)."""
+        return np.asarray([0.0 if v is None else v for v in self.leaf_values], dtype=np.float64)
 
     def predict(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
-        leaf = self._leaf_ids(X)
-        values = np.asarray(
-            [0.0 if v is None else v for v in self.leaf_values], dtype=np.float64
-        )
-        return values[leaf]
+        return self._leaf_value[self._leaf_ids(X)]
 
     def to_dict(self) -> dict:
         doc = self._split_structure()
@@ -340,4 +316,5 @@ class DecisionTreeRegressor(_TreeBase):
         tree = cls()
         tree._load_structure(doc)
         tree.leaf_values = [None if v is None else float(v) for v in doc["leaf_values"]]
+        tree._leaf_value = tree._value_table()
         return tree

@@ -92,10 +92,13 @@ def parse_config(text: str) -> ServiceConfig:
                 values[_KEY_TO_FIELD[key]] = _SCALAR_KEYS[key](value)
             except ValueError as exc:
                 raise ConfigError(f"line {lineno}: bad value for {key}: {exc}") from exc
-        elif key.startswith("tags.user."):
-            user_tags[int(key.rsplit(".", 1)[1])] = value
-        elif key.startswith("tags.location."):
-            location_tags[int(key.rsplit(".", 1)[1])] = value
+        elif key.startswith(("tags.user.", "tags.location.")):
+            _, kind, index = key.split(".", 2)
+            try:
+                tag = int(index)
+            except ValueError as exc:
+                raise ConfigError(f"line {lineno}: bad tag index in {key!r}: {exc}") from exc
+            (user_tags if kind == "user" else location_tags)[tag] = value
         else:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
     return ServiceConfig(user_tags=user_tags, location_tags=location_tags, **values)

@@ -8,8 +8,9 @@ version and the exact input span it was computed over.
 
 from __future__ import annotations
 
+import math
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Callable
 
 import numpy as np
@@ -133,6 +134,10 @@ def _latest_run(
 
 class VitalsService:
     def __init__(self, config: ServiceConfig, store: JsonlStore, clock: Callable[[], int] | None = None):
+        values = {f.name: getattr(config, f.name) for f in fields(config)}
+        non_finite = [k for k, v in values.items() if isinstance(v, float) and not math.isfinite(v)]
+        if non_finite:
+            raise InputError(f"settings must be finite: {', '.join(non_finite)}")
         self.config = config
         self.store = store
         table = register(sorted(config.user_tags.items()), sorted(config.location_tags.items()))

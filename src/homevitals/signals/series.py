@@ -15,7 +15,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from ..errors import DegenerateInput, FormatError, InputError
+from ..errors import ConfigError, DegenerateInput, FormatError, InputError
 
 IBI_MIN_S = 0.3
 IBI_MAX_S = 2.0
@@ -266,10 +266,6 @@ class FilterConfig:
         if self.order_n < 1:
             raise InputError("filter order must be a positive integer")
         if not 0.0 < self.cutoff_wn < 1.0:
-            # Deferred to butterworth_lowpass for the (0,1) open-interval check
-            # would hide misconfiguration; fail fast here instead.
-            from ..errors import ConfigError
-
             raise ConfigError(
                 f"cutoff_wn must lie in (0, 1) as a fraction of Nyquist, got {self.cutoff_wn}"
             )

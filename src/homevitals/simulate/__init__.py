@@ -25,7 +25,7 @@ from .streaming import (
     capacity_check,
     stream_session,
 )
-from .stress_session import simulate_session, stress_envelope
+from .stress_session import cohort_sessions, simulate_session, stress_envelope
 
 __all__ = [
     "BpMode",
@@ -42,6 +42,7 @@ __all__ = [
     "StreamReport",
     "SyntheticProfile",
     "capacity_check",
+    "cohort_sessions",
     "default_session_script",
     "default_session_timeline",
     "generate_cohort",

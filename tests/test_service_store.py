@@ -183,7 +183,16 @@ class TestServiceConfig:
 
     @pytest.mark.parametrize(
         "line",
-        ["match.search_window_s = nan", "match.search_window_s = inf", "match.tolerance_s = nan"],
+        [
+            "match.search_window_s = nan",
+            "match.search_window_s = inf",
+            "match.tolerance_s = nan",
+            "window.length_s = nan",
+            "window.overlap_s = inf",
+            "bp.segment_s = nan",
+            "label.threshold = nan",
+            "filter.cutoff_hz = inf",
+        ],
     )
     def test_non_finite_match_setting_fails_at_service_start(self, tmp_path, line):
         config = parse_config(line + "\n").with_storage(tmp_path / "store.jsonl")
@@ -193,6 +202,11 @@ class TestServiceConfig:
                 VitalsService(config, store)
         finally:
             store.close()
+
+    @pytest.mark.parametrize("key", ["tags.user.abc", "tags.location.1.5", "tags.user."])
+    def test_bad_tag_index_is_config_error(self, key):
+        with pytest.raises(ConfigError, match=f"line 2: bad tag index in {key!r}"):
+            parse_config(f"seed = 1\n{key} = kitchen\n")
 
     def test_derived_objects(self):
         config = ServiceConfig()

@@ -13,6 +13,7 @@ from homevitals.simulate import (
     COHORT_CORTISOL_T1_SD_UGDL,
     CapacityMode,
     capacity_check,
+    cohort_sessions,
     default_session_script,
     generate_cohort,
     simulate_bp_records,
@@ -78,11 +79,19 @@ class TestSimulateSession:
         assert eda_up >= 0.95 * trials
         assert ibi_down >= 0.95 * trials
 
-    def test_cohort_cortisol_calibration(self, cohort):
-        profiles, script = cohort
+    def test_cohort_sessions_seed_subject_i_with_1000_plus_i(self):
+        profiles, script = generate_cohort(3, seed=5)
+        sessions = list(cohort_sessions(3, seed=5))
+        assert [p for p, _, _ in sessions] == profiles
+        for i, (profile, bundle, samples) in enumerate(sessions):
+            expected_bundle, expected_samples = simulate_session(profile, script, seed=1000 + i)
+            assert bundle.eda.values.tobytes() == expected_bundle.eda.values.tobytes()
+            assert bundle.ibi.ibi_s.tobytes() == expected_bundle.ibi.ibi_s.tobytes()
+            assert samples == expected_samples
+
+    def test_cohort_cortisol_calibration(self):
         samples = []
-        for i, p in enumerate(profiles):
-            _, cs = simulate_session(p, script, seed=1000 + i)
+        for _profile, _bundle, cs in cohort_sessions(40, seed=0):
             samples.extend(cs)
         summary = summarize_cortisol(samples)
         for tp, target in zip(Timepoint, COHORT_CORTISOL_MEANS_UGDL):
