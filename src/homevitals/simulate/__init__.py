@@ -25,7 +25,7 @@ from .streaming import (
     capacity_check,
     stream_session,
 )
-from .stress_session import cohort_sessions, simulate_session, stress_envelope
+from .stress_session import cohort_sessions, simulate_session, stress_envelope, subject_session
 
 __all__ = [
     "BpMode",
@@ -50,4 +50,5 @@ __all__ = [
     "simulate_session",
     "stream_session",
     "stress_envelope",
+    "subject_session",
 ]

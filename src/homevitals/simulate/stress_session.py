@@ -247,10 +247,16 @@ def simulate_session(
 def cohort_sessions(
     n_subjects: int, seed: int
 ) -> Iterator[tuple[SyntheticProfile, ChannelBundle, list[CortisolSample]]]:
-    """(profile, bundle, cortisol samples) for each subject of a generated
-    cohort. `seed` draws the cohort; subject i's session is seeded with
-    1000 + i whatever the cohort seed."""
+    """(profile, bundle, cortisol samples) for each subject of the cohort
+    that `seed` draws, with subject i's `subject_session`."""
     profiles, script = generate_cohort(n_subjects, seed=seed)
     for i, profile in enumerate(profiles):
-        bundle, samples = simulate_session(profile, script, seed=1000 + i)
-        yield profile, bundle, samples
+        yield (profile, *subject_session(profile, script, i))
+
+
+def subject_session(
+    profile: SyntheticProfile, script: SessionScript, index: int
+) -> tuple[ChannelBundle, list[CortisolSample]]:
+    """Session of subject `index` of a generated cohort, seeded with
+    1000 + index whatever the cohort seed."""
+    return simulate_session(profile, script, seed=1000 + index)
