@@ -24,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import experiments
+from .datasets import FOREST_PARAMS
 from .errors import HomevitalsError, NotFound
 from .labeling import save_cortisol_csv
 from .location import EventLog, format_message, register, resolve_location
@@ -173,7 +174,7 @@ def _cmd_evaluate_stress(args) -> int:
         n_subjects=args.subjects,
         cohort_seed=args.seed,
         split_seeds=range(args.seeds),
-        forest_params={**experiments.FOREST_PARAMS, "n_trees": args.trees},
+        forest_params={**FOREST_PARAMS, "n_trees": args.trees},
     )
     rows = [result.as_row() for result in results.values()]
     report = {"experiment": "stress_sensor_fusion", "subjects": args.subjects, "rows": rows}
@@ -218,7 +219,7 @@ def _cmd_report_roc(args) -> int:
     curves = experiments.stress_roc_curves(
         n_subjects=args.subjects,
         cohort_seed=args.seed,
-        forest_params={**experiments.FOREST_PARAMS, "n_trees": args.trees},
+        forest_params={**FOREST_PARAMS, "n_trees": args.trees},
     )
     report = {
         "experiment": "stress_roc",
@@ -304,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     e_stress.add_argument("--subjects", type=int, default=40)
     e_stress.add_argument("--seeds", type=int, default=10)
     e_stress.add_argument("--seed", type=int, default=0)
-    e_stress.add_argument("--trees", type=int, default=100)
+    e_stress.add_argument("--trees", type=int, default=FOREST_PARAMS["n_trees"])
     e_stress.add_argument("--out")
     e_stress.set_defaults(func=_cmd_evaluate_stress)
     e_bp = eval_sub.add_parser("bp")
@@ -333,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     r_roc.add_argument("--out", required=True)
     r_roc.add_argument("--subjects", type=int, default=40)
     r_roc.add_argument("--seed", type=int, default=0)
-    r_roc.add_argument("--trees", type=int, default=100)
+    r_roc.add_argument("--trees", type=int, default=FOREST_PARAMS["n_trees"])
     r_roc.set_defaults(func=_cmd_report_roc)
 
     return parser

@@ -1,6 +1,6 @@
-"""Labeled training rows, built one way for the service trainers and the
-offline experiments: cortisol-labeled stress windows, and fixed-length PPG
-segments with the mean SBP/DBP over each segment's time span.
+"""Labeled training rows and the model settings, one way for the service
+trainers and the offline experiments: cortisol-labeled stress windows, and
+fixed-length PPG segments with the mean SBP/DBP over each segment's time span.
 """
 
 from __future__ import annotations
@@ -12,6 +12,13 @@ import numpy as np
 from .features import FeatureMatrix, FeatureVector, bp_reduced_features, stress_feature_matrix
 from .labeling import CortisolSample, LabelRule, label_windows, labels_to_targets
 from .signals import ChannelBundle, FilterConfig, SampleSeries, WindowSpec, make_windows
+
+# The stress forest, each BP regression tree (alone or boosted), the BP
+# boosting rounds, and the length of the BP segments trained on and queried.
+FOREST_PARAMS = {"n_trees": 100, "max_depth": 12, "min_samples_leaf": 3}
+BP_TREE_PARAMS = {"max_depth": 12, "min_samples_leaf": 3}
+BP_BOOST_ROUNDS = 30
+BP_SEGMENT_S = 40.0
 
 
 def stress_rows(

@@ -22,7 +22,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .datasets import bp_rows, stress_rows
+from .datasets import (
+    BP_BOOST_ROUNDS,
+    BP_SEGMENT_S,
+    BP_TREE_PARAMS,
+    FOREST_PARAMS,
+    bp_rows,
+    stress_rows,
+)
 from .errors import InputError
 from .features import CHANNEL_COMBINATIONS, FeatureMatrix, select_features
 from .models import (
@@ -37,11 +44,6 @@ from .models import (
 )
 from .signals import FilterConfig, WindowSpec
 from .simulate import BpMode, generate_cohort, simulate_bp_records, subject_session
-
-BP_SEGMENT_S = 40.0
-
-FOREST_PARAMS = {"n_trees": 100, "max_depth": 12, "min_samples_leaf": 3}
-BP_TREE_PARAMS = {"max_depth": 12, "min_samples_leaf": 3}
 
 REGRESSOR_NAMES = ("mlp", "dt", "adaboost_dt", "adaboost_mlp")
 
@@ -225,9 +227,7 @@ def _make_regressor(name: str, seed: int, quick: bool):
     if name == "dt":
         return DecisionTreeRegressor(seed=seed, **BP_TREE_PARAMS)
     if name == "adaboost_dt":
-        return AdaBoostR2(
-            "dt", n_estimators=30, seed=seed, base_params=BP_TREE_PARAMS
-        )
+        return AdaBoostR2("dt", n_estimators=BP_BOOST_ROUNDS, seed=seed, base_params=BP_TREE_PARAMS)
     if name == "adaboost_mlp":
         return AdaBoostR2(
             "mlp",

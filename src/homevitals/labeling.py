@@ -62,8 +62,8 @@ class CortisolSample:
     def __post_init__(self) -> None:
         if not self.subject_id:
             raise InputError("subject_id must be non-empty")
-        if self.concentration_ugdl < 0:
-            raise InputError("concentration must be non-negative")
+        if not 0 <= self.concentration_ugdl < np.inf:
+            raise InputError("concentration must be non-negative and finite")
 
 
 @dataclass(frozen=True)

@@ -22,25 +22,12 @@ class ClassificationMetrics:
     accuracy: float
     roc_auc: float | None = None
 
-    def as_dict(self) -> dict:
-        return {
-            "f1_stressed": self.f1_positive,
-            "f1_not_stressed": self.f1_negative,
-            "macro_f1": self.macro_f1,
-            "micro_f1": self.micro_f1,
-            "accuracy": self.accuracy,
-            "roc_auc": self.roc_auc,
-        }
-
 
 @dataclass(frozen=True)
 class RegressionMetrics:
     mae: float
     sd: float
     pct_within_5mmhg: float
-
-    def as_dict(self) -> dict:
-        return {"mae": self.mae, "sd": self.sd, "pct_within_5mmhg": self.pct_within_5mmhg}
 
 
 def _check_binary(y: np.ndarray, what: str) -> np.ndarray:

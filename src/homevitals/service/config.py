@@ -2,8 +2,11 @@
 
 Lines are `key = value`; `#` starts a comment. Tag registrations use
 `tags.user.<index> = identity` and `tags.location.<index> = room`. A run is
-reproducible from the config plus the stored inputs: every training seed and
-pipeline parameter lives here.
+reproducible from the config plus the stored inputs. The config holds the
+deployment settings, the training seed, the window, label and match rules and
+the forest and boosting sizes; the other model settings are fixed in
+`homevitals.datasets`, so a model is always queried on features built as in
+its training.
 """
 
 from __future__ import annotations
@@ -11,9 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
+from ..datasets import BP_BOOST_ROUNDS, FOREST_PARAMS
 from ..errors import ConfigError
 from ..location import MatchConfig
-from ..signals import FilterConfig, WindowSpec
+from ..signals import WindowSpec
 
 
 @dataclass(frozen=True)
@@ -23,17 +27,12 @@ class ServiceConfig:
     storage_path: str = "homevitals-store.jsonl"
     window_length_s: float = 90.0
     window_overlap_s: float = 45.0
-    filter_order: int = 4
-    filter_cutoff_hz: float = 8.0
     match_tolerance_s: float = 5.0
     match_search_window_s: float = 60.0
     label_threshold: float = 0.10
-    forest_n_trees: int = 100
-    forest_max_depth: int = 12
-    forest_min_samples_leaf: int = 3
-    bp_segment_s: float = 40.0
-    bp_boost_estimators: int = 30
-    bp_tree_max_depth: int = 12
+    forest_n_trees: int = FOREST_PARAMS["n_trees"]
+    forest_max_depth: int = FOREST_PARAMS["max_depth"]
+    bp_boost_estimators: int = BP_BOOST_ROUNDS
     seed: int = 0
     user_tags: dict[int, str] = field(default_factory=dict)
     location_tags: dict[int, str] = field(default_factory=dict)
@@ -46,9 +45,6 @@ class ServiceConfig:
     def match_config(self) -> MatchConfig:
         return MatchConfig(self.match_tolerance_s, self.match_search_window_s)
 
-    def filter_config(self, rate_hz: float) -> FilterConfig:
-        return FilterConfig.for_rate(rate_hz, self.filter_cutoff_hz, self.filter_order)
-
     def with_storage(self, path: str | Path) -> "ServiceConfig":
         return replace(self, storage_path=str(path))
 
@@ -59,17 +55,12 @@ _SCALAR_KEYS = {
     "storage_path": str,
     "window.length_s": float,
     "window.overlap_s": float,
-    "filter.order": int,
-    "filter.cutoff_hz": float,
     "match.tolerance_s": float,
     "match.search_window_s": float,
     "label.threshold": float,
     "forest.n_trees": int,
     "forest.max_depth": int,
-    "forest.min_samples_leaf": int,
-    "bp.segment_s": float,
     "bp.boost_estimators": int,
-    "bp.tree_max_depth": int,
     "seed": int,
 }
 

@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from ..datasets import bp_rows, stress_rows
+from ..datasets import BP_SEGMENT_S, BP_TREE_PARAMS, FOREST_PARAMS, bp_rows, stress_rows
 from ..errors import DegenerateTraining, InputError, NotReady, NoWindow, TrainingBusy
 from ..features import MIN_SEGMENT_S, FeatureMatrix, bp_reduced_features, stress_feature_matrix
 from ..labeling import CortisolSample, LabelRule, Timepoint
@@ -28,7 +28,16 @@ from ..models import (
     load_document,
     model_document,
 )
-from ..signals import Channel, ChannelBundle, IbiSeries, SampleSeries, Window
+from ..signals import (
+    Channel,
+    ChannelBundle,
+    FilterConfig,
+    IbiSeries,
+    SampledSpan,
+    SampleSeries,
+    Window,
+    window_grid,
+)
 from .config import ServiceConfig
 from .store import IndexEntry, JsonlStore
 
@@ -55,7 +64,7 @@ def payload_to_series(payload: dict, field: str = "chunk") -> SampleSeries:
             start_ms=int(payload["start_ms"]),
             values=payload["values"],
         )
-    except (KeyError, ValueError, TypeError, InputError) as exc:
+    except (KeyError, ValueError, TypeError, OverflowError, InputError) as exc:
         raise InputError(f"{field}: {exc}") from exc
 
 
@@ -67,10 +76,10 @@ def _list_field(request: dict, key: str) -> list:
 
 
 @dataclass(frozen=True)
-class _Span:
-    """Samples [lo, hi) of one channel's latest contiguous run, planned from
-    index metadata. Lengths, times and bounds checks follow SampleSeries, so
-    slicing a span places it exactly where slicing the decoded run would."""
+class _Span(SampledSpan):
+    """Samples [lo, hi) of a contiguous run of one channel's chunks, planned
+    from index metadata. SampledSpan places it in time, so slicing a span
+    places it exactly where slicing the decoded run would."""
 
     channel: Channel
     rate_hz: float
@@ -82,25 +91,8 @@ class _Span:
     def __len__(self) -> int:
         return self.hi - self.lo
 
-    @property
-    def duration_s(self) -> float:
-        return len(self) / self.rate_hz
-
-    @property
-    def end_ms(self) -> int:
-        return self.start_ms + int(round(1000.0 * len(self) / self.rate_hz))
-
-    def slice_samples(self, start_idx: int, stop_idx: int) -> "_Span":
-        if not 0 <= start_idx <= stop_idx <= len(self):
-            raise InputError(
-                f"slice [{start_idx}:{stop_idx}] out of range for length {len(self)}"
-            )
-        return replace(
-            self,
-            start_ms=self.start_ms + int(round(1000.0 * start_idx / self.rate_hz)),
-            lo=self.lo + start_idx,
-            hi=self.lo + stop_idx,
-        )
+    def _take(self, start_idx: int, stop_idx: int, start_ms: int) -> "_Span":
+        return replace(self, start_ms=start_ms, lo=self.lo + start_idx, hi=self.lo + stop_idx)
 
 
 def _latest_run(
@@ -114,19 +106,19 @@ def _latest_run(
     )
     if not chunks:
         return None
-    run = [chunks[-1]]
-    for prev in reversed(chunks[:-1]):
-        m = prev.meta
-        end_ms = int(m.start_ms) + int(round(1000.0 * m.n_samples / float(m.rate_hz)))
-        if abs(end_ms - int(run[0].meta.start_ms)) <= CONTIGUITY_SLOP_MS:
-            run.insert(0, prev)
-        else:
+    first = len(chunks) - 1
+    while first:
+        prev = chunks[first - 1].meta
+        end_ms = SampledSpan.time_of(prev.n_samples, int(prev.start_ms), float(prev.rate_hz))
+        if abs(end_ms - int(chunks[first].meta.start_ms)) > CONTIGUITY_SLOP_MS:
             break
+        first -= 1
+    run = tuple(chunks[first:])
     return _Span(
         channel=channel,
         rate_hz=float(run[0].meta.rate_hz),
         start_ms=int(run[0].meta.start_ms),
-        chunks=tuple(run),
+        chunks=run,
         lo=0,
         hi=sum(entry.meta.n_samples for entry in run),
     )
@@ -169,7 +161,7 @@ class VitalsService:
         if ibi_events:
             try:
                 IbiSeries.from_pairs([(int(t), float(v)) for t, v in ibi_events])
-            except (InputError, ValueError, TypeError) as exc:
+            except (InputError, ValueError, TypeError, OverflowError) as exc:
                 raise InputError(f"ibi: {exc}") from exc
         cortisol_payloads = []
         for i, sample in enumerate(_list_field(request, "cortisol")):
@@ -180,7 +172,7 @@ class VitalsService:
                     t_ms=int(sample["t_ms"]),
                     concentration_ugdl=float(sample["concentration_ugdl"]),
                 )
-            except (KeyError, ValueError, TypeError, InputError) as exc:
+            except (KeyError, ValueError, TypeError, OverflowError, InputError) as exc:
                 raise InputError(f"cortisol[{i}]: {exc}") from exc
             cortisol_payloads.append(
                 {
@@ -289,12 +281,9 @@ class VitalsService:
         if end <= start:
             return None
 
-        def trim(span: _Span) -> _Span:
-            i0 = int(round((start - span.start_ms) * span.rate_hz / 1000.0))
-            i1 = int(round((end - span.start_ms) * span.rate_hz / 1000.0))
-            return span.slice_samples(i0, min(i1, len(span)))
-
-        spans = tuple(trim(run) for run in runs)
+        spans = tuple(
+            run.slice_samples(run.index_at(start), min(run.index_at(end), len(run))) for run in runs
+        )
         for name, span in zip(("eda", "bvp", "st"), spans):
             if span.start_ms != start:  # as ChannelBundle checks it
                 raise InputError(
@@ -323,19 +312,11 @@ class VitalsService:
         if duration_s < spec.length_s:
             raise NoWindow(f"no complete {spec.length_s:.0f} s window for {subject_id}")
         start, end, spans = planned
-        # make_windows' grid, in the same integer milliseconds.
-        length_ms = int(round(spec.length_s * 1000))
-        step_ms = int(round(spec.step_s * 1000))
-        index = (int(round(duration_s * 1000)) - length_ms) // step_ms
-        w_start = start + index * step_ms
+        starts, length_ms = window_grid(start, duration_s, spec)
+        index = len(starts) - 1
+        w_start = starts[index]
         w_end = w_start + length_ms
-
-        def window_slice(span: _Span) -> _Span:  # Window._slice
-            i0 = int(round((w_start - span.start_ms) * span.rate_hz / 1000.0))
-            count = int(round((w_end - w_start) * span.rate_hz / 1000.0))
-            return span.slice_samples(i0, i0 + count)
-
-        window_spans = tuple(window_slice(span) for span in spans)
+        window_spans = tuple(span.slice_ms(w_start, w_end) for span in spans)
         bundle = self._read_bundle(subject_id, window_spans, w_start, min(end, w_end))
         return Window(index=index, start_ms=w_start, end_ms=w_end, bundle=bundle)
 
@@ -393,7 +374,7 @@ class VitalsService:
         forest = RandomForestClassifier(
             n_trees=self.config.forest_n_trees,
             max_depth=self.config.forest_max_depth,
-            min_samples_leaf=self.config.forest_min_samples_leaf,
+            min_samples_leaf=FOREST_PARAMS["min_samples_leaf"],
             seed=seed,
         )
         forest.fit(matrix.X, matrix.labels.astype(int))
@@ -415,8 +396,8 @@ class VitalsService:
             if any(run is None for run in runs):
                 continue
             ppg, sbp, dbp = (self._read_series(subject_id, run) for run in runs)
-            cfg = self.config.filter_config(ppg.rate_hz)
-            segments += bp_rows(ppg, sbp, dbp, self.config.bp_segment_s, cfg, subject_id)
+            cfg = FilterConfig.for_rate(ppg.rate_hz)
+            segments += bp_rows(ppg, sbp, dbp, BP_SEGMENT_S, cfg, subject_id)
         if not segments:
             raise DegenerateTraining("no PPG records with pressure targets in store")
         rows, sbp_targets, dbp_targets = zip(*segments)
@@ -427,7 +408,7 @@ class VitalsService:
                 "dt",
                 n_estimators=self.config.bp_boost_estimators,
                 seed=seed,
-                base_params={"max_depth": self.config.bp_tree_max_depth, "min_samples_leaf": 3},
+                base_params=BP_TREE_PARAMS,
             )
             model.fit(matrix.X, np.asarray(targets))
             result[key] = self._save_model(key, model, matrix.names, seed, len(rows))
@@ -473,13 +454,12 @@ class VitalsService:
         source = _latest_run(entries, Channel.PPG)
         if source is None:
             source = _latest_run(entries, Channel.BVP)
-        segment_s = self.config.bp_segment_s
         if source is None or source.duration_s < MIN_SEGMENT_S:
             raise NoWindow(f"no recent pulse signal for {subject_id}")
-        take = min(len(source), int(segment_s * source.rate_hz))
+        take = min(len(source), int(BP_SEGMENT_S * source.rate_hz))
         last = source.slice_samples(len(source) - take, len(source))
         segment = self._read_series(subject_id, last)
-        cfg = self.config.filter_config(source.rate_hz)
+        cfg = FilterConfig.for_rate(source.rate_hz)
         features = bp_reduced_features(segment, cfg, subject_id=subject_id)
         check_feature_schema(sbp_meta["document"], features.names)
         row = features.values.reshape(1, -1)

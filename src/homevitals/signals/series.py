@@ -45,9 +45,56 @@ def _as_float_array(values: Sequence[float] | np.ndarray, what: str) -> np.ndarr
     return arr
 
 
+class SampledSpan:
+    """Where uniformly spaced samples lie in time: sample i of a span starting
+    at start_ms lives at start_ms + round(1000*i/rate_hz).
+
+    The one home of the sample-time rules. A subclass supplies rate_hz,
+    start_ms, __len__ and _take(start_idx, stop_idx, start_ms), which builds
+    the slice of samples [start_idx, stop_idx) placed at start_ms.
+    """
+
+    rate_hz: float
+    start_ms: int
+
+    @staticmethod
+    def time_of(index: int, start_ms: int, rate_hz: float) -> int:
+        """Epoch ms of sample `index` of a span at start_ms; the end of a span
+        of `index` samples."""
+        return start_ms + int(round(1000.0 * index / rate_hz))
+
+    def _samples(self, ms: int) -> int:
+        return int(round(ms * self.rate_hz / 1000.0))
+
+    @property
+    def duration_s(self) -> float:
+        return len(self) / self.rate_hz
+
+    @property
+    def end_ms(self) -> int:
+        return self.time_of(len(self), self.start_ms, self.rate_hz)
+
+    def index_at(self, t_ms: int) -> int:
+        """The index of the sample nearest t_ms; may lie outside the span."""
+        return self._samples(t_ms - self.start_ms)
+
+    def slice_samples(self, start_idx: int, stop_idx: int):
+        if not 0 <= start_idx <= stop_idx <= len(self):
+            raise InputError(
+                f"slice [{start_idx}:{stop_idx}] out of range for length {len(self)}"
+            )
+        return self._take(start_idx, stop_idx, self.time_of(start_idx, self.start_ms, self.rate_hz))
+
+    def slice_ms(self, start_ms: int, end_ms: int):
+        """The samples from the one nearest start_ms, as many as end_ms - start_ms
+        holds at the rate: every channel of a window covers the same time."""
+        start_idx = self.index_at(start_ms)
+        return self.slice_samples(start_idx, start_idx + self._samples(end_ms - start_ms))
+
+
 @dataclass(frozen=True)
-class SampleSeries:
-    """A uniformly sampled signal. Sample i lives at start_ms + round(1000*i/rate_hz)."""
+class SampleSeries(SampledSpan):
+    """A uniformly sampled signal, placed in time as SampledSpan says."""
 
     channel: Channel
     rate_hz: float
@@ -55,8 +102,8 @@ class SampleSeries:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.rate_hz <= 0:
-            raise InputError(f"rate_hz must be positive, got {self.rate_hz}")
+        if not 0 < self.rate_hz < np.inf:
+            raise InputError(f"rate_hz must be positive and finite, got {self.rate_hz}")
         expected = WRISTBAND_RATES_HZ.get(self.channel)
         if expected is not None and self.rate_hz != expected:
             raise InputError(
@@ -69,13 +116,13 @@ class SampleSeries:
     def __len__(self) -> int:
         return int(self.values.size)
 
-    @property
-    def duration_s(self) -> float:
-        return len(self) / self.rate_hz
-
-    @property
-    def end_ms(self) -> int:
-        return self.start_ms + int(round(1000.0 * len(self) / self.rate_hz))
+    def _take(self, start_idx: int, stop_idx: int, start_ms: int) -> "SampleSeries":
+        return SampleSeries(
+            channel=self.channel,
+            rate_hz=self.rate_hz,
+            start_ms=start_ms,
+            values=self.values[start_idx:stop_idx],
+        )
 
     def timestamps_ms(self) -> np.ndarray:
         idx = np.arange(len(self), dtype=np.float64)
@@ -88,19 +135,6 @@ class SampleSeries:
             rate_hz=self.rate_hz,
             start_ms=self.start_ms,
             values=values,
-        )
-
-    def slice_samples(self, start_idx: int, stop_idx: int) -> "SampleSeries":
-        if not 0 <= start_idx <= stop_idx <= len(self):
-            raise InputError(
-                f"slice [{start_idx}:{stop_idx}] out of range for length {len(self)}"
-            )
-        offset_ms = int(round(1000.0 * start_idx / self.rate_hz))
-        return SampleSeries(
-            channel=self.channel,
-            rate_hz=self.rate_hz,
-            start_ms=self.start_ms + offset_ms,
-            values=self.values[start_idx:stop_idx],
         )
 
 
@@ -200,24 +234,17 @@ class Window:
     end_ms: int
     bundle: ChannelBundle = field(repr=False)
 
-    def _slice(self, series: SampleSeries) -> SampleSeries:
-        rate = series.rate_hz
-        rel_start_ms = self.start_ms - series.start_ms
-        start_idx = int(round(rel_start_ms * rate / 1000.0))
-        count = int(round((self.end_ms - self.start_ms) * rate / 1000.0))
-        return series.slice_samples(start_idx, start_idx + count)
-
     @property
     def eda(self) -> SampleSeries:
-        return self._slice(self.bundle.eda)
+        return self.bundle.eda.slice_ms(self.start_ms, self.end_ms)
 
     @property
     def bvp(self) -> SampleSeries:
-        return self._slice(self.bundle.bvp)
+        return self.bundle.bvp.slice_ms(self.start_ms, self.end_ms)
 
     @property
     def st(self) -> SampleSeries:
-        return self._slice(self.bundle.st)
+        return self.bundle.st.slice_ms(self.start_ms, self.end_ms)
 
     @property
     def ibi(self) -> IbiSeries:

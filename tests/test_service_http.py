@@ -1,6 +1,7 @@
 """HTTP API: routes, status codes, canonical location wire format."""
 
 import json
+import math
 import socket
 import urllib.error
 import urllib.request
@@ -12,6 +13,8 @@ from homevitals.location import parse_message
 from homevitals.service import ServiceConfig, VitalsHttpServer, series_to_payload
 from homevitals.simulate import simulate_bp_records
 from test_service_pipeline import bp_payload, stress_payload
+
+NAN, INF = math.nan, math.inf
 
 
 @pytest.fixture
@@ -212,6 +215,31 @@ class TestRoutes:
         with pytest.raises(urllib.error.HTTPError) as err:
             post(server, path, body)
         assert status_of(err.value)[0] == 400
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            {"chunks": [{"channel": "PPG", "rate_hz": NAN, "start_ms": 0, "values": [1.0]}]},
+            {"chunks": [{"channel": "PPG", "rate_hz": INF, "start_ms": 0, "values": [1.0]}]},
+            {"chunks": [{"channel": "PPG", "rate_hz": 125.0, "start_ms": INF, "values": [1.0]}]},
+            {"ibi": [[INF, 0.8]]},
+            {"cortisol": [{"timepoint": "T1", "t_ms": 0, "concentration_ugdl": NAN}]},
+            {"cortisol": [{"timepoint": "T1", "t_ms": 0, "concentration_ugdl": INF}]},
+            {"cortisol": [{"timepoint": "T1", "t_ms": INF, "concentration_ugdl": 0.5}]},
+        ],
+        ids=[
+            "rate-nan", "rate-inf", "start-inf", "ibi-time-inf",
+            "cortisol-nan", "cortisol-inf", "cortisol-time-inf",
+        ],
+    )
+    def test_non_finite_sync_is_400_and_stores_nothing(self, server, body):
+        # json.dumps writes NaN and Infinity, and the server's json parser
+        # accepts them.
+        before = get(server, "/health")[1]["records"]
+        with pytest.raises(urllib.error.HTTPError) as err:
+            post(server, "/signals/sync", {"subject_id": "S00", **body})
+        assert status_of(err.value)[0] == 400
+        assert get(server, "/health")[1]["records"] == before
 
     def test_malformed_tolerance_is_400(self, server):
         with pytest.raises(urllib.error.HTTPError) as err:

@@ -26,7 +26,6 @@ def service(tmp_path):
         forest_n_trees=5,
         forest_max_depth=6,
         bp_boost_estimators=4,
-        bp_segment_s=40.0,
         user_tags={1: "alice"},
         location_tags={10: "kitchen"},
     )

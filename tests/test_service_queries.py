@@ -10,12 +10,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from homevitals.datasets import BP_SEGMENT_S
 from homevitals.errors import HomevitalsError, NoWindow, NotReady
 from homevitals.features import bp_reduced_features, stress_feature_matrix
 from homevitals.models import check_feature_schema, load_document
 from homevitals.service import JsonlStore, ServiceConfig, VitalsService, payload_to_series
-from homevitals.service.pipeline import CONTIGUITY_SLOP_MS
-from homevitals.signals import Channel, ChannelBundle, IbiSeries, SampleSeries, make_windows
+from homevitals.service.pipeline import CONTIGUITY_SLOP_MS, _Span
+from homevitals.signals import (
+    Channel,
+    ChannelBundle,
+    FilterConfig,
+    IbiSeries,
+    SampleSeries,
+    make_windows,
+)
 from homevitals.simulate import simulate_bp_records
 from test_service_pipeline import bp_payload, stress_payload
 
@@ -29,7 +37,6 @@ def make_config(path, **overrides):
         forest_n_trees=5,
         forest_max_depth=6,
         bp_boost_estimators=4,
-        bp_segment_s=40.0,
         **overrides,
     )
 
@@ -158,10 +165,10 @@ def reference_bp(service, subject_id):
         source = reference_channel_series(service.store, subject_id, Channel.BVP)
     if source is None or source.duration_s < 5.0:
         raise NoWindow(f"no recent pulse signal for {subject_id}")
-    take = min(len(source), int(service.config.bp_segment_s * source.rate_hz))
+    take = min(len(source), int(BP_SEGMENT_S * source.rate_hz))
     segment = source.slice_samples(len(source) - take, len(source))
     features = bp_reduced_features(
-        segment, service.config.filter_config(source.rate_hz), subject_id=subject_id
+        segment, FilterConfig.for_rate(source.rate_hz), subject_id=subject_id
     )
     check_feature_schema(sbp_meta["document"], features.names)
     row = features.values.reshape(1, -1)
@@ -391,3 +398,32 @@ class TestHistoryIndependence:
             {"model": 1, "signal_chunk": 6, "ibi_chunk": 2},
             {"model": 2, "signal_chunk": 1},
         )
+
+
+class TestSpanGeometry:
+    """A span planned from index metadata and a decoded series place samples
+    by the one SampledSpan rule."""
+
+    @staticmethod
+    def geometry(span):
+        return span.start_ms, span.end_ms, span.duration_s, len(span)
+
+    @settings(max_examples=400)
+    @given(
+        rate=st.sampled_from([4.0, 64.0, 62.5, 125.0]),
+        start_ms=st.integers(0, 2 * 10**12),
+        lo=st.integers(0, 500),
+        n=st.integers(0, 500),
+        cut=st.tuples(st.integers(-3, 503), st.integers(-3, 503)),
+        bounds=st.tuples(st.integers(-10_000, 140_000), st.integers(-1_000, 140_000)),
+    )
+    def test_span_and_series_agree(self, rate, start_ms, lo, n, cut, bounds):
+        span = _Span(Channel.PPG, rate, start_ms, (), lo, lo + n)
+        series = SampleSeries(Channel.PPG, rate, start_ms, np.zeros(n))
+        assert self.geometry(span) == self.geometry(series)
+        t0, t1 = start_ms + bounds[0], start_ms + bounds[0] + bounds[1]
+        for cut_span in (
+            lambda s: self.geometry(s.slice_samples(*cut)),
+            lambda s: self.geometry(s.slice_ms(t0, t1)),
+        ):
+            assert outcome(cut_span, span) == outcome(cut_span, series)

@@ -1,6 +1,7 @@
 """Store durability, idempotency, snapshot restart, and config round-trips."""
 
 import json
+from dataclasses import fields
 
 import pytest
 
@@ -12,6 +13,7 @@ from homevitals.service import (
     format_config,
     parse_config,
 )
+from homevitals.service.config import _KEY_TO_FIELD, _SCALAR_KEYS
 from homevitals.service.store import SNAPSHOT_EVERY
 from homevitals.simulate import simulate_bp_records
 from test_service_pipeline import bp_payload, stress_payload
@@ -122,8 +124,7 @@ class TestJsonlStore:
             forest_n_trees=5,
             forest_max_depth=6,
             bp_boost_estimators=4,
-            bp_segment_s=40.0,
-        )
+            )
         store = JsonlStore(config.storage_path)
         service = VitalsService(config, store)
         for i in range(2):
@@ -164,13 +165,33 @@ class TestJsonlStore:
 
 
 class TestServiceConfig:
+    def test_every_scalar_field_has_one_key_of_its_type(self):
+        scalars = {f.name: f.type for f in fields(ServiceConfig) if not f.name.endswith("_tags")}
+        assert sorted(_KEY_TO_FIELD.values()) == sorted(scalars)
+        for key, caster in _SCALAR_KEYS.items():
+            assert caster.__name__ == scalars[_KEY_TO_FIELD[key]]
+
     def test_round_trip(self):
+        changed = {
+            "listen_host": "0.0.0.0",
+            "listen_port": 9100,
+            "storage_path": "elsewhere.jsonl",
+            "window_length_s": 60.5,
+            "window_overlap_s": 30.25,
+            "match_tolerance_s": 2.5,
+            "match_search_window_s": 120.0,
+            "label_threshold": 0.15,
+            "forest_n_trees": 7,
+            "forest_max_depth": 5,
+            "bp_boost_estimators": 9,
+            "seed": 3,
+        }
+        assert sorted(changed) == sorted(_KEY_TO_FIELD.values())
         config = ServiceConfig(
-            listen_port=9100,
-            label_threshold=0.15,
-            user_tags={1: "alice", 2: "bob"},
-            location_tags={10: "kitchen"},
+            **changed, user_tags={1: "alice", 2: "bob"}, location_tags={10: "kitchen"}
         )
+        defaults = ServiceConfig()
+        assert [k for k in changed if getattr(config, k) == getattr(defaults, k)] == []
         parsed = parse_config(format_config(config))
         assert parsed == config
 
@@ -178,8 +199,17 @@ class TestServiceConfig:
         parsed = parse_config("# comment\nseed = 5\n\nforest.n_trees = 10\n")
         assert parsed.seed == 5
         assert parsed.forest_n_trees == 10
-        with pytest.raises(ConfigError):
-            parse_config("bogus.key = 1\n")
+        # Model settings the service shares with the experiments are not keys.
+        for key in (
+            "bogus.key",
+            "filter.order",
+            "filter.cutoff_hz",
+            "forest.min_samples_leaf",
+            "bp.segment_s",
+            "bp.tree_max_depth",
+        ):
+            with pytest.raises(ConfigError, match=f"unknown key {key!r}"):
+                parse_config(f"{key} = 1\n")
 
     @pytest.mark.parametrize(
         "line",
@@ -189,9 +219,7 @@ class TestServiceConfig:
             "match.tolerance_s = nan",
             "window.length_s = nan",
             "window.overlap_s = inf",
-            "bp.segment_s = nan",
             "label.threshold = nan",
-            "filter.cutoff_hz = inf",
         ],
     )
     def test_non_finite_match_setting_fails_at_service_start(self, tmp_path, line):
@@ -212,4 +240,3 @@ class TestServiceConfig:
         config = ServiceConfig()
         assert config.window_spec.length_s == 90.0
         assert config.match_config.tolerance_s == 5.0
-        assert config.filter_config(125.0).cutoff_wn == pytest.approx(8.0 / 62.5)
