@@ -11,7 +11,7 @@ import numpy as np
 
 from .features import FeatureMatrix, FeatureVector, bp_reduced_features, stress_feature_matrix
 from .labeling import CortisolSample, LabelRule, label_windows, labels_to_targets
-from .signals import ChannelBundle, FilterConfig, SampleSeries, WindowSpec, make_windows
+from .signals import ChannelBundle, SampleSeries, WindowSpec, make_windows
 
 # The stress forest, each BP regression tree (alone or boosted), the BP
 # boosting rounds, and the length of the BP segments trained on and queried.
@@ -54,19 +54,19 @@ def segment_targets(
 
 
 def bp_rows(
-    ppg: SampleSeries, sbp: SampleSeries, dbp: SampleSeries, segment_s: float,
-    cfg: FilterConfig, subject_id: str, origin_prefix: str = "",
+    ppg: SampleSeries, sbp: SampleSeries, dbp: SampleSeries, subject_id: str,
+    origin_prefix: str = "",
 ) -> list[tuple[FeatureVector, float, float]]:
-    """(reduced BP features, SBP, DBP) for each whole segment_s segment of the
-    PPG; segments the pressure series miss are left out."""
+    """(reduced BP features, SBP, DBP) for each whole BP_SEGMENT_S segment of
+    the PPG; segments the pressure series miss are left out."""
     out = []
-    seg_len = int(segment_s * ppg.rate_hz)
+    seg_len = int(BP_SEGMENT_S * ppg.rate_hz)
     for k in range(len(ppg) // seg_len):
         i0, i1 = k * seg_len, (k + 1) * seg_len
         targets = segment_targets(ppg, sbp, dbp, i0, i1)
         if targets is not None:
             segment = ppg.slice_samples(i0, i1)
             origin = f"{origin_prefix}{k}"
-            row = bp_reduced_features(segment, cfg, origin=origin, subject_id=subject_id)
+            row = bp_reduced_features(segment, origin=origin, subject_id=subject_id)
             out.append((row, *targets))
     return out

@@ -24,7 +24,6 @@ import numpy as np
 
 from .datasets import (
     BP_BOOST_ROUNDS,
-    BP_SEGMENT_S,
     BP_TREE_PARAMS,
     FOREST_PARAMS,
     bp_rows,
@@ -42,7 +41,7 @@ from .models import (
     roc_points,
     subject_split,
 )
-from .signals import FilterConfig, WindowSpec
+from .signals import WindowSpec
 from .simulate import BpMode, generate_cohort, simulate_bp_records, subject_session
 
 REGRESSOR_NAMES = ("mlp", "dt", "adaboost_dt", "adaboost_mlp")
@@ -205,18 +204,14 @@ def build_bp_dataset(
     n_records: int = 20,
     mode: BpMode | str = BpMode.SHORT_TERM,
     seed: int = 0,
-    segment_s: float = BP_SEGMENT_S,
 ) -> tuple[FeatureMatrix, np.ndarray, np.ndarray]:
     """Reduced-feature matrix over fixed-length segments plus SBP/DBP targets."""
     segments = []
     for record in simulate_bp_records(n_records, mode, seed=seed):
         for u, unit in enumerate(record.units):
-            cfg = FilterConfig.for_rate(unit.ppg.rate_hz)
-            segments += bp_rows(
-                unit.ppg, unit.sbp, unit.dbp, segment_s, cfg, record.record_id, f"{u}:"
-            )
+            segments += bp_rows(unit.ppg, unit.sbp, unit.dbp, record.record_id, f"{u}:")
     if not segments:
-        raise InputError(f"no whole {segment_s:g} s segment in the simulated records")
+        raise InputError("no whole BP segment in the simulated records")
     rows, sbp_targets, dbp_targets = zip(*segments)
     return FeatureMatrix(rows), np.asarray(sbp_targets), np.asarray(dbp_targets)
 

@@ -1,6 +1,8 @@
 """Blood-pressure feature catalogs extracted from a PPG segment.
 
-The segment is run through the preprocessing pipeline, then decomposed into
+The segment is run through the preprocessing pipeline, whose low-pass is
+always FilterConfig.for_rate at the segment's own rate (8 Hz, order 4), so
+training rows and queries are built the same way. It is then decomposed into
 six streams: the processed signal, its first and second derivatives, the
 magnitude spectrum, and the spectrum's first and second derivatives along the
 frequency axis. Each stream contributes 15 statistics (90 features); 16 more
@@ -118,7 +120,7 @@ def _peak_stats(values: np.ndarray) -> list[float]:
 
 
 def _decompose(
-    segment: SampleSeries, cfg: FilterConfig | None
+    segment: SampleSeries
 ) -> tuple[SampleSeries, SampleSeries, SampleSeries, SampleSeries, np.ndarray, np.ndarray]:
     """The front half both extractors share: the processed signal, its two
     derivatives, the spectrum as a series along frequency, and the frequencies
@@ -127,8 +129,7 @@ def _decompose(
         raise DegenerateInput(
             f"segment covers {segment.duration_s:.2f} s; need >= {MIN_SEGMENT_S} s"
         )
-    cfg = cfg or FilterConfig.for_rate(segment.rate_hz)
-    processed = preprocess_ppg([segment], cfg)
+    processed = preprocess_ppg([segment], FilterConfig.for_rate(segment.rate_hz))
     d1 = derivative(processed, 1)
     d2 = derivative(processed, 2)
 
@@ -154,12 +155,11 @@ def _flags(peak_freqs: np.ndarray) -> tuple[str, ...]:
 
 def bp_feature_vector(
     segment: SampleSeries,
-    cfg: FilterConfig | None = None,
     origin: str = "0",
     subject_id: str = "",
 ) -> FeatureVector:
     """All 106 named features for one PPG segment (>= 5 s)."""
-    processed, d1, d2, spec_series, peak_freqs, peak_amps = _decompose(segment, cfg)
+    processed, d1, d2, spec_series, peak_freqs, peak_amps = _decompose(segment)
     values: list[float] = []
     for stream in (
         processed.values,
@@ -179,14 +179,13 @@ def bp_feature_vector(
 
 def bp_reduced_features(
     segment: SampleSeries,
-    cfg: FilterConfig | None = None,
     origin: str = "0",
     subject_id: str = "",
 ) -> FeatureVector:
     """The 10-feature set: max/min of peak frequency, peak amplitude, signal,
     first derivative, and second derivative. Only these are computed; their
     values equal the identically named columns of the full catalog."""
-    processed, d1, d2, _, peak_freqs, peak_amps = _decompose(segment, cfg)
+    processed, d1, d2, _, peak_freqs, peak_amps = _decompose(segment)
     values: list[float] = []
     for peaks in (peak_freqs, peak_amps):
         values += [float(peaks.max()), float(peaks.min())] if peaks.size else [0.0, 0.0]

@@ -14,28 +14,12 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.stats import rankdata
 
 from ..errors import InputError, LabelMissing
 from .vectors import FeatureMatrix, SelectionResult
 
 BH_ALPHA = 0.05
-
-
-def _average_ranks(values: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """Midranks (1-based) plus tie-group sizes for the variance correction."""
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(values.size, dtype=np.float64)
-    tie_sizes: list[int] = []
-    i = 0
-    sorted_vals = values[order]
-    while i < values.size:
-        j = i
-        while j + 1 < values.size and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        tie_sizes.append(j - i + 1)
-        i = j + 1
-    return ranks, tie_sizes
 
 
 def _normal_sf(z: float) -> float:
@@ -54,11 +38,11 @@ def mann_whitney_u(group_a: np.ndarray, group_b: np.ndarray) -> tuple[float, flo
     if n1 == 0 or n2 == 0:
         raise InputError("both groups must be non-empty")
     combined = np.concatenate([a, b])
-    ranks, tie_sizes = _average_ranks(combined)
-    r1 = float(ranks[:n1].sum())
+    r1 = float(rankdata(combined)[:n1].sum())
     u1 = r1 - n1 * (n1 + 1) / 2.0
     n = n1 + n2
-    tie_term = sum(t**3 - t for t in tie_sizes)
+    tie_sizes = np.unique(combined, return_counts=True)[1]
+    tie_term = int((tie_sizes**3 - tie_sizes).sum())
     variance = n1 * n2 / 12.0 * ((n + 1) - tie_term / (n * (n - 1)))
     if variance <= 0:  # all values identical
         return u1, 1.0

@@ -9,10 +9,10 @@ stay rectangular and free of NaN.
 from __future__ import annotations
 
 import numpy as np
+from scipy.signal import filtfilt
 
 from ..errors import ChannelMissing
 from ..signals import Channel, SampleSeries, Window, derivative, detect_peaks, spectrum
-from ..signals.dsp import single_pass_filter
 from ..signals.windows import hr_series_bpm
 from .vectors import FeatureMatrix, FeatureVector
 
@@ -105,11 +105,9 @@ def _zero_crossings(values: np.ndarray) -> int:
 
 def _tonic_component(values: np.ndarray, rate_hz: float) -> np.ndarray:
     # Zero-phase single-pole low-pass at TONIC_CUTOFF_HZ: slow conductance level.
+    # Unpadded, each pass starts settled at its first sample.
     alpha = float(np.exp(-2.0 * np.pi * TONIC_CUTOFF_HZ / rate_hz))
-    b, a = np.array([1.0 - alpha]), np.array([1.0, -alpha])
-    fwd = single_pass_filter(b, a, values, zi=np.array([alpha * values[0]]))
-    bwd = single_pass_filter(b, a, fwd[::-1], zi=np.array([alpha * fwd[-1]]))
-    return bwd[::-1]
+    return filtfilt([1.0 - alpha], [1.0, -alpha], values, padlen=0)
 
 
 def _scr_events(phasic: SampleSeries) -> tuple[list[float], list[float]]:

@@ -7,6 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.stats import rankdata
 
 from ..errors import InputError, UndefinedMetric
 
@@ -87,16 +88,7 @@ def roc_auc(y_true, scores) -> float:
     if n_pos == 0 or n_neg == 0:
         raise UndefinedMetric("ROC-AUC needs both classes present")
     # Average ranks give tied pairs exactly half credit.
-    order = np.argsort(scores, kind="stable")
-    ranks = np.empty(scores.size, dtype=np.float64)
-    sorted_scores = scores[order]
-    i = 0
-    while i < scores.size:
-        j = i
-        while j + 1 < scores.size and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
+    ranks = rankdata(scores)
     rank_sum_pos = float(ranks[y_true == 1].sum())
     return (rank_sum_pos - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 

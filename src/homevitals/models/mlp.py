@@ -2,8 +2,9 @@
 descent and Adam's per-parameter adaptive step.
 
 Inputs and targets are standardized internally with train-set statistics;
-predictions are mapped back. The analytic backward pass is exposed through
-loss_and_gradients so it can be checked against finite differences.
+predictions are mapped back. One analytic backward pass serves both training
+and loss_and_gradients, so the gradients checked against finite differences
+are the ones every training step follows.
 """
 
 from __future__ import annotations
@@ -66,30 +67,32 @@ class MlpRegressor:
         out = h @ self.params["w2"] + self.params["b2"]
         return out[:, 0], h
 
+    def _loss_and_grads(
+        self, Xs: np.ndarray, ys: np.ndarray
+    ) -> tuple[float, dict[str, np.ndarray]]:
+        """Mean-squared error and its analytic gradients over standardized rows."""
+        pred, h = self._forward(Xs)
+        err = pred - ys
+        dout = (2.0 / Xs.shape[0]) * err[:, None]
+        dz1 = (dout @ self.params["w2"].T) * (h > 0)
+        grads = {
+            "w2": h.T @ dout,
+            "b2": dout.sum(axis=0),
+            "w1": Xs.T @ dz1,
+            "b1": dz1.sum(axis=0),
+        }
+        return float(np.mean(err**2)), grads
+
     def loss_and_gradients(self, X, y) -> tuple[float, dict[str, np.ndarray]]:
-        """Mean-squared error on the batch plus analytic gradients.
+        """Mean-squared error on the batch plus the gradients training uses.
 
         Inputs go through the fitted standardization (identity before fit).
         """
         X, y = _validate_xy(np.atleast_2d(np.asarray(X, dtype=np.float64)), np.asarray(y))
         if not self.params:
             self.init_params(X.shape[1])
-        Xs = self._standardize_x(X)
         ys = (np.asarray(y, dtype=np.float64) - self.y_mean) / self.y_std
-        n = Xs.shape[0]
-        pred, h = self._forward(Xs)
-        err = pred - ys
-        loss = float(np.mean(err**2))
-        dout = (2.0 / n) * err[:, None]
-        grads = {
-            "w2": h.T @ dout,
-            "b2": dout.sum(axis=0),
-        }
-        dh = dout @ self.params["w2"].T
-        dz1 = dh * (h > 0)
-        grads["w1"] = Xs.T @ dz1
-        grads["b1"] = dz1.sum(axis=0)
-        return loss, grads
+        return self._loss_and_grads(self._standardize_x(X), ys)
 
     # -- training ----------------------------------------------------------
 
@@ -122,20 +125,8 @@ class MlpRegressor:
             batch_losses = []
             for start in range(0, n, self.batch_size):
                 idx = order[start : start + self.batch_size]
-                xb, yb = Xs[idx], ys[idx]
-                pred, h = self._forward(xb)
-                err = pred - yb
-                batch_losses.append(float(np.mean(err**2)))
-                m = idx.size
-                dout = (2.0 / m) * err[:, None]
-                grads = {
-                    "w2": h.T @ dout,
-                    "b2": dout.sum(axis=0),
-                }
-                dh = dout @ self.params["w2"].T
-                dz1 = dh * (h > 0)
-                grads["w1"] = xb.T @ dz1
-                grads["b1"] = dz1.sum(axis=0)
+                loss, grads = self._loss_and_grads(Xs[idx], ys[idx])
+                batch_losses.append(loss)
                 step += 1
                 for k, g in grads.items():
                     adam_m[k] = beta1 * adam_m[k] + (1 - beta1) * g

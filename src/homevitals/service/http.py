@@ -184,8 +184,12 @@ class VitalsHttpServer:
     def __init__(self, config: ServiceConfig):
         self.config = config
         self.store = JsonlStore(config.storage_path)
-        self.service = VitalsService(config, self.store)
-        self.httpd = ThreadingHTTPServer((config.listen_host, config.listen_port), _Handler)
+        try:
+            self.service = VitalsService(config, self.store)
+            self.httpd = ThreadingHTTPServer((config.listen_host, config.listen_port), _Handler)
+        except BaseException:
+            self.store.close()  # a server that fails to start leaves no open files
+            raise
         self.httpd.service = self.service  # type: ignore[attr-defined]
 
     @property

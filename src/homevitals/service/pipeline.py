@@ -31,7 +31,6 @@ from ..models import (
 from ..signals import (
     Channel,
     ChannelBundle,
-    FilterConfig,
     IbiSeries,
     SampledSpan,
     SampleSeries,
@@ -131,6 +130,7 @@ class VitalsService:
         if non_finite:
             raise InputError(f"settings must be finite: {', '.join(non_finite)}")
         self.config = config
+        self.window_spec = config.window_spec
         self.store = store
         table = register(sorted(config.user_tags.items()), sorted(config.location_tags.items()))
         self.tag_log = EventLog(table, config.match_config, clock)
@@ -305,17 +305,17 @@ class VitalsService:
         The bundle returned inside the window holds just those samples, placed
         at the window start; features read sample values and rates only.
         """
-        spec = self.config.window_spec
+        spec = self.window_spec
         planned = self._bundle_spans(subject_id)
         # ChannelBundle.duration_s: the shortest channel.
         duration_s = min(span.duration_s for span in planned[2]) if planned else 0.0
         if duration_s < spec.length_s:
             raise NoWindow(f"no complete {spec.length_s:.0f} s window for {subject_id}")
         start, end, spans = planned
-        starts, length_ms = window_grid(start, duration_s, spec)
+        starts = window_grid(start, duration_s, spec)
         index = len(starts) - 1
         w_start = starts[index]
-        w_end = w_start + length_ms
+        w_end = w_start + spec.length_ms
         window_spans = tuple(span.slice_ms(w_start, w_end) for span in spans)
         bundle = self._read_bundle(subject_id, window_spans, w_start, min(end, w_end))
         return Window(index=index, start_ms=w_start, end_ms=w_end, bundle=bundle)
@@ -357,7 +357,7 @@ class VitalsService:
         return self._exclusive(self._train_stress, seed)
 
     def _train_stress(self, seed: int) -> dict:
-        spec = self.config.window_spec
+        spec = self.window_spec
         rule = LabelRule(threshold=self.config.label_threshold)
         matrices = []
         for subject_id in self.store.subjects("cortisol"):
@@ -396,8 +396,7 @@ class VitalsService:
             if any(run is None for run in runs):
                 continue
             ppg, sbp, dbp = (self._read_series(subject_id, run) for run in runs)
-            cfg = FilterConfig.for_rate(ppg.rate_hz)
-            segments += bp_rows(ppg, sbp, dbp, BP_SEGMENT_S, cfg, subject_id)
+            segments += bp_rows(ppg, sbp, dbp, subject_id)
         if not segments:
             raise DegenerateTraining("no PPG records with pressure targets in store")
         rows, sbp_targets, dbp_targets = zip(*segments)
@@ -459,8 +458,7 @@ class VitalsService:
         take = min(len(source), int(BP_SEGMENT_S * source.rate_hz))
         last = source.slice_samples(len(source) - take, len(source))
         segment = self._read_series(subject_id, last)
-        cfg = FilterConfig.for_rate(source.rate_hz)
-        features = bp_reduced_features(segment, cfg, subject_id=subject_id)
+        features = bp_reduced_features(segment, subject_id=subject_id)
         check_feature_schema(sbp_meta["document"], features.names)
         row = features.values.reshape(1, -1)
         sbp = float(sbp_model.predict(row)[0])

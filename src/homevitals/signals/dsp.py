@@ -1,9 +1,8 @@
 """DSP primitives for the preprocessing pipeline and feature extractors.
 
-The low-pass filter is designed from the analog Butterworth prototype via the
-bilinear transform and applied forward-backward for zero phase, so detected
-peak timings are not shifted. Coefficients are applied with
-scipy.signal.lfilter.
+The low-pass filter is scipy's digital Butterworth design, applied with
+scipy.signal.filtfilt (forward-backward, odd-extension padding, steady-state
+initial conditions) for zero phase, so detected peak timings are not shifted.
 """
 
 from __future__ import annotations
@@ -11,7 +10,7 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.signal import lfilter
+from scipy.signal import butter, filtfilt, lfilter
 
 from ..errors import ConfigError, DegenerateInput, InputError
 from .series import Channel, FilterConfig, SampleSeries, Spectrum
@@ -64,31 +63,13 @@ def modulo_mean_correct(s: SampleSeries) -> SampleSeries:
 def butter_lowpass_coefficients(order_n: int, cutoff_wn: float) -> tuple[np.ndarray, np.ndarray]:
     """Digital low-pass Butterworth (b, a) of the given order.
 
-    cutoff_wn is the -3 dB frequency as a fraction of Nyquist. Poles of the
-    unit-cutoff analog prototype are frequency-warped, scaled, and mapped
-    through the bilinear transform; the n zeros land at z = -1.
+    cutoff_wn is the -3 dB frequency as a fraction of Nyquist.
     """
     if order_n < 1:
         raise ConfigError(f"order must be >= 1, got {order_n}")
     if not 0.0 < cutoff_wn < 1.0:
         raise ConfigError(f"cutoff_wn must lie in (0, 1), got {cutoff_wn}")
-    # Analog prototype: poles evenly spaced on the left unit semicircle.
-    m = np.arange(-order_n + 1, order_n, 2)
-    poles = -np.exp(1j * np.pi * m / (2 * order_n))
-    gain = 1.0
-    # Pre-warp so the discrete cutoff lands where requested (sample rate 2).
-    fs = 2.0
-    warped = 2.0 * fs * np.tan(np.pi * cutoff_wn / fs)
-    poles = warped * poles
-    gain *= warped**order_n
-    # Bilinear transform.
-    fs2 = 2.0 * fs
-    z_digital = -np.ones(order_n)
-    p_digital = (fs2 + poles) / (fs2 - poles)
-    gain = gain * float(np.real(1.0 / np.prod(fs2 - poles)))
-    b = gain * np.real(np.poly(z_digital))
-    a = np.real(np.poly(p_digital))
-    return b, a
+    return butter(order_n, cutoff_wn)
 
 
 def single_pass_filter(
@@ -101,48 +82,24 @@ def single_pass_filter(
     return y
 
 
-def _steady_state_zi(b: np.ndarray, a: np.ndarray) -> np.ndarray:
-    # State that makes the filter already settled for a unit-step input,
-    # i.e. the lfilter_zi construction: solve (I - A) zi = B.
-    n = max(len(a), len(b))
-    bb = np.zeros(n)
-    aa = np.zeros(n)
-    bb[: len(b)] = b
-    aa[: len(a)] = a
-    companion_t = np.zeros((n - 1, n - 1))
-    companion_t[:, 0] = -aa[1:] / aa[0]
-    companion_t[:-1, 1:] = np.eye(n - 2)
-    rhs = bb[1:] - aa[1:] * bb[0]
-    return np.linalg.solve(np.eye(n - 1) - companion_t, rhs)
-
-
 def zero_phase_filter(b: np.ndarray, a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Forward-backward filtering with odd-reflection padding.
+    """Forward-backward filtering with odd-reflection padding of 3 * taps.
 
     Padding plus steady-state initial conditions suppress the start/end
     transients, which keeps the DC gain at exactly one.
     """
     x = np.asarray(x, dtype=np.float64)
-    ntaps = max(len(a), len(b))
-    edge = 3 * ntaps
+    edge = 3 * max(len(a), len(b))
     if x.size <= edge:
         raise DegenerateInput(
             f"need more than {edge} samples to zero-phase filter, got {x.size}"
         )
-    ext = np.concatenate((2 * x[0] - x[edge:0:-1], x, 2 * x[-1] - x[-2 : -edge - 2 : -1]))
-    zi = _steady_state_zi(b, a)
-    y = single_pass_filter(b, a, ext, zi=zi * ext[0])
-    y = single_pass_filter(b, a, y[::-1], zi=zi * y[-1])
-    return y[::-1][edge:-edge]
+    return filtfilt(b, a, x)
 
 
 def butterworth_lowpass(s: SampleSeries, cfg: FilterConfig | None = None) -> SampleSeries:
     """Zero-phase low-pass Butterworth of cfg.order_n at cfg.cutoff_wn."""
     cfg = cfg or FilterConfig()
-    if len(s) <= 3 * cfg.order_n:
-        raise DegenerateInput(
-            f"series of length {len(s)} too short for order-{cfg.order_n} filtering"
-        )
     b, a = butter_lowpass_coefficients(cfg.order_n, cfg.cutoff_wn)
     return s.with_values(zero_phase_filter(b, a, s.values))
 

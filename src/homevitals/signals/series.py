@@ -63,6 +63,12 @@ class SampledSpan:
         of `index` samples."""
         return start_ms + int(round(1000.0 * index / rate_hz))
 
+    def timestamps_ms(self) -> np.ndarray:
+        """time_of at every index, vectorised (np.rint rounds half to even, as
+        round does)."""
+        idx = np.arange(len(self), dtype=np.float64)
+        return (self.start_ms + np.rint(1000.0 * idx / self.rate_hz)).astype(np.int64)
+
     def _samples(self, ms: int) -> int:
         return int(round(ms * self.rate_hz / 1000.0))
 
@@ -123,10 +129,6 @@ class SampleSeries(SampledSpan):
             start_ms=start_ms,
             values=self.values[start_idx:stop_idx],
         )
-
-    def timestamps_ms(self) -> np.ndarray:
-        idx = np.arange(len(self), dtype=np.float64)
-        return (self.start_ms + np.rint(1000.0 * idx / self.rate_hz)).astype(np.int64)
 
     def with_values(self, values: np.ndarray, channel: Channel | None = None) -> "SampleSeries":
         """New series sharing rate and origin; used by pure DSP transforms."""
@@ -209,20 +211,37 @@ class ChannelBundle:
 
 @dataclass(frozen=True)
 class WindowSpec:
-    """Running-window geometry; defaults are 90 s length with 45 s overlap."""
+    """Running-window geometry; defaults are 90 s length with 45 s overlap.
+
+    Windows are laid out in whole milliseconds, so the length and the step
+    must each round to at least 1 ms.
+    """
 
     length_s: float = 90.0
     overlap_s: float = 45.0
 
     def __post_init__(self) -> None:
-        if self.length_s <= 0:
-            raise InputError("window length must be positive")
-        if self.overlap_s < 0 or self.overlap_s >= self.length_s:
+        if not 0 < self.length_s < np.inf:
+            raise InputError("window length must be positive and finite")
+        if not 0 <= self.overlap_s < self.length_s:
             raise InputError("overlap must satisfy 0 <= overlap < length")
+        if self.length_ms < 1 or self.step_ms < 1:
+            raise InputError(
+                f"window length and step must each round to at least 1 ms, "
+                f"got {self.length_ms} ms and {self.step_ms} ms"
+            )
 
     @property
     def step_s(self) -> float:
         return self.length_s - self.overlap_s
+
+    @property
+    def length_ms(self) -> int:
+        return int(round(self.length_s * 1000))
+
+    @property
+    def step_ms(self) -> int:
+        return int(round(self.step_s * 1000))
 
 
 @dataclass(frozen=True)
@@ -298,8 +317,9 @@ class FilterConfig:
             )
 
     @classmethod
-    def for_rate(cls, rate_hz: float, cutoff_hz: float = 8.0, order_n: int = 4) -> "FilterConfig":
-        return cls(order_n=order_n, cutoff_wn=cutoff_hz / (rate_hz / 2.0))
+    def for_rate(cls, rate_hz: float) -> "FilterConfig":
+        """The default order with the 8 Hz cutoff placed for rate_hz."""
+        return cls(cutoff_wn=8.0 / (rate_hz / 2.0))
 
 
 def _format_float(v: float) -> str:

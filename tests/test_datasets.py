@@ -10,7 +10,7 @@ from homevitals.datasets import bp_rows, segment_targets, stress_rows
 from homevitals.experiments import build_bp_dataset, build_stress_dataset, stress_fusion_experiment
 from homevitals.features import BP_REDUCED_NAMES
 from homevitals.labeling import CortisolSample, Timepoint
-from homevitals.signals import Channel, FilterConfig, SampleSeries, WindowSpec
+from homevitals.signals import Channel, SampleSeries, WindowSpec
 from homevitals.simulate import simulate_bp_records
 
 MIN_MS = 60_000
@@ -61,9 +61,7 @@ class TestBpRows:
     def test_one_reduced_row_per_whole_segment(self):
         unit = simulate_bp_records(1, "short_term", seed=6)[0].units[0]
         ppg = unit.ppg.slice_samples(0, 125 * 130)
-        segments = bp_rows(
-            ppg, unit.sbp, unit.dbp, 40.0, FilterConfig.for_rate(125.0), "R00", "0:"
-        )
+        segments = bp_rows(ppg, unit.sbp, unit.dbp, "R00", "0:")
         rows, sbp, dbp = zip(*segments)
         assert len(rows) == len(sbp) == len(dbp) == 3
         assert [r.origin for r in rows] == ["0:0", "0:1", "0:2"]
@@ -75,7 +73,7 @@ class TestBpRows:
         unit = simulate_bp_records(1, "short_term", seed=6)[0].units[0]
         ppg = unit.ppg.slice_samples(0, 125 * 120)
         short = pressure(unit.sbp.values[:40])
-        segments = bp_rows(ppg, short, short, 40.0, FilterConfig.for_rate(125.0), "R00")
+        segments = bp_rows(ppg, short, short, "R00")
         assert [row.origin for row, _, _ in segments] == ["0"]
         assert segments[0][1] == pytest.approx(unit.sbp.values[:40].mean())
 

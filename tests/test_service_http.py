@@ -8,6 +8,7 @@ import urllib.request
 
 import pytest
 
+from homevitals.errors import InputError
 from homevitals.features import MIN_SEGMENT_S
 from homevitals.location import parse_message
 from homevitals.service import ServiceConfig, VitalsHttpServer, series_to_payload
@@ -257,6 +258,15 @@ class TestRoutes:
             get_raw(server, f"/location/alice?tolerance_s={value}")
         code, body = status_of(err.value)
         assert code == 400 and "tolerance_s" in body["error"]
+
+    def test_sub_millisecond_window_step_is_refused_before_serving(self, tmp_path):
+        # The window grid steps in whole ms; a 0 ms step reaching it would
+        # turn /train/stress and /stress into 500s.
+        config = ServiceConfig(
+            listen_port=0, storage_path=str(tmp_path / "store.jsonl"), window_overlap_s=89.9996
+        )
+        with pytest.raises(InputError, match="at least 1 ms"):
+            VitalsHttpServer(config)
 
     def test_unknown_route_is_404(self, server):
         with pytest.raises(urllib.error.HTTPError) as err:

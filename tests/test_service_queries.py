@@ -19,7 +19,6 @@ from homevitals.service.pipeline import CONTIGUITY_SLOP_MS, _Span
 from homevitals.signals import (
     Channel,
     ChannelBundle,
-    FilterConfig,
     IbiSeries,
     SampleSeries,
     make_windows,
@@ -167,9 +166,7 @@ def reference_bp(service, subject_id):
         raise NoWindow(f"no recent pulse signal for {subject_id}")
     take = min(len(source), int(BP_SEGMENT_S * source.rate_hz))
     segment = source.slice_samples(len(source) - take, len(source))
-    features = bp_reduced_features(
-        segment, FilterConfig.for_rate(source.rate_hz), subject_id=subject_id
-    )
+    features = bp_reduced_features(segment, subject_id=subject_id)
     check_feature_schema(sbp_meta["document"], features.names)
     row = features.values.reshape(1, -1)
     sbp, dbp = float(sbp_model.predict(row)[0]), float(dbp_model.predict(row)[0])

@@ -231,6 +231,16 @@ class TestServiceConfig:
         finally:
             store.close()
 
+    def test_sub_millisecond_window_step_fails_at_service_start(self, tmp_path):
+        lines = "window.length_s = 90\nwindow.overlap_s = 89.9996\n"
+        config = parse_config(lines).with_storage(tmp_path / "store.jsonl")
+        store = JsonlStore(config.storage_path)
+        try:
+            with pytest.raises(InputError, match="at least 1 ms"):
+                VitalsService(config, store)
+        finally:
+            store.close()
+
     @pytest.mark.parametrize("key", ["tags.user.abc", "tags.location.1.5", "tags.user."])
     def test_bad_tag_index_is_config_error(self, key):
         with pytest.raises(ConfigError, match=f"line 2: bad tag index in {key!r}"):

@@ -72,6 +72,18 @@ def test_timestamp_formula():
     assert list(s.timestamps_ms()) == [10, 10 + 16, 10 + 31, 10 + 47]
 
 
+@pytest.mark.parametrize(
+    ("channel", "rate"),
+    [(Channel.EDA, 4.0), (Channel.PPG, 62.5), (Channel.BVP, 64.0), (Channel.PPG, 125.0)],
+)
+def test_timestamps_are_time_of_at_every_index(channel, rate):
+    # At 64 Hz every eighth sample lies on an exact half millisecond, where
+    # both rules must round half to even.
+    s = SampleSeries(channel, rate, 1_234_567, np.zeros(20_000))
+    expected = [s.time_of(i, s.start_ms, rate) for i in range(len(s))]
+    assert s.timestamps_ms().tolist() == expected
+
+
 def test_ibi_bounds_enforced():
     with pytest.raises(InputError):
         IbiSeries.from_pairs([(0, 0.2)])

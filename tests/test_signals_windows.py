@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from homevitals.errors import DegenerateInput
+from homevitals.errors import DegenerateInput, InputError
 from homevitals.signals import (
     Channel,
     ChannelBundle,
@@ -98,6 +98,23 @@ class TestMakeWindows:
         b = bundle_for(180.0)
         w = make_windows(b, WindowSpec(90.0, 45.0))[1]
         assert all(w.start_ms <= t < w.end_ms for t, _ in w.ibi)
+
+
+class TestWindowSpec:
+    @pytest.mark.parametrize(
+        ("length_s", "overlap_s"),
+        [(90.0, 89.9996), (0.0004, 0.0), (float("nan"), 45.0), (float("inf"), 45.0)],
+    )
+    def test_sub_millisecond_or_non_finite_geometry_rejected(self, length_s, overlap_s):
+        # The grid divides by the step in whole ms.
+        with pytest.raises(InputError):
+            WindowSpec(length_s, overlap_s)
+
+    def test_one_millisecond_step_is_the_smallest(self):
+        spec = WindowSpec(90.0, 89.999)
+        assert (spec.length_ms, spec.step_ms) == (90_000, 1)
+        starts = [w.start_ms for w in make_windows(bundle_for(90.0), spec)]
+        assert starts == [0]
 
 
 class TestInstantaneousHr:

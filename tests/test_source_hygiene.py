@@ -1,5 +1,6 @@
-"""Source hygiene without a linter: every exported name resolves and no module
-under src/homevitals keeps a top-level import it never uses."""
+"""Source hygiene without a linter: every exported name resolves, and no module
+under src/homevitals keeps a top-level import it never uses or a private
+top-level function, class or constant that nothing in the module reads."""
 
 import ast
 import importlib
@@ -52,9 +53,30 @@ def annotations(tree: ast.AST):
             yield node.annotation
 
 
+def private_definitions(tree: ast.Module):
+    """(name, line) of each top-level def, class or assignment whose name starts
+    with a single underscore."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node.lineno
+
+
 def used_names(tree: ast.AST) -> set[str]:
-    """Every Name in the tree, including those inside string annotations."""
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    """Every Name read in the tree, including those inside string annotations."""
+    used = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
     for annotation in filter(None, annotations(tree)):
         for node in ast.walk(annotation):
             if isinstance(node, ast.Constant) and isinstance(node.value, str):
@@ -83,3 +105,13 @@ def test_no_unused_top_level_import(path):
         if name not in used
     )
     assert unused == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: module_name(p))
+def test_every_private_top_level_name_is_read_in_its_module(path):
+    tree = ast.parse(path.read_text())
+    used = used_names(tree)
+    unread = sorted(
+        f"{name} (line {lineno})" for name, lineno in private_definitions(tree) if name not in used
+    )
+    assert unread == []
