@@ -95,56 +95,37 @@ def _cmd_simulate_locate(args) -> int:
 def _cmd_ingest(args) -> int:
     """Load simulate-format CSV sets from a directory into a store."""
     from .labeling import load_cortisol_csv
-    from .service import series_to_payload
+    from .service import sync_body
     from .signals import Channel, load_ibi_csv, load_series_csv
 
     data = Path(args.data)
+
+    def subject_bodies():
+        wrist = {"eda": Channel.EDA, "bvp": Channel.BVP, "st": Channel.ST}
+        for sid in sorted({p.name.rsplit("_", 1)[0] for p in data.glob("*_eda.csv")}):
+            ibi, cortisol = data / f"{sid}_ibi.csv", data / f"{sid}_cortisol.csv"
+            yield sync_body(
+                sid,
+                [load_series_csv(data / f"{sid}_{stem}.csv", ch) for stem, ch in wrist.items()],
+                ibi=load_ibi_csv(ibi) if ibi.exists() else None,
+                cortisol=load_cortisol_csv(cortisol) if cortisol.exists() else (),
+            )
+        for stem in sorted({p.name[: -len("_ppg.csv")] for p in data.glob("*_ppg.csv")}):
+            yield sync_body(
+                stem.rsplit("_u", 1)[0],
+                [
+                    load_series_csv(data / f"{stem}_ppg.csv", Channel.PPG),
+                    ("sbp_mmhg", load_series_csv(data / f"{stem}_sbp.csv", Channel.DERIVED, 1.0)),
+                    ("dbp_mmhg", load_series_csv(data / f"{stem}_dbp.csv", Channel.DERIVED, 1.0)),
+                ],
+            )
+
     store = JsonlStore(args.store)
     try:
         service = VitalsService(ServiceConfig().with_storage(args.store), store)
         stored = duplicates = 0
-        wrist = {"eda": Channel.EDA, "bvp": Channel.BVP, "st": Channel.ST}
-        subjects = sorted({p.name.rsplit("_", 1)[0] for p in data.glob("*_eda.csv")})
-        for sid in subjects:
-            payload = {"subject_id": sid, "chunks": []}
-            for stem, channel in wrist.items():
-                payload["chunks"].append(
-                    series_to_payload(load_series_csv(data / f"{sid}_{stem}.csv", channel))
-                )
-            ibi_path = data / f"{sid}_ibi.csv"
-            if ibi_path.exists():
-                ibi = load_ibi_csv(ibi_path)
-                payload["ibi"] = [[int(t), float(v)] for t, v in ibi]
-            cortisol_path = data / f"{sid}_cortisol.csv"
-            if cortisol_path.exists():
-                payload["cortisol"] = [
-                    {
-                        "timepoint": s.timepoint.value,
-                        "t_ms": s.t_ms,
-                        "concentration_ugdl": s.concentration_ugdl,
-                    }
-                    for s in load_cortisol_csv(cortisol_path)
-                ]
-            ack = service.sync_signals(payload)
-            stored += ack["stored"]
-            duplicates += ack["duplicates"]
-        units = sorted({p.name[: -len("_ppg.csv")] for p in data.glob("*_ppg.csv")})
-        for stem in units:
-            payload = {
-                "subject_id": stem.rsplit("_u", 1)[0],
-                "chunks": [
-                    series_to_payload(load_series_csv(data / f"{stem}_ppg.csv", Channel.PPG)),
-                    series_to_payload(
-                        load_series_csv(data / f"{stem}_sbp.csv", Channel.DERIVED, 1.0),
-                        name="sbp_mmhg",
-                    ),
-                    series_to_payload(
-                        load_series_csv(data / f"{stem}_dbp.csv", Channel.DERIVED, 1.0),
-                        name="dbp_mmhg",
-                    ),
-                ],
-            }
-            ack = service.sync_signals(payload)
+        for body in subject_bodies():  # one subject loaded, then synced
+            ack = service.sync_signals(body)
             stored += ack["stored"]
             duplicates += ack["duplicates"]
         print(json.dumps({"stored": stored, "duplicates": duplicates}))

@@ -69,10 +69,6 @@ class NotFound(HomevitalsError):
     """Lookup by identity or key found nothing."""
 
 
-class CapacityExceeded(HomevitalsError):
-    """Requested session duration exceeds the wristband's battery capacity."""
-
-
 class NotReady(HomevitalsError):
     """The service has no trained model artifact for this query yet."""
 

@@ -31,7 +31,6 @@ class TagEvent:
     kind: TagKind
     index: int
     t_server_ms: int
-    source_addr: str = ""
 
 
 @dataclass(frozen=True)
@@ -137,7 +136,7 @@ class EventLog:
         self._lock = threading.Lock()
         self._last_t_ms = -(2**63)
 
-    def ingest_event(self, kind: TagKind | str, index: int, source_addr: str = "") -> TagEvent:
+    def ingest_event(self, kind: TagKind | str, index: int) -> TagEvent:
         kind = TagKind(kind)
         if not self.table.is_registered(kind, index):
             log.warning("rejected %s tag event with unregistered index %d", kind.value, index)
@@ -146,7 +145,7 @@ class EventLog:
             # Server-assigned arrival timestamps, clamped monotone per sequence.
             t = max(self._clock(), self._last_t_ms)
             self._last_t_ms = t
-            event = TagEvent(kind=kind, index=index, t_server_ms=t, source_addr=source_addr)
+            event = TagEvent(kind=kind, index=index, t_server_ms=t)
             self._events.append(event)
             self._evict(t)
         return event

@@ -2,7 +2,14 @@
 
 from .config import ServiceConfig, format_config, load_config, parse_config
 from .http import VitalsHttpServer
-from .pipeline import VitalsService, payload_to_series, series_to_payload
+from .pipeline import (
+    VitalsService,
+    cortisol_to_payload,
+    payload_to_cortisol,
+    payload_to_series,
+    series_to_payload,
+    sync_body,
+)
 from .store import RECORD_KINDS, JsonlStore
 
 __all__ = [
@@ -11,9 +18,12 @@ __all__ = [
     "ServiceConfig",
     "VitalsHttpServer",
     "VitalsService",
+    "cortisol_to_payload",
     "format_config",
     "load_config",
     "parse_config",
+    "payload_to_cortisol",
     "payload_to_series",
     "series_to_payload",
+    "sync_body",
 ]

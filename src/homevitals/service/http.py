@@ -11,9 +11,10 @@ Routes:
   POST /train/bp                body {seed?}
   GET  /health
 
-Validation failures map to 400, unknown identities/subjects without data to
-404, missing model artifacts and concurrent training to 409. The location
-response body is exactly the canonical location message.
+Validation failures, a Content-Length outside [0, 64 MiB] among them, map to
+400, unknown identities/subjects without data to 404, missing model artifacts
+and concurrent training to 409. The location response body is exactly the
+canonical location message.
 """
 
 from __future__ import annotations
@@ -42,6 +43,9 @@ from .pipeline import VitalsService
 from .store import JsonlStore
 
 log = logging.getLogger(__name__)
+
+#: Largest request body read; a larger Content-Length is rejected unread.
+MAX_BODY_BYTES = 64 * 2**20
 
 _STRESS = re.compile(r"^/stress/([^/]+)$")
 _BP = re.compile(r"^/bp/([^/]+)$")
@@ -90,10 +94,11 @@ class _Handler(BaseHTTPRequestHandler):
             length = int(self.headers.get("Content-Length", 0))
         except ValueError:
             length = -1
-        if length < 0:
-            # Where the body ends is unknown, so the connection cannot be reused.
+        if not 0 <= length <= MAX_BODY_BYTES:
+            # The body is not read, so where it ends is unknown and the
+            # connection cannot be reused.
             self.close_connection = True
-            raise InputError("Content-Length must be a non-negative integer")
+            raise InputError(f"Content-Length must be an integer in [0, {MAX_BODY_BYTES}]")
         if length == 0:
             return {}
         raw = self.rfile.read(length)
@@ -141,16 +146,11 @@ class _Handler(BaseHTTPRequestHandler):
         if method == "POST" and path == "/tags/event":
             body = self._read_json()
             kind, index = _field(body, "kind", TagKind), _field(body, "index", int)
-            return 200, service.ingest_tag_event(kind, index, self.client_address[0])
+            return 200, service.ingest_tag_event(kind, index)
         if method == "POST" and path == "/tags/register":
             body = self._read_json()
             kind, index = _field(body, "kind", TagKind), _field(body, "index", int)
-            name = _field(body, "name", _text)
-            if kind is TagKind.USER:
-                service.tag_log.table.register_user(index, name)
-            else:
-                service.tag_log.table.register_location(index, name)
-            return 200, {"registered": True}
+            return 200, service.register_tag(kind, index, _field(body, "name", _text))
         if method == "POST" and path == "/train/stress":
             return 200, service.train_stress(_seed(self._read_json()))
         if method == "POST" and path == "/train/bp":

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass, fields, replace
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -19,7 +19,7 @@ from ..datasets import BP_SEGMENT_S, BP_TREE_PARAMS, FOREST_PARAMS, bp_rows, str
 from ..errors import DegenerateTraining, InputError, NotReady, NoWindow, TrainingBusy
 from ..features import MIN_SEGMENT_S, FeatureMatrix, bp_reduced_features, stress_feature_matrix
 from ..labeling import CortisolSample, LabelRule, Timepoint
-from ..location import EventLog, MatchConfig, register, resolve_location
+from ..location import EventLog, MatchConfig, TagKind, register, resolve_location
 from ..models import (
     AdaBoostR2,
     RandomForestClassifier,
@@ -65,6 +65,59 @@ def payload_to_series(payload: dict, field: str = "chunk") -> SampleSeries:
         )
     except (KeyError, ValueError, TypeError, OverflowError, InputError) as exc:
         raise InputError(f"{field}: {exc}") from exc
+
+
+def cortisol_to_payload(samples: Iterable[CortisolSample]) -> list[dict]:
+    return [
+        {
+            "timepoint": s.timepoint.value,
+            "t_ms": s.t_ms,
+            "concentration_ugdl": s.concentration_ugdl,
+        }
+        for s in samples
+    ]
+
+
+def payload_to_cortisol(payload: Iterable[dict], subject_id: str) -> list[CortisolSample]:
+    samples = []
+    for i, entry in enumerate(payload):
+        try:
+            samples.append(
+                CortisolSample(
+                    subject_id=subject_id,
+                    timepoint=Timepoint(entry["timepoint"]),
+                    t_ms=int(entry["t_ms"]),
+                    concentration_ugdl=float(entry["concentration_ugdl"]),
+                )
+            )
+        except (KeyError, ValueError, TypeError, OverflowError, InputError) as exc:
+            raise InputError(f"cortisol[{i}]: {exc}") from exc
+    return samples
+
+
+def _ibi_pairs(ibi: IbiSeries) -> list[list]:
+    return [[t, v] for t, v in ibi]
+
+
+def sync_body(
+    subject_id: str,
+    chunks: Iterable[SampleSeries | tuple[str, SampleSeries]],
+    ibi: IbiSeries | None = None,
+    cortisol: Iterable[CortisolSample] = (),
+) -> dict:
+    """A POST /signals/sync body. Each chunk is a series, or a (name, series)
+    pair for a named derived channel."""
+    payloads = []
+    for chunk in chunks:
+        name, series = (None, chunk) if isinstance(chunk, SampleSeries) else chunk
+        payloads.append(series_to_payload(series, name))
+    body = {"subject_id": subject_id, "chunks": payloads}
+    if ibi is not None:
+        body["ibi"] = _ibi_pairs(ibi)
+    cortisol_payloads = cortisol_to_payload(cortisol)
+    if cortisol_payloads:
+        body["cortisol"] = cortisol_payloads
+    return body
 
 
 def _list_field(request: dict, key: str) -> list:
@@ -148,7 +201,7 @@ class VitalsService:
         subject_id = request.get("subject_id")
         if not subject_id or not isinstance(subject_id, str):
             raise InputError("subject_id: must be a non-empty string")
-        chunk_payloads = []
+        records = []  # (kind, payload) in append order
         for i, chunk in enumerate(_list_field(request, "chunks")):
             series = payload_to_series(chunk, field=f"chunks[{i}]")
             if len(series) == 0:
@@ -156,50 +209,21 @@ class VitalsService:
             name = chunk.get("name")
             if name is not None and not isinstance(name, str):
                 raise InputError(f"chunks[{i}]: name must be a string")
-            chunk_payloads.append(series_to_payload(series, name=name))
+            records.append(("signal_chunk", series_to_payload(series, name=name)))
         ibi_events = request.get("ibi", [])
         if ibi_events:
             try:
-                IbiSeries.from_pairs([(int(t), float(v)) for t, v in ibi_events])
+                ibi = IbiSeries.from_pairs([(int(t), float(v)) for t, v in ibi_events])
             except (InputError, ValueError, TypeError, OverflowError) as exc:
                 raise InputError(f"ibi: {exc}") from exc
-        cortisol_payloads = []
-        for i, sample in enumerate(_list_field(request, "cortisol")):
-            try:
-                parsed = CortisolSample(
-                    subject_id=subject_id,
-                    timepoint=Timepoint(sample["timepoint"]),
-                    t_ms=int(sample["t_ms"]),
-                    concentration_ugdl=float(sample["concentration_ugdl"]),
-                )
-            except (KeyError, ValueError, TypeError, OverflowError, InputError) as exc:
-                raise InputError(f"cortisol[{i}]: {exc}") from exc
-            cortisol_payloads.append(
-                {
-                    "timepoint": parsed.timepoint.value,
-                    "t_ms": parsed.t_ms,
-                    "concentration_ugdl": parsed.concentration_ugdl,
-                }
-            )
+            records.append(("ibi_chunk", {"events": _ibi_pairs(ibi)}))
+        samples = payload_to_cortisol(_list_field(request, "cortisol"), subject_id)
+        records += [("cortisol", payload) for payload in cortisol_to_payload(samples)]
 
-        stored = duplicates = 0
-        for payload in chunk_payloads:
-            if self.store.append("signal_chunk", subject_id, payload) is None:
-                duplicates += 1
-            else:
-                stored += 1
-        if ibi_events:
-            payload = {"events": [[int(t), float(v)] for t, v in ibi_events]}
-            if self.store.append("ibi_chunk", subject_id, payload) is None:
-                duplicates += 1
-            else:
-                stored += 1
-        for payload in cortisol_payloads:
-            if self.store.append("cortisol", subject_id, payload) is None:
-                duplicates += 1
-            else:
-                stored += 1
-        return {"subject_id": subject_id, "stored": stored, "duplicates": duplicates}
+        stored = sum(
+            self.store.append(kind, subject_id, payload) is not None for kind, payload in records
+        )
+        return {"subject_id": subject_id, "stored": stored, "duplicates": len(records) - stored}
 
     # -- bundle assembly -------------------------------------------------------
     #
@@ -321,18 +345,8 @@ class VitalsService:
         return Window(index=index, start_ms=w_start, end_ms=w_end, bundle=bundle)
 
     def _subject_cortisol(self, subject_id: str) -> list[CortisolSample]:
-        samples = []
-        for record in self.store.records(kind="cortisol", subject_id=subject_id):
-            payload = record["payload"]
-            samples.append(
-                CortisolSample(
-                    subject_id=subject_id,
-                    timepoint=Timepoint(payload["timepoint"]),
-                    t_ms=payload["t_ms"],
-                    concentration_ugdl=payload["concentration_ugdl"],
-                )
-            )
-        return samples
+        records = self.store.records(kind="cortisol", subject_id=subject_id)
+        return payload_to_cortisol((record["payload"] for record in records), subject_id)
 
     # -- training --------------------------------------------------------------
 
@@ -481,8 +495,17 @@ class VitalsService:
 
     # -- location ------------------------------------------------------------------
 
-    def ingest_tag_event(self, kind: str, index: int, source_addr: str = "") -> dict:
-        event = self.tag_log.ingest_event(kind, index, source_addr)
+    def register_tag(self, kind: TagKind | str, index: int, name: str) -> dict:
+        """Register a user tag's identity or a location tag's room."""
+        table = self.tag_log.table
+        if TagKind(kind) is TagKind.USER:
+            table.register_user(index, name)
+        else:
+            table.register_location(index, name)
+        return {"registered": True}
+
+    def ingest_tag_event(self, kind: str, index: int) -> dict:
+        event = self.tag_log.ingest_event(kind, index)
         self.store.append(
             "tag_event",
             "",

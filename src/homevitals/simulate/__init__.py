@@ -1,4 +1,4 @@
-"""Synthetic data generation and paced replay."""
+"""Synthetic data generation."""
 
 from .bp_records import (
     BpMode,
@@ -18,37 +18,25 @@ from .profiles import (
     default_session_timeline,
     generate_cohort,
 )
-from .streaming import (
-    CapacityMode,
-    CapacityModel,
-    StreamReport,
-    capacity_check,
-    stream_session,
-)
 from .stress_session import cohort_sessions, simulate_session, stress_envelope, subject_session
 
 __all__ = [
     "BpMode",
     "BpRecord",
     "BpUnit",
-    "CapacityMode",
-    "CapacityModel",
     "COHORT_CORTISOL_MEANS_UGDL",
     "COHORT_CORTISOL_T1_SD_UGDL",
     "LONG_TERM_UNIT_S",
     "PPG_RATE_HZ",
     "SHORT_TERM_UNIT_S",
     "SessionScript",
-    "StreamReport",
     "SyntheticProfile",
-    "capacity_check",
     "cohort_sessions",
     "default_session_script",
     "default_session_timeline",
     "generate_cohort",
     "simulate_bp_records",
     "simulate_session",
-    "stream_session",
     "stress_envelope",
     "subject_session",
 ]

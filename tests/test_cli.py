@@ -12,7 +12,10 @@ from pathlib import Path
 
 import pytest
 
-from homevitals.signals import save_series_csv
+from homevitals import cli
+from homevitals.labeling import load_cortisol_csv
+from homevitals.service import JsonlStore, ServiceConfig, VitalsService, series_to_payload
+from homevitals.signals import Channel, load_ibi_csv, load_series_csv, save_series_csv
 from homevitals.simulate import cohort_sessions
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -114,6 +117,101 @@ class TestIngestAndTrain:
         )
         assert trained_bp.returncode == 0, trained_bp.stderr
         assert "bp_sbp" in json.loads(trained_bp.stdout)
+
+
+def oracle_bodies(data: Path) -> list[dict]:
+    """The sync bodies `homevitals ingest` built field by field before the
+    sync-body codec existed, kept as the codec's oracle."""
+    bodies = []
+    wrist = {"eda": Channel.EDA, "bvp": Channel.BVP, "st": Channel.ST}
+    subjects = sorted({p.name.rsplit("_", 1)[0] for p in data.glob("*_eda.csv")})
+    for sid in subjects:
+        payload = {"subject_id": sid, "chunks": []}
+        for stem, channel in wrist.items():
+            payload["chunks"].append(
+                series_to_payload(load_series_csv(data / f"{sid}_{stem}.csv", channel))
+            )
+        ibi_path = data / f"{sid}_ibi.csv"
+        if ibi_path.exists():
+            ibi = load_ibi_csv(ibi_path)
+            payload["ibi"] = [[int(t), float(v)] for t, v in ibi]
+        cortisol_path = data / f"{sid}_cortisol.csv"
+        if cortisol_path.exists():
+            payload["cortisol"] = [
+                {
+                    "timepoint": s.timepoint.value,
+                    "t_ms": s.t_ms,
+                    "concentration_ugdl": s.concentration_ugdl,
+                }
+                for s in load_cortisol_csv(cortisol_path)
+            ]
+        bodies.append(payload)
+    units = sorted({p.name[: -len("_ppg.csv")] for p in data.glob("*_ppg.csv")})
+    for stem in units:
+        payload = {
+            "subject_id": stem.rsplit("_u", 1)[0],
+            "chunks": [
+                series_to_payload(load_series_csv(data / f"{stem}_ppg.csv", Channel.PPG)),
+                series_to_payload(
+                    load_series_csv(data / f"{stem}_sbp.csv", Channel.DERIVED, 1.0),
+                    name="sbp_mmhg",
+                ),
+                series_to_payload(
+                    load_series_csv(data / f"{stem}_dbp.csv", Channel.DERIVED, 1.0),
+                    name="dbp_mmhg",
+                ),
+            ],
+        }
+        bodies.append(payload)
+    return bodies
+
+
+def records_without_created_at(path: Path) -> list[dict]:
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    for record in records:
+        del record["created_at_ms"]
+    return records
+
+
+@pytest.fixture(scope="module")
+def csv_set(tmp_path_factory):
+    """A simulate stress and bp CSV set; one subject lacks its IBI file and
+    another its cortisol file, so both optional parts are exercised."""
+    data = tmp_path_factory.mktemp("csv_set")
+    assert cli.main(["simulate", "stress", "--subjects", "3", "--seed", "2", "--out", str(data)]) == 0
+    assert cli.main(
+        ["simulate", "bp", "--records", "2", "--mode", "short", "--seed", "1", "--out", str(data)]
+    ) == 0
+    (data / "S01_ibi.csv").unlink()
+    (data / "S02_cortisol.csv").unlink()
+    return data
+
+
+class TestIngestBodies:
+    def test_ingest_sends_the_oracle_bodies(self, csv_set, tmp_path, monkeypatch):
+        sent = []
+        sync = VitalsService.sync_signals
+
+        def recording_sync(service, body):
+            sent.append(body)
+            return sync(service, body)
+
+        monkeypatch.setattr(VitalsService, "sync_signals", recording_sync)
+        assert cli.main(["ingest", "--store", str(tmp_path / "s.jsonl"), "--data", str(csv_set)]) == 0
+        assert [body["subject_id"] for body in sent] == ["S00", "S01", "S02", "R00", "R01"]
+        assert sent == oracle_bodies(csv_set)
+
+    def test_ingest_store_matches_the_oracle_store(self, csv_set, tmp_path):
+        ingested, oracle = tmp_path / "ingested.jsonl", tmp_path / "oracle.jsonl"
+        assert cli.main(["ingest", "--store", str(ingested), "--data", str(csv_set)]) == 0
+        store = JsonlStore(str(oracle))
+        try:
+            service = VitalsService(ServiceConfig().with_storage(str(oracle)), store)
+            for body in oracle_bodies(csv_set):
+                service.sync_signals(body)
+        finally:
+            store.close()
+        assert records_without_created_at(ingested) == records_without_created_at(oracle)
 
 
 class TestEvaluateCommands:

@@ -12,6 +12,7 @@ from homevitals.errors import InputError
 from homevitals.features import MIN_SEGMENT_S
 from homevitals.location import parse_message
 from homevitals.service import ServiceConfig, VitalsHttpServer, series_to_payload
+from homevitals.service.http import MAX_BODY_BYTES
 from homevitals.simulate import simulate_bp_records
 from test_service_pipeline import bp_payload, stress_payload
 
@@ -273,7 +274,9 @@ class TestRoutes:
             get(server, "/nope")
         assert status_of(err.value)[0] == 404
 
-    @pytest.mark.parametrize("length", ["abc", "-5", "-1"])
+    @pytest.mark.parametrize(
+        "length", ["abc", "-5", "-1", str(MAX_BODY_BYTES + 1), "10000000000000", str(2**63 + 5)]
+    )
     def test_bad_content_length_is_400(self, server, length):
         request = (
             "POST /signals/sync HTTP/1.1\r\n"

@@ -11,8 +11,16 @@ import pytest
 
 from helpers import pulse_wave
 import homevitals
-from homevitals.errors import InputError, NotReady, NoWindow
-from homevitals.service import JsonlStore, ServiceConfig, VitalsService, series_to_payload
+from homevitals.errors import InputError, NotReady, NoWindow, RegistrationError
+from homevitals.labeling import CortisolSample, Timepoint
+from homevitals.service import (
+    JsonlStore,
+    ServiceConfig,
+    VitalsService,
+    cortisol_to_payload,
+    payload_to_cortisol,
+    series_to_payload,
+)
 from homevitals.signals import Channel, SampleSeries
 from homevitals.simulate import simulate_bp_records
 
@@ -85,6 +93,19 @@ class TestSync:
     def test_missing_subject_rejected(self, service):
         with pytest.raises(InputError, match="subject_id"):
             service.sync_signals({"chunks": []})
+
+    def test_cortisol_payload_round_trip(self):
+        samples = [
+            CortisolSample("S00", Timepoint.T1, -600_000, 0.2),
+            CortisolSample("S00", Timepoint.T2, 600_000, 0.0),
+            CortisolSample("S00", Timepoint.T4, 2**40, 1.25e-3),
+        ]
+        assert payload_to_cortisol(cortisol_to_payload(samples), "S00") == samples
+
+    def test_cortisol_errors_name_the_entry(self):
+        good = {"timepoint": "T1", "t_ms": 0, "concentration_ugdl": 0.2}
+        with pytest.raises(InputError, match=r"^cortisol\[1\]: "):
+            payload_to_cortisol([good, {**good, "timepoint": "T9"}], "S00")
 
 
 class TestStressTrainQuery:
@@ -220,6 +241,15 @@ class TestLocationThroughService:
         assert fix.room == "kitchen"
         stored = list(service.store.records(kind="tag_event"))
         assert len(stored) == 2
+
+    @pytest.mark.parametrize(
+        "kind, index, name",
+        [("user", 1, "bob"), ("user", 2, "alice"), ("location", 10, "hall")],
+        ids=["user-index", "identity", "location-index"],
+    )
+    def test_duplicate_registration_raises(self, service, kind, index, name):
+        with pytest.raises(RegistrationError):
+            service.register_tag(kind, index, name)
 
 
 class TestBoundaries:

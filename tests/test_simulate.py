@@ -1,24 +1,19 @@
-"""Generator self-checks: calibration, determinism, effect directions,
-streaming pacing, and capacity accounting."""
+"""Generator self-checks: calibration, determinism, and effect directions."""
 
 import numpy as np
 import pytest
 
-from homevitals.errors import CapacityExceeded
 from homevitals.labeling import Timepoint, summarize_cortisol
 from homevitals.signals import WindowSpec, make_windows
 from homevitals.simulate import (
     BpMode,
     COHORT_CORTISOL_MEANS_UGDL,
     COHORT_CORTISOL_T1_SD_UGDL,
-    CapacityMode,
-    capacity_check,
     cohort_sessions,
     default_session_script,
     generate_cohort,
     simulate_bp_records,
     simulate_session,
-    stream_session,
 )
 from homevitals.simulate.stress_session import EDA_RECOVERY_TAU_S, stress_envelope
 
@@ -144,67 +139,3 @@ class TestSimulateBpRecords:
         assert np.array_equal(a.units[0].ppg.values, b.units[0].ppg.values)
         assert np.array_equal(a.units[0].sbp.values, b.units[0].sbp.values)
 
-
-@pytest.fixture(scope="module")
-def small_bundle():
-    from helpers import make_bundle
-
-    return make_bundle(duration_s=90.0)
-
-
-class CountingSink:
-    def __init__(self, fail_after=None):
-        self.counts = {}
-        self.total = 0
-        self.fail_after = fail_after
-
-    def __call__(self, channel, t_ms, value):
-        if self.fail_after is not None and self.total >= self.fail_after:
-            raise IOError("sink full")
-        self.total += 1
-        self.counts[channel] = self.counts.get(channel, 0) + 1
-
-
-class TestStreaming:
-    def test_counts_match_rates(self, small_bundle):
-        sink = CountingSink()
-        report = stream_session(small_bundle, sink, speedup=100000)
-        assert report.sent["EDA"] == 360
-        assert report.sent["BVP"] == 5760
-        assert report.sent["ST"] == 360
-        assert report.sent["EDA"] / report.sent["BVP"] == pytest.approx(4 / 64)
-        assert report.error_position is None
-
-    def test_fast_replay_completes_quickly(self, cohort):
-        profiles, script = cohort
-        bundle, _ = simulate_session(profiles[0], script, seed=0)
-        sink = CountingSink()
-        report = stream_session(bundle, sink, speedup=3600)
-        # 50-minute session at 3600x is under a second of intended pacing.
-        assert report.wall_seconds <= 2.5
-        assert report.sent["EDA"] == 12000
-        assert report.sent["BVP"] == 192000
-
-    def test_sink_failure_reports_position(self, small_bundle):
-        sink = CountingSink(fail_after=100)
-        report = stream_session(small_bundle, sink, speedup=100000)
-        assert report.error_position == 100
-        assert report.error is not None
-        assert report.total_sent == 100
-
-    def test_pacing_not_faster_than_wall_clock(self, small_bundle):
-        sink = CountingSink()
-        report = stream_session(small_bundle, sink, speedup=900)
-        assert report.wall_seconds >= 90.0 / 900 * 0.9
-
-
-class TestCapacity:
-    def test_streaming_drain(self):
-        assert capacity_check(1.5, CapacityMode.STREAMING) == pytest.approx(1 - 1.5 / 20)
-
-    def test_recording_to_empty(self):
-        assert capacity_check(30.0, "recording") == 0.0
-
-    def test_over_capacity(self):
-        with pytest.raises(CapacityExceeded):
-            capacity_check(31.0, "recording")
