@@ -74,23 +74,20 @@ def _ordered_map(fn: Callable, jobs: Sequence[tuple]) -> list:
                 future.cancel()
 
 
-def _subject_rows(profile, script, index: int, spec: WindowSpec) -> FeatureMatrix:
+def _subject_rows(profile, script, index: int) -> FeatureMatrix:
     bundle, samples = subject_session(profile, script, index)
-    return stress_rows(bundle, samples, spec)
+    return stress_rows(bundle, samples, WindowSpec())
 
 
 def build_stress_dataset(
-    n_subjects: int = 40,
-    cohort_seed: int = 0,
-    spec: WindowSpec | None = None,
+    n_subjects: int = 40, cohort_seed: int = 0
 ) -> dict[tuple[str, ...], FeatureMatrix]:
     """Labeled feature matrices for every reported channel combination."""
-    spec = spec or WindowSpec()
     per_combo: dict[tuple[str, ...], list[FeatureMatrix]] = {
         combo: [] for combo in CHANNEL_COMBINATIONS
     }
     profiles, script = generate_cohort(n_subjects, seed=cohort_seed)
-    jobs = [(profile, script, i, spec) for i, profile in enumerate(profiles)]
+    jobs = [(profile, script, i) for i, profile in enumerate(profiles)]
     for full in _ordered_map(_subject_rows, jobs):
         for combo in CHANNEL_COMBINATIONS:
             names = [n for n in full.names if n.split("_")[0].upper() in combo]
@@ -171,11 +168,9 @@ def stress_fusion_experiment(
     return results
 
 
-def _roc_curve(
-    matrix: FeatureMatrix, split_seed: int, forest_params: dict
-) -> list[tuple[float, float]]:
+def _roc_curve(matrix: FeatureMatrix, forest_params: dict) -> list[tuple[float, float]]:
     # Advance past split seeds whose test half is single-class.
-    for candidate in range(split_seed, split_seed + 25):
+    for candidate in range(25):
         train, test = subject_split(matrix, 0.25, seed=candidate)
         y_test = test.labels.astype(int)
         if 0 < y_test.sum() < y_test.size:
@@ -189,13 +184,12 @@ def stress_roc_curves(
     datasets: dict[tuple[str, ...], FeatureMatrix] | None = None,
     n_subjects: int = 40,
     cohort_seed: int = 0,
-    split_seed: int = 0,
     forest_params: dict | None = None,
 ) -> dict[str, list[tuple[float, float]]]:
     """One ROC point list per channel combination, from a single split."""
     datasets = datasets or build_stress_dataset(n_subjects, cohort_seed)
     forest_params = forest_params or FOREST_PARAMS
-    jobs = [(matrix, split_seed, forest_params) for matrix in datasets.values()]
+    jobs = [(matrix, forest_params) for matrix in datasets.values()]
     curves = _ordered_map(_roc_curve, jobs)
     return {"+".join(combo): curve for combo, curve in zip(datasets, curves)}
 
@@ -246,7 +240,6 @@ def bp_regressor_experiment(
     mode: BpMode | str = BpMode.SHORT_TERM,
     seed: int = 0,
     split_seeds: range = range(3),
-    regressors: tuple[str, ...] = REGRESSOR_NAMES,
     quick: bool = True,
 ) -> dict[str, dict[str, dict]]:
     """Held-out MAE / SD / pct-within-5mmHg per regressor and target."""
@@ -256,14 +249,14 @@ def bp_regressor_experiment(
     jobs = [
         (labeled, name, split_seed, quick)
         for labeled in targets.values()
-        for name in regressors
+        for name in REGRESSOR_NAMES
         for split_seed in seeds
     ]
     scored = iter(_ordered_map(_regressor_split_metrics, jobs))
     out: dict[str, dict[str, dict]] = {}
     for target_name in targets:
         per_regressor: dict[str, dict] = {}
-        for name in regressors:
+        for name in REGRESSOR_NAMES:
             metrics = list(itertools.islice(scored, len(seeds)))
             per_regressor[name] = {
                 "mae": round(float(np.mean([m.mae for m in metrics])), 3),

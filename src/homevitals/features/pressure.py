@@ -153,11 +153,7 @@ def _flags(peak_freqs: np.ndarray) -> tuple[str, ...]:
     return () if peak_freqs.size else ("bp_no_spectral_peaks",)
 
 
-def bp_feature_vector(
-    segment: SampleSeries,
-    origin: str = "0",
-    subject_id: str = "",
-) -> FeatureVector:
+def bp_feature_vector(segment: SampleSeries) -> FeatureVector:
     """All 106 named features for one PPG segment (>= 5 s)."""
     processed, d1, d2, spec_series, peak_freqs, peak_amps = _decompose(segment)
     values: list[float] = []
@@ -172,9 +168,7 @@ def bp_feature_vector(
         values.extend(_stream_stats(stream))
     values.extend(_peak_stats(peak_freqs))
     values.extend(_peak_stats(peak_amps))
-    return FeatureVector(
-        subject_id or "segment", origin, BP_FEATURE_NAMES, values, _flags(peak_freqs)
-    )
+    return FeatureVector("segment", "0", BP_FEATURE_NAMES, values, _flags(peak_freqs))
 
 
 def bp_reduced_features(

@@ -174,7 +174,6 @@ def labels_to_targets(labels: Sequence[StressLabel]) -> np.ndarray:
 class CortisolSummary:
     mean_ugdl: float
     sd_ugdl: float
-    n: int
     degenerate: bool
 
 
@@ -195,7 +194,6 @@ def summarize_cortisol(
         out[tp] = CortisolSummary(
             mean_ugdl=float(arr.mean()),
             sd_ugdl=0.0 if degenerate else float(arr.std(ddof=1)),
-            n=int(arr.size),
             degenerate=degenerate,
         )
     return out

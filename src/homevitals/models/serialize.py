@@ -45,8 +45,8 @@ def model_document(model, feature_names: Sequence[str], seed: int | None = None)
     }
 
 
-def dumps_model(model, feature_names: Sequence[str], seed: int | None = None) -> str:
-    return canonical_json(model_document(model, feature_names, seed))
+def dumps_model(model, feature_names: Sequence[str]) -> str:
+    return canonical_json(model_document(model, feature_names))
 
 
 def canonical_json(doc: dict) -> str:

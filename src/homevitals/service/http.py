@@ -14,7 +14,8 @@ Routes:
 Validation failures, a Content-Length outside [0, 64 MiB] among them, map to
 400, unknown identities/subjects without data to 404, missing model artifacts
 and concurrent training to 409. The location response body is exactly the
-canonical location message.
+canonical location message. Every request's body is read whole before it is
+routed, whatever the route, so a keep-alive connection stays in step.
 """
 
 from __future__ import annotations
@@ -68,6 +69,18 @@ def _text(value) -> str:
     return value
 
 
+def _json_object(raw: bytes) -> dict:
+    if not raw:
+        return {}
+    try:
+        body = json.loads(raw)
+    except json.JSONDecodeError as exc:
+        raise InputError(f"request body is not valid JSON: {exc}") from exc
+    if not isinstance(body, dict):
+        raise InputError("request body must be a JSON object")
+    return body
+
+
 def _seed(body: dict) -> int | None:
     """The optional training seed: absent or null, or a non-negative integer."""
     seed = body.get("seed")
@@ -89,26 +102,21 @@ class _Handler(BaseHTTPRequestHandler):
 
     # -- plumbing -----------------------------------------------------------
 
-    def _read_json(self) -> dict:
+    def _read_body(self) -> bytes:
+        """The whole request body, so that the next request on the connection
+        starts where this one ends."""
+        # A body whose length is absent or invalid is left unread; where it
+        # ends is unknown, so the connection cannot be reused.
+        if "Transfer-Encoding" in self.headers:
+            self.close_connection = True
         try:
             length = int(self.headers.get("Content-Length", 0))
         except ValueError:
             length = -1
         if not 0 <= length <= MAX_BODY_BYTES:
-            # The body is not read, so where it ends is unknown and the
-            # connection cannot be reused.
             self.close_connection = True
             raise InputError(f"Content-Length must be an integer in [0, {MAX_BODY_BYTES}]")
-        if length == 0:
-            return {}
-        raw = self.rfile.read(length)
-        try:
-            body = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"request body is not valid JSON: {exc}") from exc
-        if not isinstance(body, dict):
-            raise InputError("request body must be a JSON object")
-        return body
+        return self.rfile.read(length) if length else b""
 
     def _send(self, status: int, body: dict | str) -> None:
         data = body.encode() if isinstance(body, str) else json.dumps(body).encode()
@@ -121,7 +129,7 @@ class _Handler(BaseHTTPRequestHandler):
     def _dispatch(self, method: str) -> None:
         service = self.server.service  # type: ignore[attr-defined]
         try:
-            status, body = self._route(method, service)
+            status, body = self._route(method, service, self._read_body())
         except (RejectedEvent, RegistrationError, InputError) as exc:
             status, body = 400, {"error": str(exc)}
         except (NotFound, NoWindow) as exc:
@@ -135,26 +143,26 @@ class _Handler(BaseHTTPRequestHandler):
             status, body = 500, {"error": f"internal error: {exc}"}
         self._send(status, body)
 
-    def _route(self, method: str, service: VitalsService) -> tuple[int, dict | str]:
+    def _route(self, method: str, service: VitalsService, raw: bytes) -> tuple[int, dict | str]:
         parts = urlsplit(self.path)
         path = parts.path
         query = parse_qs(parts.query)
         if method == "GET" and path == "/health":
             return 200, {"status": "ok", "records": len(service.store)}
         if method == "POST" and path == "/signals/sync":
-            return 200, service.sync_signals(self._read_json())
+            return 200, service.sync_signals(_json_object(raw))
         if method == "POST" and path == "/tags/event":
-            body = self._read_json()
+            body = _json_object(raw)
             kind, index = _field(body, "kind", TagKind), _field(body, "index", int)
             return 200, service.ingest_tag_event(kind, index)
         if method == "POST" and path == "/tags/register":
-            body = self._read_json()
+            body = _json_object(raw)
             kind, index = _field(body, "kind", TagKind), _field(body, "index", int)
             return 200, service.register_tag(kind, index, _field(body, "name", _text))
         if method == "POST" and path == "/train/stress":
-            return 200, service.train_stress(_seed(self._read_json()))
+            return 200, service.train_stress(_seed(_json_object(raw)))
         if method == "POST" and path == "/train/bp":
-            return 200, service.train_bp(_seed(self._read_json()))
+            return 200, service.train_bp(_seed(_json_object(raw)))
         if method == "GET":
             match = _STRESS.match(path)
             if match:

@@ -177,7 +177,7 @@ def _latest_run(
 
 
 class VitalsService:
-    def __init__(self, config: ServiceConfig, store: JsonlStore, clock: Callable[[], int] | None = None):
+    def __init__(self, config: ServiceConfig, store: JsonlStore):
         values = {f.name: getattr(config, f.name) for f in fields(config)}
         non_finite = [k for k, v in values.items() if isinstance(v, float) and not math.isfinite(v)]
         if non_finite:
@@ -186,7 +186,7 @@ class VitalsService:
         self.window_spec = config.window_spec
         self.store = store
         table = register(sorted(config.user_tags.items()), sorted(config.location_tags.items()))
-        self.tag_log = EventLog(table, config.match_config, clock)
+        self.tag_log = EventLog(table, config.match_config)
         self._train_lock = threading.Lock()
         self._models: dict[str, tuple[object, dict]] = {}
 

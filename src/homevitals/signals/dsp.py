@@ -72,13 +72,9 @@ def butter_lowpass_coefficients(order_n: int, cutoff_wn: float) -> tuple[np.ndar
     return butter(order_n, cutoff_wn)
 
 
-def single_pass_filter(
-    b: np.ndarray, a: np.ndarray, x: np.ndarray, zi: np.ndarray | None = None
-) -> np.ndarray:
-    """Apply the recursion once, forward, from the given (or zero) state."""
-    if zi is None:
-        zi = np.zeros(max(len(a), len(b)) - 1)
-    y, _ = lfilter(b, a, x, zi=np.asarray(zi, dtype=np.float64))
+def single_pass_filter(b: np.ndarray, a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Apply the recursion once, forward, from the zero state."""
+    y, _ = lfilter(b, a, x, zi=np.zeros(max(len(a), len(b)) - 1))
     return y
 
 

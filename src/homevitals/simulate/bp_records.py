@@ -17,10 +17,10 @@ from enum import Enum
 import numpy as np
 
 from ..errors import InputError
-from ..signals import Channel, SampleSeries
-from ..signals.dsp import single_pass_filter
+from ..signals import DEFAULT_PPG_RATE_HZ, Channel, SampleSeries
+from .stress_session import ou_process
 
-PPG_RATE_HZ = 125.0
+PPG_RATE_HZ = DEFAULT_PPG_RATE_HZ
 TARGET_RATE_HZ = 1.0
 
 SHORT_TERM_UNIT_S = 30 * 60
@@ -61,12 +61,6 @@ class BpRecord:
     units: tuple[BpUnit, ...]
 
 
-def _ou(n: int, rate_hz: float, tau_s: float, sigma: float, rng: np.random.Generator) -> np.ndarray:
-    a = float(np.exp(-1.0 / (rate_hz * tau_s)))
-    drive = rng.normal(size=n) * sigma * np.sqrt(1.0 - a * a)
-    return single_pass_filter(np.array([1.0]), np.array([1.0, -a]), drive)
-
-
 def _latent_pressures(
     duration_s: int, base_sbp: float, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -75,14 +69,14 @@ def _latent_pressures(
         base_sbp
         + 16.0 * np.sin(2 * np.pi * t / 700.0 + rng.uniform(0, 2 * np.pi))
         + 7.0 * np.sin(2 * np.pi * t / 97.0 + rng.uniform(0, 2 * np.pi))
-        + _ou(t.size, 1.0, 120.0, 3.0, rng)
+        + ou_process(t.size, 1.0, 120.0, 3.0, rng)
     )
     sbp = np.clip(sbp, *SBP_RANGE_MMHG)
     dbp = (
         0.5 * sbp
         + 14.0
         + 5.0 * np.sin(2 * np.pi * t / 550.0 + rng.uniform(0, 2 * np.pi))
-        + _ou(t.size, 1.0, 90.0, 2.0, rng)
+        + ou_process(t.size, 1.0, 90.0, 2.0, rng)
     )
     dbp = np.clip(dbp, *DBP_RANGE_MMHG)
     dbp = np.minimum(dbp, sbp - MIN_PULSE_PRESSURE_MMHG)

@@ -30,35 +30,19 @@ CORTISOL_RESPONSE_SHAPE = (0.0, 0.8, 1.2, 0.35, 0.05)
 
 @dataclass(frozen=True)
 class SyntheticProfile:
+    """The per-subject values the cohort varies; the physiology constants
+    every subject shares live in `stress_session`."""
+
     subject_id: str
     stress_amplitude: float = 0.8
     baseline_hr_bpm: float = 70.0
-    hr_gain_bpm: float = 15.0
     baseline_eda_us: float = 2.0
-    eda_gain_us: float = 0.9
-    scr_rate_base_hz: float = 0.04
-    scr_rate_gain_hz: float = 0.14
     baseline_st_c: float = 33.5
-    st_drop_c: float = 1.1
-    eda_noise_us: float = 0.04
-    bvp_noise: float = 0.05
-    st_noise_c: float = 0.04
-    hrv_jitter_s: float = 0.04
     cortisol_baseline_ugdl: float = 0.185
-    cortisol_noise: float = 0.03
 
     def __post_init__(self) -> None:
-        if not self.subject_id:
-            raise InputError("subject_id must be non-empty")
-        for name in (
-            "stress_amplitude",
-            "hr_gain_bpm",
-            "eda_gain_us",
-            "scr_rate_gain_hz",
-            "st_drop_c",
-        ):
-            if getattr(self, name) < 0:
-                raise InputError(f"{name} must be non-negative")
+        if self.stress_amplitude < 0:
+            raise InputError("stress_amplitude must be non-negative")
 
     def without_stress_response(self) -> "SyntheticProfile":
         return replace(self, stress_amplitude=0.0)
@@ -66,13 +50,11 @@ class SyntheticProfile:
 
 @dataclass(frozen=True)
 class SessionScript:
-    """Phase layout, cortisol sampling times, and optional co-location steps."""
+    """Phase layout and cortisol sampling times."""
 
     timeline: SessionTimeline
     cortisol_times_ms: tuple[int, int, int, int, int]
     cortisol_decline: tuple[float, float, float, float, float]
-    cortisol_response_shape: tuple[float, float, float, float, float] = CORTISOL_RESPONSE_SHAPE
-    colocation_steps: tuple[tuple[float, str | None], ...] = ()
 
     @property
     def recording_duration_s(self) -> float:
@@ -84,25 +66,22 @@ class SessionScript:
         return self.timeline.recording_span_ms[0]
 
 
-def default_session_timeline(origin_ms: int = 0) -> SessionTimeline:
+def default_session_timeline() -> SessionTimeline:
     """Waiting, pre-stress, anticipation, stress (speech + math), two recoveries;
     recording covers pre-stress through the first recovery (50 minutes)."""
     return SessionTimeline(
         boundaries=(
-            (Phase.WAITING, origin_ms - 10 * MIN_MS),
-            (Phase.PRE_STRESS, origin_ms),
-            (Phase.ANTICIPATORY_STRESS, origin_ms + 10 * MIN_MS),
-            (Phase.STRESS, origin_ms + 20 * MIN_MS),
-            (Phase.RECOVERY_1, origin_ms + 30 * MIN_MS),
-            (Phase.RECOVERY_2, origin_ms + 50 * MIN_MS),
+            (Phase.WAITING, -10 * MIN_MS),
+            (Phase.PRE_STRESS, 0),
+            (Phase.ANTICIPATORY_STRESS, 10 * MIN_MS),
+            (Phase.STRESS, 20 * MIN_MS),
+            (Phase.RECOVERY_1, 30 * MIN_MS),
+            (Phase.RECOVERY_2, 50 * MIN_MS),
         )
     )
 
 
-def default_session_script(
-    origin_ms: int = 0,
-    mean_cohort_amplitude: float | None = None,
-) -> SessionScript:
+def default_session_script(mean_cohort_amplitude: float | None = None) -> SessionScript:
     """TSST-like script: T1 mid pre-stress, then 20-minute spacing.
 
     cortisol_decline makes the cohort's expected per-timepoint means track the
@@ -114,9 +93,9 @@ def default_session_script(
         (target / base) / (1.0 + amp * r)
         for target, r in zip(COHORT_CORTISOL_MEANS_UGDL, CORTISOL_RESPONSE_SHAPE)
     )
-    t1 = origin_ms + 9 * MIN_MS
+    t1 = 9 * MIN_MS
     return SessionScript(
-        timeline=default_session_timeline(origin_ms),
+        timeline=default_session_timeline(),
         cortisol_times_ms=tuple(t1 + i * 20 * MIN_MS for i in range(5)),
         cortisol_decline=decline,
     )
@@ -168,9 +147,7 @@ def _probit(p: float) -> float:
 
 
 def generate_cohort(
-    n_subjects: int = 40,
-    seed: int = 0,
-    responder_fraction: float = RESPONDER_FRACTION,
+    n_subjects: int = 40, seed: int = 0
 ) -> tuple[list[SyntheticProfile], SessionScript]:
     """Profiles plus a shared script whose cortisol decline is calibrated to
     the cohort's actual mean amplitude."""
@@ -180,7 +157,7 @@ def generate_cohort(
     baselines = _stratified_lognormal(
         n_subjects, COHORT_CORTISOL_MEANS_UGDL[0], COHORT_CORTISOL_T1_SD_UGDL, rng
     )
-    n_responders = int(round(responder_fraction * n_subjects))
+    n_responders = int(round(RESPONDER_FRACTION * n_subjects))
     amplitudes = np.concatenate(
         [
             rng.uniform(*RESPONDER_AMPLITUDE_RANGE, size=n_responders),

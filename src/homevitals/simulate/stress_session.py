@@ -20,13 +20,31 @@ from typing import Iterator
 import numpy as np
 
 from ..labeling import CortisolSample, Phase, Timepoint
-from ..signals import Channel, ChannelBundle, IbiSeries, SampleSeries
+from ..signals import WRISTBAND_RATES_HZ, Channel, ChannelBundle, IbiSeries, SampleSeries
 from ..signals.dsp import single_pass_filter
-from .profiles import SessionScript, SyntheticProfile, generate_cohort
+from .profiles import CORTISOL_RESPONSE_SHAPE, SessionScript, SyntheticProfile, generate_cohort
 
-EDA_RATE_HZ = 4.0
-BVP_RATE_HZ = 64.0
-ST_RATE_HZ = 4.0
+EDA_RATE_HZ = WRISTBAND_RATES_HZ[Channel.EDA]
+BVP_RATE_HZ = WRISTBAND_RATES_HZ[Channel.BVP]
+ST_RATE_HZ = WRISTBAND_RATES_HZ[Channel.ST]
+
+#: Conductance responses fire at SCR_RATE_BASE_HZ at rest. At full stress, per
+#: unit of stress amplitude, heart rate rises by HR_GAIN_BPM, tonic conductance
+#: by EDA_GAIN_US and the response rate by SCR_RATE_GAIN_HZ, and skin
+#: temperature drops by ST_DROP_C.
+HR_GAIN_BPM = 15.0
+EDA_GAIN_US = 0.9
+SCR_RATE_BASE_HZ = 0.04
+SCR_RATE_GAIN_HZ = 0.14
+ST_DROP_C = 1.1
+
+#: Per-sample measurement noise, the beat-interval jitter scale, and the
+#: log-normal spread of each cortisol concentration.
+EDA_NOISE_US = 0.04
+BVP_NOISE = 0.05
+ST_NOISE_C = 0.04
+HRV_JITTER_S = 0.04
+CORTISOL_NOISE = 0.03
 
 #: Per-channel recovery time constants (seconds after the stressor ends).
 EDA_RECOVERY_TAU_S = 300.0
@@ -62,7 +80,7 @@ def stress_envelope(
     return e
 
 
-def _ou_process(
+def ou_process(
     n: int, rate_hz: float, tau_s: float, sigma: float, rng: np.random.Generator
 ) -> np.ndarray:
     """Mean-reverting noise via a one-pole recursion on white driving noise."""
@@ -85,14 +103,14 @@ def _eda_stream(
 ) -> np.ndarray:
     n = int(duration_s * EDA_RATE_HZ)
     amp = profile.stress_amplitude
-    tonic = profile.baseline_eda_us + profile.eda_gain_us * amp * envelope
-    values = tonic + _ou_process(n, EDA_RATE_HZ, 30.0, 0.05, rng)
-    values += profile.eda_noise_us * rng.normal(size=n)
+    tonic = profile.baseline_eda_us + EDA_GAIN_US * amp * envelope
+    values = tonic + ou_process(n, EDA_RATE_HZ, 30.0, 0.05, rng)
+    values += EDA_NOISE_US * rng.normal(size=n)
     template = _scr_template(EDA_RATE_HZ)
     # One Bernoulli draw per second against the phase-dependent response rate.
     seconds = np.arange(int(duration_s))
     second_env = envelope[(seconds * EDA_RATE_HZ).astype(int)]
-    rate = profile.scr_rate_base_hz + profile.scr_rate_gain_hz * amp * second_env
+    rate = SCR_RATE_BASE_HZ + SCR_RATE_GAIN_HZ * amp * second_env
     fires = rng.random(seconds.size) < rate
     for sec in seconds[fires]:
         start = int(sec * EDA_RATE_HZ)
@@ -109,9 +127,9 @@ def _st_stream(
     rng: np.random.Generator,
 ) -> np.ndarray:
     n = int(duration_s * ST_RATE_HZ)
-    level = profile.baseline_st_c - profile.st_drop_c * profile.stress_amplitude * envelope
-    level = level + _ou_process(n, ST_RATE_HZ, 120.0, 0.05, rng)
-    return level + profile.st_noise_c * rng.normal(size=n)
+    level = profile.baseline_st_c - ST_DROP_C * profile.stress_amplitude * envelope
+    level = level + ou_process(n, ST_RATE_HZ, 120.0, 0.05, rng)
+    return level + ST_NOISE_C * rng.normal(size=n)
 
 
 def _beat_sequence(
@@ -128,8 +146,8 @@ def _beat_sequence(
     cannot remove it and weak late-recovery effects stay genuinely hard.
     """
     n4 = env_hr.size
-    hr_wander = _ou_process(n4, EDA_RATE_HZ, 240.0, 1.8, rng)
-    hrv_wander = _ou_process(n4, EDA_RATE_HZ, 240.0, 0.10, rng)
+    hr_wander = ou_process(n4, EDA_RATE_HZ, 240.0, 1.8, rng)
+    hrv_wander = ou_process(n4, EDA_RATE_HZ, 240.0, 0.10, rng)
     beats: list[tuple[float, float]] = []
     t = float(rng.uniform(0.2, 0.6))
     amp = profile.stress_amplitude
@@ -138,11 +156,11 @@ def _beat_sequence(
         i = min(int(t * EDA_RATE_HZ), last)
         hr = (
             profile.baseline_hr_bpm
-            + profile.hr_gain_bpm * amp * float(env_hr[i])
+            + HR_GAIN_BPM * amp * float(env_hr[i])
             + float(hr_wander[i])
         )
         scale = max(0.2, 1.0 + float(hrv_wander[i]))
-        jitter = profile.hrv_jitter_s * scale * (1.0 - HRV_DAMPING * amp * float(env_hrv[i]))
+        jitter = HRV_JITTER_S * scale * (1.0 - HRV_DAMPING * amp * float(env_hrv[i]))
         ibi = float(np.clip(60.0 / hr + jitter * rng.normal(), 0.31, 1.99))
         if t + ibi >= duration_s:
             break
@@ -161,10 +179,10 @@ def _bvp_stream(
     n = int(duration_s * BVP_RATE_HZ)
     t = np.arange(n) / BVP_RATE_HZ
     values = 0.1 * np.sin(2 * np.pi * 0.08 * t)  # slow baseline wander
-    values += profile.bvp_noise * rng.normal(size=n)
+    values += BVP_NOISE * rng.normal(size=n)
     last = env_hr.size - 1
     # Contact-pressure drift modulates amplitude on window-scale correlations.
-    amp_wander = _ou_process(env_hr.size, EDA_RATE_HZ, 240.0, 0.05, rng)
+    amp_wander = ou_process(env_hr.size, EDA_RATE_HZ, 240.0, 0.05, rng)
     beat_idx = np.array([min(int(bt * EDA_RATE_HZ), last) for bt, _ in beats])
     constriction = (
         1.0 - BVP_CONSTRICTION * profile.stress_amplitude * env_hr[beat_idx]
@@ -192,14 +210,14 @@ def _cortisol_samples(
     for tp, t_ms, response, decline in zip(
         Timepoint,
         script.cortisol_times_ms,
-        script.cortisol_response_shape,
+        CORTISOL_RESPONSE_SHAPE,
         script.cortisol_decline,
     ):
         concentration = (
             profile.cortisol_baseline_ugdl
             * (1.0 + profile.stress_amplitude * response)
             * decline
-            * float(np.exp(profile.cortisol_noise * rng.normal()))
+            * float(np.exp(CORTISOL_NOISE * rng.normal()))
         )
         samples.append(
             CortisolSample(

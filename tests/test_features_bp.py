@@ -117,9 +117,9 @@ def segments(draw):
     return SampleSeries(Channel.PPG, rate, draw(st.integers(0, 10**6)), values)
 
 
-def extract(extractor, segment, subject_id):
+def extract(extractor, segment, **labels):
     try:
-        return extractor(segment, origin="7", subject_id=subject_id)
+        return extractor(segment, **labels)
     except HomevitalsError as exc:
         return type(exc)
 
@@ -127,17 +127,18 @@ def extract(extractor, segment, subject_id):
 @settings(max_examples=120, deadline=None)
 @given(segment=segments(), subject_id=st.sampled_from(["", "S07"]))
 def test_reduced_path_equals_catalog_columns_exactly(segment, subject_id):
-    full = extract(bp_feature_vector, segment, subject_id)
-    reduced = extract(bp_reduced_features, segment, subject_id)
+    full = extract(bp_feature_vector, segment)
+    reduced = extract(bp_reduced_features, segment, origin="7", subject_id=subject_id)
     if isinstance(full, type):
         assert reduced is full
         return
     assert reduced.names == BP_REDUCED_NAMES
     assert reduced.values.tobytes() == reduced_columns(full).tobytes()
+    assert (full.origin, full.subject_id) == ("0", "segment")
     assert (reduced.flags, reduced.origin, reduced.subject_id) == (
         full.flags,
-        full.origin,
-        full.subject_id,
+        "7",
+        subject_id or "segment",
     )
 
 

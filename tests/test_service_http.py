@@ -60,6 +60,38 @@ def status_of(exc: urllib.error.HTTPError):
     return exc.code, body
 
 
+def raw_request(method, path, body=b"", headers=None):
+    headers = headers or {"Content-Length": str(len(body))}
+    lines = [f"{method} {path} HTTP/1.1", "Host: 127.0.0.1"]
+    lines += [f"{name}: {value}" for name, value in headers.items()]
+    return ("\r\n".join(lines) + "\r\n\r\n").encode() + body
+
+
+def pipelined_statuses(srv, *requests):
+    """Send the requests back to back on one keep-alive connection and read
+    the replies' statuses in order. The list stops early where the server
+    closes the connection, and ends with the text of a reply that is not an
+    HTTP response."""
+    statuses = []
+    with socket.create_connection(("127.0.0.1", srv.port), timeout=10) as sock:
+        sock.sendall(b"".join(requests))
+        with sock.makefile("rb") as reader:
+            for _ in requests:
+                status_line = reader.readline()
+                if not status_line.startswith(b"HTTP/"):
+                    if status_line:
+                        statuses.append(status_line.decode(errors="replace").strip())
+                    break
+                length = 0
+                while (line := reader.readline()) not in (b"\r\n", b""):
+                    name, _, value = line.decode().partition(":")
+                    if name.strip().lower() == "content-length":
+                        length = int(value)
+                reader.read(length)
+                statuses.append(int(status_line.split()[1]))
+    return statuses
+
+
 class TestRoutes:
     def test_health(self, server):
         status, body = get(server, "/health")
@@ -293,3 +325,17 @@ class TestRoutes:
         head, _, body = reply.partition(b"\r\n\r\n")
         assert head.startswith(b"HTTP/1.1 400 ")
         assert "Content-Length" in json.loads(body)["error"]
+
+    def test_unknown_route_reads_its_body_before_the_next_request(self, server):
+        requests = raw_request("POST", "/nope", b'{"seed": 1}'), raw_request("GET", "/health")
+        assert pipelined_statuses(server, *requests) == [404, 200]
+
+    def test_get_reads_its_body_before_the_next_request(self, server):
+        requests = raw_request("GET", "/health", b'{"seed": 1}'), raw_request("GET", "/health")
+        assert pipelined_statuses(server, *requests) == [200, 200]
+
+    def test_body_without_a_length_closes_the_connection(self, server):
+        chunked = raw_request(
+            "POST", "/nope", b"b\r\n{\"seed\": 1}\r\n0\r\n\r\n", {"Transfer-Encoding": "chunked"}
+        )
+        assert pipelined_statuses(server, chunked, raw_request("GET", "/health")) == [404]

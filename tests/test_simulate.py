@@ -15,7 +15,7 @@ from homevitals.simulate import (
     simulate_bp_records,
     simulate_session,
 )
-from homevitals.simulate.stress_session import EDA_RECOVERY_TAU_S, stress_envelope
+from homevitals.simulate.stress_session import EDA_NOISE_US, EDA_RECOVERY_TAU_S, stress_envelope
 
 
 @pytest.fixture(scope="module")
@@ -55,7 +55,7 @@ class TestSimulateSession:
         bundle, _ = simulate_session(flat, script, seed=3)
         eda = bundle.eda.values
         ps, stress = eda[:2400], eda[4800:7200]
-        assert abs(ps.mean() - stress.mean()) < 3 * flat.eda_noise_us
+        assert abs(ps.mean() - stress.mean()) < 3 * EDA_NOISE_US
 
     def test_positive_gains_shift_channels(self, cohort):
         # Direction check across 100 seeds: EDA up, mean IBI down under stress.

@@ -1,6 +1,7 @@
 """Source hygiene without a linter: every exported name resolves, and no module
 under src/homevitals keeps a top-level import it never uses or a private
-top-level function, class or constant that nothing in the module reads."""
+top-level function, class or constant that nothing in the module reads, and
+no dataclass keeps a field that nothing in src/ or tests/ reads."""
 
 import ast
 import importlib
@@ -12,6 +13,7 @@ import homevitals
 
 PACKAGE_ROOT = Path(homevitals.__file__).resolve().parent
 MODULES = sorted(PACKAGE_ROOT.rglob("*.py"))
+TEST_MODULES = sorted(Path(__file__).resolve().parent.rglob("*.py"))
 
 
 def module_name(path: Path) -> str:
@@ -113,5 +115,48 @@ def test_every_private_top_level_name_is_read_in_its_module(path):
     used = used_names(tree)
     unread = sorted(
         f"{name} (line {lineno})" for name, lineno in private_definitions(tree) if name not in used
+    )
+    assert unread == []
+
+
+def is_dataclass_def(node: ast.AST) -> bool:
+    if not isinstance(node, ast.ClassDef):
+        return False
+    for decorator in node.decorator_list:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        if getattr(target, "attr", getattr(target, "id", None)) == "dataclass":
+            return True
+    return False
+
+
+def dataclass_fields(tree: ast.Module):
+    """(class name, field name, line) of each field a @dataclass declares."""
+    for node in ast.walk(tree):
+        if is_dataclass_def(node):
+            for stmt in node.body:
+                if (
+                    isinstance(stmt, ast.AnnAssign)
+                    and isinstance(stmt.target, ast.Name)
+                    and "ClassVar" not in ast.unparse(stmt.annotation)
+                ):
+                    yield node.name, stmt.target.id, stmt.lineno
+
+
+def attributes_read(paths) -> set[str]:
+    return {
+        node.attr
+        for path in paths
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def test_every_dataclass_field_is_read_somewhere():
+    read = attributes_read(MODULES + TEST_MODULES)
+    unread = sorted(
+        f"{module_name(path)}.{cls}.{name} (line {lineno})"
+        for path in MODULES
+        for cls, name, lineno in dataclass_fields(ast.parse(path.read_text()))
+        if name not in read
     )
     assert unread == []
