@@ -9,7 +9,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .features import FeatureMatrix, FeatureVector, bp_reduced_features, stress_feature_matrix
+from .features import (
+    FeatureMatrix,
+    FeatureVector,
+    bp_lowpass,
+    bp_reduced_features,
+    stress_feature_matrix,
+)
 from .labeling import CortisolSample, LabelRule, label_windows, labels_to_targets
 from .signals import ChannelBundle, SampleSeries, WindowSpec, make_windows
 
@@ -58,15 +64,20 @@ def bp_rows(
     origin_prefix: str = "",
 ) -> list[tuple[FeatureVector, float, float]]:
     """(reduced BP features, SBP, DBP) for each whole BP_SEGMENT_S segment of
-    the PPG; segments the pressure series miss are left out."""
+    the PPG; segments the pressure series miss are left out. Every segment
+    shares the PPG's rate, so the low-pass is designed once, at the first
+    segment kept, and filters them all."""
     out = []
+    lowpass = None
     seg_len = int(BP_SEGMENT_S * ppg.rate_hz)
     for k in range(len(ppg) // seg_len):
         i0, i1 = k * seg_len, (k + 1) * seg_len
         targets = segment_targets(ppg, sbp, dbp, i0, i1)
         if targets is not None:
+            if lowpass is None:
+                lowpass = bp_lowpass(ppg.rate_hz)
             segment = ppg.slice_samples(i0, i1)
             origin = f"{origin_prefix}{k}"
-            row = bp_reduced_features(segment, origin=origin, subject_id=subject_id)
+            row = bp_reduced_features(segment, origin, subject_id, lowpass)
             out.append((row, *targets))
     return out

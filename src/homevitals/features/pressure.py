@@ -1,17 +1,21 @@
 """Blood-pressure feature catalogs extracted from a PPG segment.
 
 The segment is run through the preprocessing pipeline, whose low-pass is
-always FilterConfig.for_rate at the segment's own rate (8 Hz, order 4), so
-training rows and queries are built the same way. It is then decomposed into
-six streams: the processed signal, its first and second derivatives, the
-magnitude spectrum, and the spectrum's first and second derivatives along the
-frequency axis. Each stream contributes 15 statistics (90 features); 16 more
-come from the detected spectral peaks (8 statistics of peak frequencies and 8
-of peak amplitudes), totalling 106. The reduced set keeps the 10 max/min
-features of peak frequency, peak amplitude, signal, and both derivatives. It
-is computed directly from the shared front half (preprocessing, derivatives,
-spectrum, spectral peaks) without the other 96 statistics, and its values
-equal the catalog's identically named columns bit for bit.
+always bp_lowpass: the Butterworth design of FilterConfig.for_rate at the
+segment's rate (8 Hz, order 4), so training rows and queries are built the
+same way. A single segment (a query, bp_feature_vector) has the filter
+designed for it; datasets.bp_rows designs it once per PPG record and hands
+the same coefficients to every segment of the record. The segment is then
+decomposed into six streams: the processed signal, its first and second
+derivatives, the magnitude spectrum, and the spectrum's first and second
+derivatives along the frequency axis. Each stream contributes 15 statistics
+(90 features); 16 more come from the detected spectral peaks (8 statistics of
+peak frequencies and 8 of peak amplitudes), totalling 106. The reduced set
+keeps the 10 max/min features of peak frequency, peak amplitude, signal, and
+both derivatives. It is computed directly from the shared front half
+(preprocessing, derivatives, spectrum, spectral peaks) without the other 96
+statistics, and its values equal the catalog's identically named columns bit
+for bit.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from ..signals import (
     Channel,
     FilterConfig,
     SampleSeries,
+    butter_lowpass_coefficients,
     derivative,
     detect_peaks,
     preprocess_ppg,
@@ -119,17 +124,27 @@ def _peak_stats(values: np.ndarray) -> list[float]:
     ]
 
 
+def bp_lowpass(rate_hz: float) -> tuple[np.ndarray, np.ndarray]:
+    """The (b, a) low-pass a BP segment at rate_hz is filtered with: the
+    Butterworth design of FilterConfig.for_rate(rate_hz)."""
+    cfg = FilterConfig.for_rate(rate_hz)
+    return butter_lowpass_coefficients(cfg.order_n, cfg.cutoff_wn)
+
+
 def _decompose(
-    segment: SampleSeries
+    segment: SampleSeries, lowpass: tuple[np.ndarray, np.ndarray] | None = None
 ) -> tuple[SampleSeries, SampleSeries, SampleSeries, SampleSeries, np.ndarray, np.ndarray]:
     """The front half both extractors share: the processed signal, its two
     derivatives, the spectrum as a series along frequency, and the frequencies
-    and amplitudes of the spectral peaks above the relative floor."""
+    and amplitudes of the spectral peaks above the relative floor. lowpass is
+    bp_lowpass(segment.rate_hz), designed here unless the caller holds it."""
     if segment.duration_s < MIN_SEGMENT_S:
         raise DegenerateInput(
             f"segment covers {segment.duration_s:.2f} s; need >= {MIN_SEGMENT_S} s"
         )
-    processed = preprocess_ppg([segment], FilterConfig.for_rate(segment.rate_hz))
+    if lowpass is None:
+        lowpass = bp_lowpass(segment.rate_hz)
+    processed = preprocess_ppg([segment], design=lowpass)
     d1 = derivative(processed, 1)
     d2 = derivative(processed, 2)
 
@@ -175,11 +190,13 @@ def bp_reduced_features(
     segment: SampleSeries,
     origin: str = "0",
     subject_id: str = "",
+    lowpass: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> FeatureVector:
     """The 10-feature set: max/min of peak frequency, peak amplitude, signal,
     first derivative, and second derivative. Only these are computed; their
-    values equal the identically named columns of the full catalog."""
-    processed, d1, d2, _, peak_freqs, peak_amps = _decompose(segment)
+    values equal the identically named columns of the full catalog. A caller
+    with many segments at one rate passes bp_lowpass(rate) as lowpass."""
+    processed, d1, d2, _, peak_freqs, peak_amps = _decompose(segment, lowpass)
     values: list[float] = []
     for peaks in (peak_freqs, peak_amps):
         values += [float(peaks.max()), float(peaks.min())] if peaks.size else [0.0, 0.0]

@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from ..errors import DegenerateTraining, InputError
-from .tree import DecisionTreeClassifier, _validate_xy
+from .tree import DecisionTreeClassifier, _document_classes, _validate_xy
 
 
 class RandomForestClassifier:
@@ -107,6 +107,6 @@ class RandomForestClassifier:
             features_per_split=doc["features_per_split"],
             seed=doc["seed"],
         )
-        forest.classes_ = np.asarray(doc["classes"])
+        forest.classes_ = _document_classes(doc["classes"])
         forest.trees = [DecisionTreeClassifier.from_dict(t) for t in doc["trees"]]
         return forest

@@ -37,6 +37,16 @@ def _validate_xy(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return X, y
 
 
+def _document_classes(values: list[float]) -> np.ndarray:
+    """Class labels read back from a model document, which writes them as
+    floats: int64 when every label is a whole number, as the integer labels
+    classifiers are fitted with, so predict keeps its dtype; else float64."""
+    classes = np.asarray(values, dtype=np.float64)
+    if np.all(np.isfinite(classes) & (classes == np.round(classes))):
+        return classes.astype(np.int64)
+    return classes
+
+
 class _TreeBase:
     """Shared structure: flat node arrays plus a vectorized row router."""
 
@@ -259,7 +269,7 @@ class DecisionTreeClassifier(_TreeBase):
     def from_dict(cls, doc: dict) -> "DecisionTreeClassifier":
         tree = cls()
         tree._load_structure(doc)
-        tree.classes_ = np.asarray(doc["classes"])
+        tree.classes_ = _document_classes(doc["classes"])
         tree.leaf_counts = [
             None if c is None else np.asarray(c, dtype=np.float64)
             for c in doc["leaf_counts"]

@@ -93,10 +93,20 @@ def zero_phase_filter(b: np.ndarray, a: np.ndarray, x: np.ndarray) -> np.ndarray
     return filtfilt(b, a, x)
 
 
-def butterworth_lowpass(s: SampleSeries, cfg: FilterConfig | None = None) -> SampleSeries:
-    """Zero-phase low-pass Butterworth of cfg.order_n at cfg.cutoff_wn."""
-    cfg = cfg or FilterConfig()
-    b, a = butter_lowpass_coefficients(cfg.order_n, cfg.cutoff_wn)
+def butterworth_lowpass(
+    s: SampleSeries,
+    cfg: FilterConfig | None = None,
+    design: tuple[np.ndarray, np.ndarray] | None = None,
+) -> SampleSeries:
+    """Zero-phase low-pass Butterworth of cfg.order_n at cfg.cutoff_wn.
+
+    design is the (b, a) of butter_lowpass_coefficients for cfg, when the
+    caller already holds it; cfg is then not read.
+    """
+    if design is None:
+        cfg = cfg or FilterConfig()
+        design = butter_lowpass_coefficients(cfg.order_n, cfg.cutoff_wn)
+    b, a = design
     return s.with_values(zero_phase_filter(b, a, s.values))
 
 
@@ -104,12 +114,15 @@ def preprocess_ppg(
     records: Sequence[SampleSeries],
     cfg: FilterConfig | None = None,
     on_step: Callable[[str], None] | None = None,
+    design: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> SampleSeries:
     """Run the full preprocessing pipeline over per-subject PPG records.
 
     Steps, in fixed order: per-record mean subtraction, concatenation,
     linear detrend, min-max normalization to [0,1], subtraction of the
-    value-modulo-mean remainder, zero-phase Butterworth low-pass.
+    value-modulo-mean remainder, zero-phase Butterworth low-pass. A caller
+    that filters many records at one rate designs the low-pass once and
+    passes its (b, a) as design, in place of cfg.
     """
     if not records:
         raise DegenerateInput("preprocess_ppg needs at least one record")
@@ -140,7 +153,7 @@ def preprocess_ppg(
         emit("normalize")
         combined = modulo_mean_correct(combined)
         emit("mod-subtract")
-        combined = butterworth_lowpass(combined, cfg)
+        combined = butterworth_lowpass(combined, cfg, design)
         emit("filter")
     except (DegenerateInput, InputError) as exc:
         raise type(exc)(f"preprocess_ppg over {len(records)} record(s): {exc}") from exc

@@ -11,6 +11,7 @@ peak locations and amplitude ratios recover both targets.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -18,7 +19,7 @@ import numpy as np
 
 from ..errors import InputError
 from ..signals import DEFAULT_PPG_RATE_HZ, Channel, SampleSeries
-from .stress_session import ou_process
+from .stress_session import ou_process, span_samples
 
 PPG_RATE_HZ = DEFAULT_PPG_RATE_HZ
 TARGET_RATE_HZ = 1.0
@@ -86,29 +87,53 @@ def _latent_pressures(
 def _ppg_from_pressures(
     sbp: np.ndarray, dbp: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
+    """Baseline wander and noise plus one two-Gaussian pulse per beat.
+
+    Beat times, the heart-rate draw and the gain draw are sequential, so a
+    scalar loop computes them in Python floats; the pulses are then added in
+    one array pass. Beat k covers samples [ceil(t_k fs), ceil(t_{k+1} fs)) with
+    t_{k+1} the same float on both sides, so the spans never overlap and each
+    sample gets one addition, as a per-beat loop would give it. The per-beat
+    widths are squared as scalars (libm pow), not as arrays (x * x), because
+    the two can differ in the last bit.
+    """
     duration_s = sbp.size
     n = int(duration_s * PPG_RATE_HZ)
     t = np.arange(n) / PPG_RATE_HZ
     values = 0.03 * np.sin(2 * np.pi * 0.05 * t + rng.uniform(0, 2 * np.pi))
     values += 0.012 * rng.normal(size=n)
+    sbp_s, dbp_s = sbp.tolist(), dbp.tolist()
+    # One row per beat whose span holds a sample: first sample, sample count,
+    # start time, interval, gain, and the pulse shape: the first Gaussian's
+    # width term, the second's offset and its width term.
+    beats = []
     beat_t = 0.0
     last = duration_s - 1
     while True:
         sec = min(int(beat_t), last)
-        hr = HR_BASE_BPM + HR_PER_SBP * sbp[sec] + 0.6 * rng.normal()
+        hr = HR_BASE_BPM + HR_PER_SBP * sbp_s[sec] + 0.6 * rng.normal()
         ibi = 60.0 / hr
         end_t = beat_t + ibi
         if end_t >= duration_s:
             break
-        duty = DUTY_BASE + DUTY_PER_DBP * (dbp[sec] - DBP_RANGE_MMHG[0])
-        i0 = int(np.ceil(beat_t * PPG_RATE_HZ))
-        i1 = min(n, int(np.ceil(end_t * PPG_RATE_HZ)))
+        duty = DUTY_BASE + DUTY_PER_DBP * (dbp_s[sec] - DBP_RANGE_MMHG[0])
+        i0 = math.ceil(beat_t * PPG_RATE_HZ)
+        i1 = min(n, math.ceil(end_t * PPG_RATE_HZ))
         if i1 > i0:
-            phase = (t[i0:i1] - beat_t) / ibi
-            pulse = np.exp(-((phase - 0.3) ** 2) / (2 * duty**2))
-            pulse += 0.35 * np.exp(-((phase - 0.3 - 2.2 * duty) ** 2) / (2 * (0.7 * duty) ** 2))
-            values[i0:i1] += (1.0 + 0.02 * rng.normal()) * pulse
+            gain = 1.0 + 0.02 * rng.normal()
+            shape = (2 * duty**2, 2.2 * duty, 2 * (0.7 * duty) ** 2)
+            beats.append((i0, i1 - i0, beat_t, ibi, gain, *shape))
         beat_t = end_t
+    if not beats:
+        return values
+    table = np.array(beats)
+    first, counts = table[:, 0].astype(np.int64), table[:, 1].astype(np.int64)
+    idx = span_samples(first, counts)
+    start, ibi, gain, width1, shift2, width2 = np.repeat(table[:, 2:].T, counts, axis=1)
+    phase = (t[idx] - start) / ibi
+    pulse = np.exp(-((phase - 0.3) ** 2) / width1)
+    pulse += 0.35 * np.exp(-((phase - 0.3 - shift2) ** 2) / width2)
+    values[idx] += gain * pulse
     return values
 
 

@@ -89,6 +89,12 @@ def ou_process(
     return single_pass_filter(np.array([1.0]), np.array([1.0, -a]), drive)
 
 
+def span_samples(first: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Sample indices of the spans [first[k], first[k] + counts[k]), span after
+    span, so per-span values spread with np.repeat(values, counts) line up."""
+    return np.repeat(first - (np.cumsum(counts) - counts), counts) + np.arange(counts.sum())
+
+
 def _scr_template(rate_hz: float) -> np.ndarray:
     t = np.arange(0.0, SCR_DECAY_S * 4, 1.0 / rate_hz)
     rising = np.minimum(t / SCR_RISE_S, 1.0)
@@ -146,22 +152,19 @@ def _beat_sequence(
     cannot remove it and weak late-recovery effects stay genuinely hard.
     """
     n4 = env_hr.size
-    hr_wander = ou_process(n4, EDA_RATE_HZ, 240.0, 1.8, rng)
-    hrv_wander = ou_process(n4, EDA_RATE_HZ, 240.0, 0.10, rng)
+    hr_wander = ou_process(n4, EDA_RATE_HZ, 240.0, 1.8, rng).tolist()
+    hrv_wander = ou_process(n4, EDA_RATE_HZ, 240.0, 0.10, rng).tolist()
+    env_hr_s, env_hrv_s = env_hr.tolist(), env_hrv.tolist()
     beats: list[tuple[float, float]] = []
     t = float(rng.uniform(0.2, 0.6))
     amp = profile.stress_amplitude
     last = n4 - 1
     while True:
         i = min(int(t * EDA_RATE_HZ), last)
-        hr = (
-            profile.baseline_hr_bpm
-            + HR_GAIN_BPM * amp * float(env_hr[i])
-            + float(hr_wander[i])
-        )
-        scale = max(0.2, 1.0 + float(hrv_wander[i]))
-        jitter = HRV_JITTER_S * scale * (1.0 - HRV_DAMPING * amp * float(env_hrv[i]))
-        ibi = float(np.clip(60.0 / hr + jitter * rng.normal(), 0.31, 1.99))
+        hr = profile.baseline_hr_bpm + HR_GAIN_BPM * amp * env_hr_s[i] + hr_wander[i]
+        scale = max(0.2, 1.0 + hrv_wander[i])
+        jitter = HRV_JITTER_S * scale * (1.0 - HRV_DAMPING * amp * env_hrv_s[i])
+        ibi = min(max(60.0 / hr + jitter * rng.normal(), 0.31), 1.99)
         if t + ibi >= duration_s:
             break
         t += ibi
@@ -176,6 +179,12 @@ def _bvp_stream(
     env_hr: np.ndarray,
     rng: np.random.Generator,
 ) -> np.ndarray:
+    """Baseline wander and noise plus one two-Gaussian pulse per beat, each
+    over the samples of its preceding interval. The pulses are added in one
+    np.add.at pass: a span starts at beat_t - ibi, which need not equal the
+    previous beat's time to the bit, so neighbouring spans may share a sample,
+    and np.add.at adds repeated indices in beat order as a per-beat loop
+    would."""
     n = int(duration_s * BVP_RATE_HZ)
     t = np.arange(n) / BVP_RATE_HZ
     values = 0.1 * np.sin(2 * np.pi * 0.08 * t)  # slow baseline wander
@@ -183,21 +192,21 @@ def _bvp_stream(
     last = env_hr.size - 1
     # Contact-pressure drift modulates amplitude on window-scale correlations.
     amp_wander = ou_process(env_hr.size, EDA_RATE_HZ, 240.0, 0.05, rng)
-    beat_idx = np.array([min(int(bt * EDA_RATE_HZ), last) for bt, _ in beats])
+    beat_t, ibi = np.array(beats, dtype=np.float64).reshape(-1, 2).T
+    beat_idx = np.minimum((beat_t * EDA_RATE_HZ).astype(np.int64), last)
     constriction = (
         1.0 - BVP_CONSTRICTION * profile.stress_amplitude * env_hr[beat_idx]
     ) * (1.0 + amp_wander[beat_idx])
     beat_amplitudes = constriction * (1.0 + 0.07 * rng.normal(size=len(beats)))
-    for (beat_t, ibi), amp in zip(beats, beat_amplitudes):
-        start_t = beat_t - ibi
-        i0 = max(0, int(np.ceil(start_t * BVP_RATE_HZ)))
-        i1 = min(n, int(np.ceil(beat_t * BVP_RATE_HZ)))
-        if i1 <= i0:
-            continue
-        phase = (t[i0:i1] - start_t) / ibi
-        pulse = np.exp(-((phase - 0.25) ** 2) / (2 * 0.09**2))
-        pulse += 0.25 * np.exp(-((phase - 0.55) ** 2) / (2 * 0.07**2))
-        values[i0:i1] += amp * pulse
+    start_t = beat_t - ibi
+    i0 = np.maximum(0, np.ceil(start_t * BVP_RATE_HZ).astype(np.int64))
+    i1 = np.minimum(n, np.ceil(beat_t * BVP_RATE_HZ).astype(np.int64))
+    counts = np.maximum(i1 - i0, 0)
+    idx = span_samples(i0, counts)
+    phase = (t[idx] - np.repeat(start_t, counts)) / np.repeat(ibi, counts)
+    pulse = np.exp(-((phase - 0.25) ** 2) / (2 * 0.09**2))
+    pulse += 0.25 * np.exp(-((phase - 0.55) ** 2) / (2 * 0.07**2))
+    np.add.at(values, idx, np.repeat(beat_amplitudes, counts) * pulse)
     return values
 
 

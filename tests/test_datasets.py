@@ -8,9 +8,9 @@ import pytest
 from helpers import make_bundle
 from homevitals.datasets import bp_rows, segment_targets, stress_rows
 from homevitals.experiments import build_bp_dataset, build_stress_dataset, stress_fusion_experiment
-from homevitals.features import BP_REDUCED_NAMES
+from homevitals.features import BP_REDUCED_NAMES, bp_reduced_features
 from homevitals.labeling import CortisolSample, Timepoint
-from homevitals.signals import Channel, SampleSeries, WindowSpec
+from homevitals.signals import Channel, SampleSeries, WindowSpec, dsp
 from homevitals.simulate import simulate_bp_records
 
 MIN_MS = 60_000
@@ -76,6 +76,26 @@ class TestBpRows:
         segments = bp_rows(ppg, short, short, "R00")
         assert [row.origin for row, _, _ in segments] == ["0"]
         assert segments[0][1] == pytest.approx(unit.sbp.values[:40].mean())
+
+    def test_one_filter_design_per_record(self, monkeypatch):
+        # A 30-min 125 Hz record has 45 segments at one rate; the low-pass is
+        # designed once for all of them, and the rows equal those of segments
+        # that each design their own.
+        unit = simulate_bp_records(1, "short_term", seed=6)[0].units[0]
+        reference = [
+            bp_reduced_features(unit.ppg.slice_samples(i0, i0 + 5000), f"0:{k}", "R00")
+            for k, i0 in enumerate(range(0, len(unit.ppg), 5000))
+        ]
+        calls = []
+        butter = dsp.butter
+        monkeypatch.setattr(dsp, "butter", lambda *a, **kw: calls.append(a) or butter(*a, **kw))
+        rows = [row for row, _, _ in bp_rows(unit.ppg, unit.sbp, unit.dbp, "R00", "0:")]
+        assert len(calls) == 1 and len(rows) == len(reference) == 45
+        for row, ref in zip(rows, reference):
+            assert (row.subject_id, row.origin, row.names, row.flags) == (
+                ref.subject_id, ref.origin, ref.names, ref.flags
+            )
+            assert row.values.tobytes() == ref.values.tobytes()
 
     def test_build_bp_dataset_rows_are_pinned(self):
         # Digests of the rows, names and targets the experiments train on, so

@@ -161,6 +161,32 @@ class TestDecisionTreeClassifier:
         assert np.array_equal(tree.predict(probe), clone.predict(probe))
 
 
+@pytest.mark.parametrize("cls", [DecisionTreeClassifier, RandomForestClassifier])
+def test_loaded_classifier_predicts_the_fitted_labels_and_dtype(cls, rng):
+    # Documents write classes as floats; a loaded classifier still returns the
+    # int64 labels it was fitted with, and its document bytes do not move.
+    X = np.round(rng.normal(size=(60, 4)), 1)
+    y = (X[:, 0] > 0).astype(np.int64) + 2 * (X[:, 1] > 0.5)
+    params = {"n_trees": 5} if cls is RandomForestClassifier else {"max_depth": 4}
+    model = cls(seed=3, **params).fit(X, y)
+    clone = cls.from_dict(json.loads(json.dumps(model.to_dict())))
+    probe = np.vstack([X, rng.normal(size=(20, 4))])
+    fitted, loaded = model.predict(probe), clone.predict(probe)
+    assert fitted.dtype == loaded.dtype == np.int64
+    assert loaded.tobytes() == fitted.tobytes()
+    assert clone.predict_proba(probe).tobytes() == model.predict_proba(probe).tobytes()
+    assert digest(clone.to_dict()) == digest(model.to_dict())
+
+
+def test_loaded_classifier_keeps_fractional_classes_as_floats(rng):
+    X = rng.normal(size=(30, 2))
+    y = np.where(X[:, 0] > 0, 0.5, 1.5)
+    tree = DecisionTreeClassifier(max_depth=2).fit(X, y)
+    clone = DecisionTreeClassifier.from_dict(tree.to_dict())
+    assert clone.predict(X).dtype == np.float64
+    assert clone.predict(X).tobytes() == tree.predict(X).tobytes()
+
+
 class TestDecisionTreeRegressor:
     def test_constant_target(self, rng):
         X = rng.normal(size=(20, 2))
