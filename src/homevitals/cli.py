@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
+import signal
 import sys
 import urllib.error
 import urllib.request
@@ -25,12 +27,30 @@ import numpy as np
 
 from . import experiments
 from .datasets import FOREST_PARAMS
-from .errors import HomevitalsError, NotFound
-from .labeling import save_cortisol_csv
+from .errors import FormatError, HomevitalsError, NotFound
+from .labeling import load_cortisol_csv, save_cortisol_csv
 from .location import EventLog, format_message, register, resolve_location
 from .service import JsonlStore, ServiceConfig, VitalsHttpServer, VitalsService, load_config
-from .signals import save_ibi_csv, save_series_csv
+from .signals import Channel, load_ibi_csv, load_series_csv, save_ibi_csv, save_series_csv
 from .simulate import cohort_sessions, simulate_bp_records
+from .simulate.bp_records import TARGET_RATE_HZ
+
+
+#: The files of a simulate set are {stem}_{part}.csv, found by the first part:
+#: a session set's stem is the subject id, with optional ibi and cortisol parts
+#: beside these series; a BP unit's stem is {record_id}_u{u}. A series part is
+#: the bundle's or unit's attribute of that name, read with this channel, rate
+#: (None: the channel's own) and sync-body chunk name (None: the channel's).
+SESSION_FILES = {part: (Channel[part.upper()], None, None) for part in ("eda", "bvp", "st")}
+UNIT_FILES = {
+    "ppg": (Channel.PPG, None, None),
+    "sbp": (Channel.DERIVED, TARGET_RATE_HZ, "sbp_mmhg"),
+    "dbp": (Channel.DERIVED, TARGET_RATE_HZ, "dbp_mmhg"),
+}
+
+
+def _set_file(folder: Path, stem: str, part: str) -> Path:
+    return folder / f"{stem}_{part}.csv"
 
 
 def _cmd_simulate_stress(args) -> int:
@@ -38,11 +58,10 @@ def _cmd_simulate_stress(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     for profile, bundle, samples in cohort_sessions(args.subjects, seed=args.seed):
         sid = profile.subject_id
-        save_series_csv(bundle.eda, out / f"{sid}_eda.csv")
-        save_series_csv(bundle.bvp, out / f"{sid}_bvp.csv")
-        save_series_csv(bundle.st, out / f"{sid}_st.csv")
-        save_ibi_csv(bundle.ibi, out / f"{sid}_ibi.csv")
-        save_cortisol_csv(samples, out / f"{sid}_cortisol.csv")
+        for part in SESSION_FILES:
+            save_series_csv(getattr(bundle, part), _set_file(out, sid, part))
+        save_ibi_csv(bundle.ibi, _set_file(out, sid, "ibi"))
+        save_cortisol_csv(samples, _set_file(out, sid, "cortisol"))
     print(f"wrote {args.subjects} subject sessions to {out}")
     return 0
 
@@ -55,35 +74,17 @@ def _cmd_simulate_bp(args) -> int:
     for record in records:
         for u, unit in enumerate(record.units):
             stem = f"{record.record_id}_u{u}"
-            save_series_csv(unit.ppg, out / f"{stem}_ppg.csv")
-            save_series_csv(unit.sbp, out / f"{stem}_sbp.csv")
-            save_series_csv(unit.dbp, out / f"{stem}_dbp.csv")
+            for part in UNIT_FILES:
+                save_series_csv(getattr(unit, part), _set_file(out, stem, part))
     print(f"wrote {len(records)} {args.mode}-term records to {out}")
     return 0
 
 
 def _cmd_simulate_locate(args) -> int:
-    script = json.loads(Path(args.script).read_text())
-    users = [(int(index), identity) for index, identity in script.get("users", {}).items()]
-    locations = [(int(index), room) for index, room in script.get("locations", {}).items()]
-    table = register(users, locations)
-    rooms = {room: index for index, room in locations}
-    identity_index = {identity: index for index, identity in users}
-
-    clock_ms = [0]
-    log = EventLog(table, clock=lambda: clock_ms[0])
-    rng = np.random.default_rng(args.seed)
-    lines = []
-    for step in script.get("steps", []):
-        clock_ms[0] = int(step["t_s"] * 1000)
-        room = step.get("room")
-        identity = step["user"]
-        if room is not None:
-            log.ingest_event("user", identity_index[identity])
-            clock_ms[0] += int(rng.uniform(0, 4500))
-            log.ingest_event("location", rooms[room])
-        result = resolve_location(identity, log)
-        lines.append(format_message(result))
+    try:
+        lines = _replay_locate_script(json.loads(Path(args.script).read_text()), args.seed)
+    except (AttributeError, HomevitalsError, OverflowError, TypeError, ValueError) as exc:
+        raise FormatError(f"{args.script}: {exc}") from exc
     output = "\n".join(lines) + "\n"
     if args.out:
         Path(args.out).write_text(output)
@@ -92,33 +93,65 @@ def _cmd_simulate_locate(args) -> int:
     return 0
 
 
+def _replay_locate_script(script: dict, seed: int) -> list[str]:
+    """One location message per step of a co-location script. A malformed
+    script raises one of the errors _cmd_simulate_locate reports."""
+    users = [(int(index), identity) for index, identity in script.get("users", {}).items()]
+    locations = [(int(index), room) for index, room in script.get("locations", {}).items()]
+    table = register(users, locations)
+    rooms = {room: index for index, room in locations}
+    identity_index = {identity: index for index, identity in users}
+
+    clock_ms = [0]
+    log = EventLog(table, clock=lambda: clock_ms[0])
+    rng = np.random.default_rng(seed)
+    lines = []
+    for n, step in enumerate(script.get("steps", []), start=1):
+        if not {"t_s", "user"} <= step.keys():
+            raise ValueError(f"step {n} needs t_s and user")
+        t_s, identity, room = step["t_s"], step["user"], step.get("room")
+        if not isinstance(t_s, (int, float)) or not math.isfinite(t_s):
+            raise ValueError(f"step {n}: t_s {t_s!r} is not a finite number")
+        if identity not in identity_index:
+            raise ValueError(f"step {n}: user {identity!r} is not registered")
+        if room is not None and room not in rooms:
+            raise ValueError(f"step {n}: room {room!r} is not registered")
+        clock_ms[0] = int(t_s * 1000)
+        if room is not None:
+            log.ingest_event("user", identity_index[identity])
+            clock_ms[0] += int(rng.uniform(0, 4500))
+            log.ingest_event("location", rooms[room])
+        lines.append(format_message(resolve_location(identity, log)))
+    return lines
+
+
 def _cmd_ingest(args) -> int:
     """Load simulate-format CSV sets from a directory into a store."""
-    from .labeling import load_cortisol_csv
     from .service import sync_body
-    from .signals import Channel, load_ibi_csv, load_series_csv
 
     data = Path(args.data)
 
+    def stems(files: dict) -> list[str]:
+        suffix = _set_file(data, "", next(iter(files))).name
+        return sorted(p.name[: -len(suffix)] for p in data.glob(f"*{suffix}"))
+
+    def series(stem: str, files: dict) -> list:
+        return [
+            (name, load_series_csv(_set_file(data, stem, part), channel, rate_hz))
+            for part, (channel, rate_hz, name) in files.items()
+        ]
+
     def subject_bodies():
-        wrist = {"eda": Channel.EDA, "bvp": Channel.BVP, "st": Channel.ST}
-        for sid in sorted({p.name.rsplit("_", 1)[0] for p in data.glob("*_eda.csv")}):
-            ibi, cortisol = data / f"{sid}_ibi.csv", data / f"{sid}_cortisol.csv"
+        for sid in stems(SESSION_FILES):
+            ibi, cortisol = _set_file(data, sid, "ibi"), _set_file(data, sid, "cortisol")
             yield sync_body(
                 sid,
-                [load_series_csv(data / f"{sid}_{stem}.csv", ch) for stem, ch in wrist.items()],
+                series(sid, SESSION_FILES),
                 ibi=load_ibi_csv(ibi) if ibi.exists() else None,
                 cortisol=load_cortisol_csv(cortisol) if cortisol.exists() else (),
             )
-        for stem in sorted({p.name[: -len("_ppg.csv")] for p in data.glob("*_ppg.csv")}):
-            yield sync_body(
-                stem.rsplit("_u", 1)[0],
-                [
-                    load_series_csv(data / f"{stem}_ppg.csv", Channel.PPG),
-                    ("sbp_mmhg", load_series_csv(data / f"{stem}_sbp.csv", Channel.DERIVED, 1.0)),
-                    ("dbp_mmhg", load_series_csv(data / f"{stem}_dbp.csv", Channel.DERIVED, 1.0)),
-                ],
-            )
+        for stem in stems(UNIT_FILES):
+            yield sync_body(stem.rsplit("_u", 1)[0], series(stem, UNIT_FILES))
 
     store = JsonlStore(args.store)
     try:
@@ -223,6 +256,11 @@ def _cmd_serve(args) -> int:
 
         config = replace(config, listen_port=args.port)
     server = VitalsHttpServer(config)
+    # SIGTERM, and SIGINT even where it was inherited as ignored (a background
+    # job of a non-interactive shell), stop the server as Ctrl-C does: through
+    # KeyboardInterrupt and shutdown(), which closes the store.
+    for signum in (signal.SIGINT, signal.SIGTERM):
+        signal.signal(signum, signal.default_int_handler)
     print(f"listening on {config.listen_host}:{server.port}", flush=True)
     try:
         server.serve_forever()
@@ -329,7 +367,7 @@ def main(argv: list[str] | None = None) -> int:
     except NotFound as exc:
         print(f"not found: {exc}", file=sys.stderr)
         return 1
-    except HomevitalsError as exc:
+    except (HomevitalsError, OSError) as exc:  # OSError: a missing file, a port in use, ...
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

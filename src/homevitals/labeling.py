@@ -8,7 +8,6 @@ at least (1 + threshold) times the subject's T1 baseline.
 
 from __future__ import annotations
 
-import csv
 import logging
 import warnings
 from dataclasses import dataclass
@@ -18,8 +17,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import BaselineMissing, FormatError, InputError
-from .signals import Window
+from .errors import BaselineMissing, InputError
+from .signals.series import Window, read_csv_table, write_csv_table
 
 log = logging.getLogger(__name__)
 
@@ -199,30 +198,17 @@ def summarize_cortisol(
     return out
 
 
-CORTISOL_CSV_HEADER = ["subject_id", "timepoint", "t_ms", "concentration_ugdl"]
+CORTISOL_CSV_HEADER = ("subject_id", "timepoint", "t_ms", "concentration_ugdl")
+
+
+def _cortisol_row(row: list[str]) -> CortisolSample:
+    return CortisolSample(row[0], Timepoint(row[1]), int(row[2]), float(row[3]))
 
 
 def save_cortisol_csv(samples: Sequence[CortisolSample], path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CORTISOL_CSV_HEADER)
-        for s in samples:
-            writer.writerow(
-                [s.subject_id, s.timepoint.value, s.t_ms, repr(float(s.concentration_ugdl))]
-            )
+    rows = ((s.subject_id, s.timepoint.value, s.t_ms, float(s.concentration_ugdl)) for s in samples)
+    write_csv_table(path, CORTISOL_CSV_HEADER, rows)
 
 
 def load_cortisol_csv(path: str | Path) -> list[CortisolSample]:
-    out: list[CortisolSample] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != CORTISOL_CSV_HEADER:
-            raise FormatError(f"{path}: expected header {','.join(CORTISOL_CSV_HEADER)}")
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != 4:
-                raise FormatError(f"{path}:{lineno}: expected 4 columns")
-            out.append(
-                CortisolSample(row[0], Timepoint(row[1]), int(row[2]), float(row[3]))
-            )
-    return out
+    return read_csv_table(path, CORTISOL_CSV_HEADER, _cortisol_row)

@@ -3,6 +3,7 @@ shapes, serve/locate round-trip, exit codes."""
 
 import json
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -315,3 +316,129 @@ class TestServeAndLocate:
 def test_unknown_command_exits_nonzero():
     result = run_cli("frobnicate")
     assert result.returncode == 2
+
+
+def stored_subjects(store: Path) -> set[str]:
+    return {json.loads(line)["subject_id"] for line in store.read_text().splitlines()}
+
+
+class TestIngestRejectsBadFiles:
+    """A bad or missing file stops ingest with one error line; the subjects
+    synced before it stay stored."""
+
+    def ingest_error(self, data: Path, store: Path) -> str:
+        result = run_cli("ingest", "--store", str(store), "--data", str(data))
+        assert result.returncode == 1
+        assert "Traceback" not in result.stderr
+        [line] = result.stderr.splitlines()
+        assert line.startswith("error: ")
+        return line
+
+    def test_bad_cell(self, csv_set, tmp_path):
+        data, store = tmp_path / "data", tmp_path / "store.jsonl"
+        shutil.copytree(csv_set, data)
+        bvp = data / "S01_bvp.csv"
+        rows = bvp.read_bytes().split(b"\r\n")
+        rows[2] = b"abc," + rows[2].split(b",")[1]
+        bvp.write_bytes(b"\r\n".join(rows))
+        assert self.ingest_error(data, store).startswith(f"error: {bvp}:3: ")
+        assert stored_subjects(store) == {"S00"}
+
+    def test_missing_series_file(self, csv_set, tmp_path):
+        data, store = tmp_path / "data", tmp_path / "store.jsonl"
+        shutil.copytree(csv_set, data)
+        (data / "S01_st.csv").unlink()
+        assert str(data / "S01_st.csv") in self.ingest_error(data, store)
+        assert stored_subjects(store) == {"S00"}
+
+
+LOCATE_SCRIPT = {
+    "users": {"1": "alice", "2": "bob"},
+    "locations": {"10": "kitchen", "11": "bedroom"},
+    "steps": [
+        {"t_s": 0, "user": "alice", "room": "kitchen"},
+        {"t_s": 30, "user": "bob", "room": "bedroom"},
+        {"t_s": 31.5, "user": "alice", "room": "bedroom"},
+        {"t_s": 100, "user": "bob", "room": None},
+    ],
+}
+
+
+class TestSimulateLocateScripts:
+    def test_output_is_pinned(self, tmp_path, capsys):
+        script = tmp_path / "script.json"
+        script.write_text(json.dumps(LOCATE_SCRIPT))
+        assert cli.main(["simulate", "locate", "--script", str(script), "--seed", "7"]) == 0
+        assert capsys.readouterr().out == (
+            '{"i_loc":10,"i_tag":1,"room":"kitchen","status":"ok","t1_ms":0,"t2_ms":2812,"user":"alice"}\n'
+            '{"i_loc":11,"i_tag":2,"room":"bedroom","status":"ok","t1_ms":30000,"t2_ms":34037,"user":"bob"}\n'
+            '{"i_loc":11,"i_tag":1,"room":"bedroom","status":"ok","t1_ms":34037,"t2_ms":34990,"user":"alice"}\n'
+            '{"identity":"bob","reason":"no matching tag events in range","status":"not_found"}\n'
+        )
+
+    @pytest.mark.parametrize(
+        ("text", "reason"),
+        [
+            ('{"users": {"1": "alice"},', "Expecting"),
+            (json.dumps({**LOCATE_SCRIPT, "users": {"one": "alice"}}), "'one'"),
+            (json.dumps({**LOCATE_SCRIPT, "steps": [{"user": "alice"}]}), "step 1 needs t_s"),
+            (json.dumps({**LOCATE_SCRIPT, "steps": [{"t_s": 0}]}), "step 1 needs t_s and user"),
+            (
+                json.dumps({**LOCATE_SCRIPT, "steps": [{"t_s": "5", "user": "bob"}]}),
+                "t_s '5' is not a finite number",
+            ),
+            (
+                json.dumps({**LOCATE_SCRIPT, "steps": [{"t_s": 0, "user": "carol"}]}),
+                "user 'carol' is not registered",
+            ),
+            (
+                json.dumps({**LOCATE_SCRIPT, "steps": [{"t_s": 0, "user": "bob", "room": "den"}]}),
+                "room 'den' is not registered",
+            ),
+        ],
+        ids=[
+            "invalid json",
+            "index not an integer",
+            "no t_s",
+            "no user",
+            "t_s not a number",
+            "unknown user",
+            "unknown room",
+        ],
+    )
+    def test_malformed_script_is_one_error_line(self, tmp_path, capsys, text, reason):
+        script = tmp_path / "script.json"
+        script.write_text(text)
+        assert cli.main(["simulate", "locate", "--script", str(script)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith(f"error: {script}: ") and reason in line
+
+
+def ignore_sigint() -> None:
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+
+
+@pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGINT], ids=["SIGTERM", "SIGINT"])
+def test_serve_stops_cleanly_on_signal_even_with_sigint_ignored(tmp_path, signum):
+    # A background job of a non-interactive shell inherits SIGINT as ignored.
+    store = tmp_path / "store.jsonl"
+    config = tmp_path / "service.cfg"
+    config.write_text(f"listen_port = 0\nstorage_path = {store}\n")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "homevitals.cli", "serve", "--config", str(config)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=SRC),
+        preexec_fn=ignore_sigint,
+    )
+    try:
+        assert proc.stdout.readline().startswith(b"listening on ")
+        proc.send_signal(signum)
+        assert proc.wait(timeout=10) == 0
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+        proc.communicate()
+    assert store.with_name(store.name + ".index").exists()

@@ -1,7 +1,8 @@
 """Source hygiene without a linter: every exported name resolves, and no module
 under src/homevitals keeps a top-level import it never uses or a private
 top-level function, class or constant that nothing in the module reads, and
-no dataclass keeps a field that nothing in src/ or tests/ reads."""
+no dataclass keeps a field that nothing in src/ or tests/ reads, and one module
+alone reads and writes CSV."""
 
 import ast
 import importlib
@@ -160,3 +161,18 @@ def test_every_dataclass_field_is_read_somewhere():
         if name not in read
     )
     assert unread == []
+
+
+def imports_module(tree: ast.Module, name: str) -> bool:
+    return any(
+        (isinstance(node, ast.Import) and any(alias.name == name for alias in node.names))
+        or (isinstance(node, ast.ImportFrom) and node.module == name)
+        for node in ast.walk(tree)
+    )
+
+
+def test_one_module_holds_the_csv_format():
+    importers = [
+        module_name(path) for path in MODULES if imports_module(ast.parse(path.read_text()), "csv")
+    ]
+    assert importers == ["homevitals.signals.series"]
