@@ -5,6 +5,11 @@ Per round: fit the base on a weight-proportional resample, compute absolute
 errors normalized by their maximum, average them under the current weights
 (the round loss L), stop if L >= 0.5, otherwise keep the member with weight
 ln(1/beta) where beta = L / (1 - L) and reweight toward the hard rows.
+
+With tree members, `fit` and `from_dict` stack the members into one node
+table with their leaf values, so a prediction routes every row through all
+members in one pass before the weighted median; MLP members predict one by
+one.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ import numpy as np
 
 from ..errors import InputError
 from .mlp import MlpRegressor
-from .tree import DecisionTreeRegressor, _validate_xy
+from .tree import DecisionTreeRegressor, _NodeTable, _validate_xy
 
 log = logging.getLogger(__name__)
 
@@ -89,13 +94,24 @@ class AdaBoostR2:
                 if total <= 0:
                     break
                 weights = weights / total
+        self._stack_members()
         return self
+
+    def _stack_members(self) -> None:
+        """Stack tree members into one node table with their leaf values."""
+        if self.base_kind == "dt" and self.members:
+            trees = [m for m, _ in self.members]
+            self._nodes = _NodeTable.stack(trees)
+            self._leaf_value = np.concatenate([tree._leaf_value for tree in trees])
 
     def predict(self, X) -> np.ndarray:
         if not self.members:
             raise InputError("ensemble is not fitted")
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        preds = np.vstack([m.predict(X) for m, _ in self.members]).T  # (n, members)
+        if self.base_kind == "dt":
+            preds = self._leaf_value[self._nodes.route(X)]  # (n, members)
+        else:
+            preds = np.vstack([m.predict(X) for m, _ in self.members]).T
         member_weights = np.asarray([w for _, w in self.members])
         order = np.argsort(preds, axis=1)
         sorted_weights = member_weights[order]
@@ -131,4 +147,5 @@ class AdaBoostR2:
         ensemble.members = [
             (base_cls.from_dict(m["model"]), float(m["weight"])) for m in doc["members"]
         ]
+        ensemble._stack_members()
         return ensemble

@@ -3,6 +3,10 @@
 Each tree trains on a bootstrap resample with ceil(sqrt(d)) candidate
 features per split; the forest probability is the fraction of tree votes and
 class ties break to the lowest class (not-stressed in the stress pipeline).
+
+`fit` and `from_dict` stack the trees into one node table whose leaves hold
+the forest column of the class their tree predicts there, so a prediction is
+one routing pass over all trees followed by an integer vote count.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ import math
 import numpy as np
 
 from ..errors import DegenerateTraining, InputError
-from .tree import DecisionTreeClassifier, _document_classes, _validate_xy
+from .tree import DecisionTreeClassifier, _document_classes, _NodeTable, _validate_xy
 
 
 class RandomForestClassifier:
@@ -63,27 +67,34 @@ class RandomForestClassifier:
             tree.fit(X[boot], yb)
             self.trees.append(tree)
             self.bootstrap_indices.append(boot)
+        self._stack_trees()
         return self
 
-    def _vote_matrix(self, X: np.ndarray) -> np.ndarray:
-        """votes[i, k]: number of trees predicting class k for row i.
+    def _stack_trees(self) -> None:
+        """Build the stacked node table. A leaf's vote is the first maximum of
+        its tree's leaf probabilities, as DecisionTreeClassifier.predict takes
+        it; a tree fit on a one-class resample knows only that class, so
+        searchsorted finds its column among the forest's."""
+        self._nodes = _NodeTable.stack(self.trees)
+        self._vote_column = np.concatenate([
+            np.searchsorted(self.classes_, tree.classes_[np.argmax(tree._leaf_proba, axis=1)])
+            for tree in self.trees
+        ])
 
-        A tree fit on a one-class resample predicts only that class;
-        searchsorted finds that class's column among the forest's."""
+    def _votes(self, X) -> np.ndarray:
+        """votes[i, k]: number of trees voting for class k on row i."""
         X = np.asarray(X, dtype=np.float64)
-        votes = np.zeros((X.shape[0], len(self.classes_)))
-        for tree in self.trees:
-            pred = tree.predict(X)
-            cols = np.searchsorted(self.classes_, pred)
-            votes[np.arange(X.shape[0]), cols] += 1.0
-        return votes
+        columns = self._vote_column[self._nodes.route(X)]  # (rows, trees)
+        n_rows, n_classes = columns.shape[0], len(self.classes_)
+        cells = np.arange(n_rows)[:, None] * n_classes + columns
+        return np.bincount(cells.ravel(), minlength=n_rows * n_classes).reshape(n_rows, n_classes)
 
     def predict_proba(self, X) -> np.ndarray:
         """Per-row fraction of tree votes, columns ordered by self.classes_."""
-        return self._vote_matrix(X) / self.n_trees
+        return self._votes(X) / self.n_trees
 
     def predict(self, X) -> np.ndarray:
-        votes = self._vote_matrix(X)
+        votes = self._votes(X)
         # argmax takes the first maximum, so ties go to the lowest class.
         return self.classes_[np.argmax(votes, axis=1)]
 
@@ -109,4 +120,5 @@ class RandomForestClassifier:
         )
         forest.classes_ = _document_classes(doc["classes"])
         forest.trees = [DecisionTreeClassifier.from_dict(t) for t in doc["trees"]]
+        forest._stack_trees()
         return forest

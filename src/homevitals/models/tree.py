@@ -14,6 +14,12 @@ prefix sums along the rows. The winner is the first minimal boundary within a
 feature and, across features, the first minimal feature in candidate order,
 exactly as a per-feature loop would choose, so training stays fast enough for
 hundred-tree forests and boosting.
+
+Prediction goes through one router, `_NodeTable.route`. A tree is a node
+table of one tree: `fit` and `from_dict` build its `feature`, `threshold`,
+`left` and `right` numpy arrays and its leaf payload once. Forests and
+boosted ensembles stack their trees into one table (`_NodeTable.stack`) and
+route every (row, tree) pair in one pass, level by level.
 """
 
 from __future__ import annotations
@@ -47,18 +53,81 @@ def _document_classes(values: list[float]) -> np.ndarray:
     return classes
 
 
-class _TreeBase:
-    """Shared structure: flat node arrays plus a vectorized row router."""
+class _NodeTable:
+    """The nodes of one or more trees as flat arrays: the split feature
+    (_LEAF at a leaf), the threshold, and the table ids of the left and right
+    children. Tree t starts at node roots[t]."""
+
+    def _set_nodes(self, feature, threshold, left, right, roots=(0,)) -> None:
+        self.feature = np.asarray(feature, dtype=np.int64)
+        self.threshold = np.asarray(threshold, dtype=np.float64)
+        self.left = np.asarray(left, dtype=np.int64)
+        self.right = np.asarray(right, dtype=np.int64)
+        self.roots = np.asarray(roots, dtype=np.int64)
+        # The fewest columns X can have: one past the highest split feature.
+        self.n_columns = int(self.feature.max(initial=_LEAF)) + 1
+        # The router's copy, in which a leaf tests column 0 and has itself as
+        # both children, so a pair that reaches a leaf stays there.
+        leaf = self.feature == _LEAF
+        ids = np.arange(leaf.size)
+        self._test = np.where(leaf, 0, self.feature)
+        self._if_below = np.where(leaf, ids, self.left)
+        self._if_not_below = np.where(leaf, ids, self.right)
+        self._depth, level = 0, self.roots[~leaf[self.roots]]
+        while level.size:
+            self._depth += 1
+            level = np.concatenate((self.left[level], self.right[level]))
+            level = level[~leaf[level]]
+
+    @staticmethod
+    def stack(trees: list["_NodeTable"]) -> "_NodeTable":
+        """One table holding every tree's nodes, in order, children re-indexed.
+        A leaf's children are never read, so they are shifted like the rest."""
+        sizes = [tree.feature.size for tree in trees]
+        offsets = np.concatenate(([0], np.cumsum(sizes)))[:-1]
+        table = _NodeTable()
+        table._set_nodes(
+            np.concatenate([tree.feature for tree in trees]),
+            np.concatenate([tree.threshold for tree in trees]),
+            np.concatenate([tree.left + at for tree, at in zip(trees, offsets)]),
+            np.concatenate([tree.right + at for tree, at in zip(trees, offsets)]),
+            roots=offsets,
+        )
+        return table
+
+    def route(self, X: np.ndarray) -> np.ndarray:
+        """The leaf id of every (row, tree) pair, shape (rows, trees).
+
+        All pairs start at their tree's root and step down one level per pass,
+        as many passes as the deepest leaf needs. A row goes left where its
+        value is below the threshold, so NaN goes right at every node.
+        """
+        if X.ndim != 2:
+            raise InputError(f"X must be 2-D, got shape {X.shape}")
+        if X.shape[1] < self.n_columns:
+            raise InputError(
+                f"X has {X.shape[1]} columns; the trees split on column {self.n_columns - 1}"
+            )
+        n_rows, n_trees = X.shape[0], self.roots.size
+        node = np.tile(self.roots, n_rows)
+        # Where each pair's row starts in X read as one flat C-order array.
+        row_start = np.repeat(np.arange(n_rows) * X.shape[1], n_trees)
+        values = np.ravel(X)
+        for _ in range(self._depth):
+            below = values[row_start + self._test[node]] < self.threshold[node]
+            node = np.where(below, self._if_below[node], self._if_not_below[node])
+        return node.reshape(n_rows, n_trees)
+
+
+class _TreeBase(_NodeTable):
+    """Shared structure: growth, and the node table of one tree."""
 
     def __init__(self, max_depth=None, min_samples_leaf=1, features_per_split=None, seed=0):
         self.max_depth = max_depth
         self.min_samples_leaf = int(min_samples_leaf)
         self.features_per_split = features_per_split
         self.seed = seed
-        self.feature: list[int] = []
-        self.threshold: list[float] = []
-        self.left: list[int] = []
-        self.right: list[int] = []
+        self._set_nodes([], [], [], [], roots=[])
 
     def _new_node(self, payloads: list) -> int:
         self.feature.append(_LEAF)
@@ -75,8 +144,8 @@ class _TreeBase:
         return rng.choice(d, size=k, replace=False)
 
     def _grow(self, X: np.ndarray, node_stats, best_split) -> list:
-        """Grow the tree over every row of X; return each node's leaf payload
-        (None for internal nodes).
+        """Grow the tree over every row of X, set its node arrays, and return
+        each node's leaf payload (None for internal nodes).
 
         node_stats(idx) gives (impurity, leaf payload) for the rows idx, and
         best_split(idx, features) gives (cost, position in features,
@@ -84,6 +153,7 @@ class _TreeBase:
         stop, so the seed's draws follow the depth-first order exactly.
         """
         rng = np.random.default_rng(self.seed)
+        # Nodes grow as lists; _set_nodes turns them into arrays at the end.
         self.feature, self.threshold, self.left, self.right = [], [], [], []
         payloads: list = []
         stack = [(self._new_node(payloads), np.arange(X.shape[0]), 0)]
@@ -111,43 +181,23 @@ class _TreeBase:
             self.right[node] = self._new_node(payloads)
             stack.append((self.left[node], idx[go_left], depth + 1))
             stack.append((self.right[node], idx[~go_left], depth + 1))
+        self._set_nodes(self.feature, self.threshold, self.left, self.right)
         return payloads
 
     def _leaf_ids(self, X: np.ndarray) -> np.ndarray:
-        """Leaf node id for every row, routed level by level."""
-        n = X.shape[0]
-        feature = np.asarray(self.feature)
-        threshold = np.asarray(self.threshold)
-        left = np.asarray(self.left)
-        right = np.asarray(self.right)
-        node_of = np.zeros(n, dtype=np.int64)
-        active = np.arange(n)
-        while active.size:
-            nodes = node_of[active]
-            feats = feature[nodes]
-            internal = feats != _LEAF
-            active = active[internal]
-            if not active.size:
-                break
-            nodes = nodes[internal]
-            feats = feats[internal]
-            go_left = X[active, feats] < threshold[nodes]
-            node_of[active] = np.where(go_left, left[nodes], right[nodes])
-        return node_of
+        """Leaf node id for every row: the router's one-tree case."""
+        return self.route(X)[:, 0]
 
     def _split_structure(self) -> dict:
         return {
-            "feature": [int(f) for f in self.feature],
-            "threshold": [float(t) for t in self.threshold],
-            "left": [int(v) for v in self.left],
-            "right": [int(v) for v in self.right],
+            "feature": self.feature.tolist(),
+            "threshold": self.threshold.tolist(),
+            "left": self.left.tolist(),
+            "right": self.right.tolist(),
         }
 
     def _load_structure(self, doc: dict) -> None:
-        self.feature = [int(f) for f in doc["feature"]]
-        self.threshold = [float(t) for t in doc["threshold"]]
-        self.left = [int(v) for v in doc["left"]]
-        self.right = [int(v) for v in doc["right"]]
+        self._set_nodes(doc["feature"], doc["threshold"], doc["left"], doc["right"])
 
 
 def _sorted_block(X: np.ndarray, idx: np.ndarray, features: np.ndarray):

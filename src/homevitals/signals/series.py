@@ -9,6 +9,7 @@ read-only, so operations downstream can share them safely across threads.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -361,7 +362,17 @@ def _time_and_float(row: list[str]) -> tuple[int, float]:
     t_ms = int(row[0])
     if not -(2**63) <= t_ms < 2**63:  # times are held as int64
         raise ValueError(f"t_ms {t_ms} does not fit 64 bits")
-    return t_ms, float(row[1])
+    value = float(row[1])
+    if not math.isfinite(value):
+        raise ValueError(f"{row[1]!r} is not a finite number")
+    return t_ms, value
+
+
+def _time_and_ibi(row: list[str]) -> tuple[int, float]:
+    t_ms, ibi_s = _time_and_float(row)
+    if not IBI_MIN_S <= ibi_s <= IBI_MAX_S:
+        raise ValueError(f"IBI {ibi_s} s outside physiological bound [{IBI_MIN_S}, {IBI_MAX_S}] s")
+    return t_ms, ibi_s
 
 
 def save_series_csv(series: SampleSeries, path: str | Path) -> None:
@@ -403,4 +414,10 @@ def save_ibi_csv(ibi: IbiSeries, path: str | Path) -> None:
 
 
 def load_ibi_csv(path: str | Path) -> IbiSeries:
-    return IbiSeries.from_pairs(read_csv_table(path, IBI_CSV_HEADER, _time_and_float))
+    """Read a `t_ms,ibi_s` CSV; each interval must lie within the IBI bound
+    and the event times must increase."""
+    pairs = read_csv_table(path, IBI_CSV_HEADER, _time_and_ibi)
+    try:
+        return IbiSeries.from_pairs(pairs)
+    except InputError as exc:
+        raise FormatError(f"{path}: {exc}") from exc

@@ -54,3 +54,28 @@ def pulse_wave(duration_s, rate_hz, freq_hz, sharpness=4.0, noise=0.0, seed=0):
     if noise:
         v = v + noise * rng.normal(size=t.size)
     return v
+
+
+def reference_leaf_ids(tree, X):
+    """Leaf node id for every row of X, one tree at a time, routed level by
+    level over the tree's own node arrays: the per-tree router that stacked
+    routing replaced, kept as its oracle."""
+    n = X.shape[0]
+    feature = np.asarray(tree.feature)
+    threshold = np.asarray(tree.threshold)
+    left = np.asarray(tree.left)
+    right = np.asarray(tree.right)
+    node_of = np.zeros(n, dtype=np.int64)
+    active = np.arange(n)
+    while active.size:
+        nodes = node_of[active]
+        feats = feature[nodes]
+        internal = feats != -1
+        active = active[internal]
+        if not active.size:
+            break
+        nodes = nodes[internal]
+        feats = feats[internal]
+        go_left = X[active, feats] < threshold[nodes]
+        node_of[active] = np.where(go_left, left[nodes], right[nodes])
+    return node_of

@@ -344,6 +344,17 @@ class TestIngestRejectsBadFiles:
         assert self.ingest_error(data, store).startswith(f"error: {bvp}:3: ")
         assert stored_subjects(store) == {"S00"}
 
+    @pytest.mark.parametrize(("name", "cell"), [("S01_bvp.csv", b"nan"), ("S02_ibi.csv", b"inf")])
+    def test_non_finite_cell(self, csv_set, tmp_path, name, cell):
+        data, store = tmp_path / "data", tmp_path / "store.jsonl"
+        shutil.copytree(csv_set, data)
+        path = data / name
+        rows = path.read_bytes().split(b"\r\n")
+        rows[2] = rows[2].split(b",")[0] + b"," + cell
+        path.write_bytes(b"\r\n".join(rows))
+        assert self.ingest_error(data, store).startswith(f"error: {path}:3: ")
+        assert "S02" not in stored_subjects(store)
+
     def test_missing_series_file(self, csv_set, tmp_path):
         data, store = tmp_path / "data", tmp_path / "store.jsonl"
         shutil.copytree(csv_set, data)

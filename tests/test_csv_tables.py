@@ -97,6 +97,8 @@ MALFORMED = {
     "series long row": (load_series_csv, SERIES + "0,1.0,2.0\r\n", 2),
     "series time beyond 64 bits": (load_series_csv, SERIES + "99999999999999999999,1.0\r\n", 2),
     "series wrong header": (load_series_csv, "time,voltage\r\n0,1.0\r\n", 1),
+    "series nan value": (load_series_csv, SERIES + "0,nan\r\n", 2),
+    "series inf value": (load_series_csv, SERIES + "0,1.0\r\n8,-inf\r\n", 3),
     "series empty file": (load_series_csv, "", 1),
     "ibi bad int": (load_ibi_csv, IBI + "0.5,0.8\r\n", 2),
     "ibi bad float": (load_ibi_csv, IBI + "0,0.8\r\n800,fast\r\n", 3),
@@ -104,6 +106,10 @@ MALFORMED = {
     "ibi long row": (load_ibi_csv, IBI + "0,0.8\r\n800,0.8,1\r\n", 3),
     "ibi time beyond 64 bits": (load_ibi_csv, IBI + "0,0.8\r\n-9223372036854775809,0.8\r\n", 3),
     "ibi wrong header": (load_ibi_csv, "t_ms,ibi\r\n0,0.8\r\n", 1),
+    "ibi inf": (load_ibi_csv, IBI + "0,0.8\r\n800,inf\r\n", 3),
+    "ibi nan": (load_ibi_csv, IBI + "0,nan\r\n", 2),
+    "ibi above bound": (load_ibi_csv, IBI + "0,5.0\r\n", 2),
+    "ibi below bound": (load_ibi_csv, IBI + "0,0.8\r\n800,0.1\r\n", 3),
     "cortisol bad int": (load_cortisol_csv, CORTISOL + "S00,T1,noon,0.1\r\n", 2),
     "cortisol bad float": (load_cortisol_csv, CORTISOL + "S00,T1,0,high\r\n", 2),
     "cortisol unknown timepoint": (
@@ -132,6 +138,14 @@ def test_malformed_file_is_a_format_error_at_its_line(tmp_path, case):
     with pytest.raises(FormatError) as err:
         load(path)
     assert str(err.value).startswith(f"{path}:{line}: ")
+
+
+def test_ibi_events_out_of_order_name_the_file(tmp_path):
+    path = tmp_path / "ibi.csv"
+    path.write_bytes((IBI + "800,0.8\r\n0,0.8\r\n").encode())
+    with pytest.raises(FormatError, match="strictly increasing") as err:
+        load_ibi_csv(path)
+    assert str(err.value).startswith(f"{path}: ")
 
 
 def test_header_only_series_file_is_degenerate(tmp_path):

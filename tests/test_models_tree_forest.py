@@ -6,13 +6,18 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from homevitals.errors import DegenerateTraining
+from helpers import reference_leaf_ids
+from homevitals.errors import DegenerateTraining, InputError
 from homevitals.models import (
     AdaBoostR2,
     DecisionTreeClassifier,
     DecisionTreeRegressor,
     RandomForestClassifier,
+    dumps_model,
+    load_document,
 )
 from homevitals.models.tree import _best_split_classification, _best_split_regression
 
@@ -365,3 +370,165 @@ class TestSplitSearch:
             for row, node in zip(proba, model._leaf_ids(X)):
                 counts = model.leaf_counts[node]
                 assert np.array_equal(row, counts / counts.sum())
+
+
+# -- stacked routing against the per-tree loops it replaced --------------------
+
+
+def reference_tree_labels(tree, X):
+    """DecisionTreeClassifier.predict over the per-tree router."""
+    return tree.classes_[np.argmax(tree._leaf_proba[reference_leaf_ids(tree, X)], axis=1)]
+
+
+def reference_votes(forest, X):
+    """votes[i, k]: number of trees predicting class k for row i, counted one
+    tree at a time. A tree fit on a one-class resample predicts only that
+    class; searchsorted finds that class's column among the forest's."""
+    X = np.asarray(X, dtype=np.float64)
+    votes = np.zeros((X.shape[0], len(forest.classes_)))
+    for tree in forest.trees:
+        cols = np.searchsorted(forest.classes_, reference_tree_labels(tree, X))
+        votes[np.arange(X.shape[0]), cols] += 1.0
+    return votes
+
+
+def assert_forest_matches_reference(forest, X):
+    votes = reference_votes(forest, X)
+    assert forest.predict_proba(X).tobytes() == (votes / forest.n_trees).tobytes()
+    assert forest.predict(X).tobytes() == forest.classes_[np.argmax(votes, axis=1)].tobytes()
+    for tree in forest.trees:
+        assert tree._leaf_ids(X).tobytes() == reference_leaf_ids(tree, X).tobytes()
+
+
+def with_non_finite(rng, X, share):
+    """A copy of X with about `share` of its cells set to NaN, +inf or -inf."""
+    X = X.copy()
+    hit = rng.random(X.shape) < share
+    X[hit] = rng.choice([np.nan, np.inf, -np.inf], size=int(hit.sum()))
+    return X
+
+
+@st.composite
+def forest_cases(draw):
+    """Small data with tied values and leaf counts, 2 or 3 classes with gaps
+    between the labels, a few trees whose resamples may hold one class, and
+    probes of 0 to 30 rows, some holding NaN or +-inf."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, d = draw(st.integers(2, 40)), draw(st.integers(1, 4))
+    X = np.round(rng.normal(size=(n, d)), draw(st.integers(0, 1)))
+    labels = np.array([2, 5, 7])[: draw(st.integers(2, 3))]
+    y = rng.choice(labels, size=n)
+    y[:2] = labels[:2]
+    forest = RandomForestClassifier(
+        n_trees=draw(st.integers(1, 8)),
+        max_depth=draw(st.sampled_from([0, 1, 3, None])),
+        min_samples_leaf=draw(st.sampled_from([1, 2, 4])),
+        seed=draw(st.integers(0, 1000)),
+    )
+    probe = np.vstack([X, rng.normal(size=(draw(st.integers(0, 10)), d))])
+    probe = with_non_finite(rng, probe[rng.permutation(len(probe))], draw(st.sampled_from([0, 0.3])))
+    return forest.fit(X, y), probe[: draw(st.integers(0, 30))]
+
+
+@given(forest_cases())
+def test_stacked_forest_votes_as_the_per_tree_loop(case):
+    forest, probe = case
+    assert_forest_matches_reference(forest, probe)
+    loaded = load_document(json.loads(dumps_model(forest, [f"f{i}" for i in range(probe.shape[1])])))
+    assert_forest_matches_reference(loaded, probe)
+    assert loaded.predict_proba(probe).tobytes() == forest.predict_proba(probe).tobytes()
+
+
+class TestStackedRoutingCases:
+    def test_forest_with_one_class_resamples(self, rng):
+        X = np.array([[0.0], [1.0], [2.0]])
+        forest = RandomForestClassifier(n_trees=20, seed=4).fit(X, np.array([3, 3, 8]))
+        assert {len(t.classes_) for t in forest.trees} == {1, 2}
+        assert_forest_matches_reference(forest, np.vstack([X, rng.normal(size=(5, 1))]))
+
+    def test_root_only_trees(self, rng):
+        X = rng.normal(size=(30, 3))
+        y = (X[:, 0] > 0).astype(int)
+        stumps = RandomForestClassifier(n_trees=6, max_depth=0, seed=1).fit(X, y)
+        assert all(len(t.feature) == 1 for t in stumps.trees)
+        assert_forest_matches_reference(stumps, X)
+        pure = DecisionTreeClassifier().fit(X, np.full(30, 4))
+        assert len(pure.feature) == 1 and pure.predict(X).tolist() == [4] * 30
+        assert pure.predict(X[:, :0]).tolist() == [4] * 30  # no split reads a column
+
+    def test_tied_leaf_counts_vote_the_lowest_class(self):
+        # Identical rows cannot be split, so each tree is one leaf holding its
+        # resample's counts; a tie there goes to the lowest class.
+        X = np.zeros((6, 2))
+        for y in (np.array([0, 1, 0, 1, 2, 2]), np.array([1, 0, 1, 0, 1, 0])):
+            forest = RandomForestClassifier(n_trees=9, seed=2).fit(X, y)
+            assert_forest_matches_reference(forest, X)
+            tree = DecisionTreeClassifier().fit(X, y)
+            assert tree.predict(X[:1]).tolist() == [0]
+
+    def test_zero_rows(self, rng):
+        X = rng.normal(size=(40, 2))
+        y = rng.integers(0, 3, size=40)
+        forest = RandomForestClassifier(n_trees=4, seed=0).fit(X, y)
+        empty = np.empty((0, 2))
+        assert forest.predict_proba(empty).shape == (0, 3)
+        assert forest.predict(empty).shape == (0,)
+        assert_forest_matches_reference(forest, empty)
+        assert forest.trees[0].predict(empty).shape == (0,)
+
+    def test_non_finite_rows_route_as_comparisons_say(self, rng):
+        # NaN and +inf are never below a threshold, so they go right at every
+        # node; -inf always goes left.
+        X = rng.normal(size=(60, 2))
+        y = (X[:, 0] + X[:, 1] > 0).astype(int)
+        forest = RandomForestClassifier(n_trees=7, max_depth=4, seed=3).fit(X, y)
+        probe = np.array([[np.nan, np.nan], [np.inf, np.inf], [-np.inf, -np.inf], [np.nan, 0.0]])
+        assert_forest_matches_reference(forest, probe)
+        for tree in forest.trees:
+            rightmost = leftmost = 0
+            while tree.feature[rightmost] != -1:
+                rightmost = tree.right[rightmost]
+            while tree.feature[leftmost] != -1:
+                leftmost = tree.left[leftmost]
+            assert tree._leaf_ids(probe[:3]).tolist() == [rightmost, rightmost, leftmost]
+
+    @pytest.mark.parametrize("cls", [DecisionTreeClassifier, RandomForestClassifier])
+    def test_refit_predicts_as_a_fresh_model(self, cls, rng):
+        X1 = rng.normal(size=(50, 2))
+        y1 = (X1[:, 0] > 0).astype(int)
+        X2 = rng.normal(size=(70, 5))
+        y2 = (X2[:, 4] > 0).astype(int) + (X2[:, 3] > 0.5) + 10
+        params = {"n_trees": 6} if cls is RandomForestClassifier else {"max_depth": 5}
+        model = cls(seed=3, **params).fit(X1, y1).fit(X2, y2)
+        fresh = cls(seed=3, **params).fit(X2, y2)
+        probe = np.vstack([X2, rng.normal(size=(20, 5))])
+        assert model.predict(probe).tobytes() == fresh.predict(probe).tobytes()
+        assert model.predict_proba(probe).tobytes() == fresh.predict_proba(probe).tobytes()
+
+
+class TestPredictRejectsUnusableInput:
+    @pytest.fixture(scope="class")
+    def models(self):
+        rng = np.random.default_rng(8)
+        X = rng.normal(size=(80, 3))
+        y = (X[:, 2] > 0).astype(int)
+        return (
+            DecisionTreeClassifier(max_depth=3).fit(X, y),
+            DecisionTreeRegressor(max_depth=3).fit(X, X[:, 2]),
+            RandomForestClassifier(n_trees=5, seed=1).fit(X, y),
+        )
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 3, 1), ()])
+    def test_input_that_is_not_2d(self, models, shape):
+        for model in models:
+            with pytest.raises(InputError, match="2-D"):
+                model.predict(np.zeros(shape))
+        with pytest.raises(InputError, match="2-D"):
+            models[2].predict_proba(np.zeros(shape))
+
+    def test_fewer_columns_than_the_splits_read(self, models):
+        for model in models:
+            assert model.predict(np.zeros((4, 3))).shape == (4,)
+            for X in (np.zeros((4, 2)), np.zeros((0, 2))):
+                with pytest.raises(InputError, match="split on column 2"):
+                    model.predict(X)
