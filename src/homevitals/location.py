@@ -12,6 +12,7 @@ import logging
 import math
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Sequence
@@ -132,31 +133,40 @@ class EventLog:
         self.table = table
         self.cfg = cfg or MatchConfig()
         self._clock = clock or _now_ms
-        self._events: list[TagEvent] = []
+        self._events: deque[TagEvent] = deque()  # in time order: stamps are monotone
         self._lock = threading.Lock()
         self._last_t_ms = -(2**63)
 
-    def ingest_event(self, kind: TagKind | str, index: int) -> TagEvent:
+    def ingest_event(
+        self, kind: TagKind | str, index: int, t_server_ms: int | None = None
+    ) -> TagEvent:
+        """Log an event stamped with its arrival time, or with t_server_ms
+        when a stored event is replayed."""
         kind = TagKind(kind)
         if not self.table.is_registered(kind, index):
             log.warning("rejected %s tag event with unregistered index %d", kind.value, index)
             raise RejectedEvent(f"unregistered {kind.value} tag index {index}")
         with self._lock:
             # Server-assigned arrival timestamps, clamped monotone per sequence.
-            t = max(self._clock(), self._last_t_ms)
+            t = max(self._clock() if t_server_ms is None else t_server_ms, self._last_t_ms)
             self._last_t_ms = t
             event = TagEvent(kind=kind, index=index, t_server_ms=t)
             self._events.append(event)
-            self._evict(t)
+            self._evict()
         return event
 
-    def _evict(self, now_ms: int) -> None:
-        horizon = now_ms - int(self.cfg.search_window_s * 1000)
-        self._events = [e for e in self._events if e.t_server_ms >= horizon]
+    def horizon_ms(self, newest_ms: int) -> int:
+        """The oldest event time kept once the log holds an event at newest_ms."""
+        return max(self._clock(), newest_ms) - int(self.cfg.search_window_s * 1000)
+
+    def _evict(self) -> None:
+        horizon = self.horizon_ms(self._last_t_ms)
+        while self._events and self._events[0].t_server_ms < horizon:
+            self._events.popleft()
 
     def snapshot(self) -> list[TagEvent]:
         with self._lock:
-            self._evict(max(self._clock(), self._last_t_ms))
+            self._evict()
             return list(self._events)
 
     def __len__(self) -> int:

@@ -66,7 +66,10 @@ def load_document(doc: dict):
     cls = _CLASSES.get(doc.get("kind"))
     if cls is None:
         raise FormatError(f"unknown model kind {doc.get('kind')!r}")
-    return cls.from_dict(doc["model"])
+    try:
+        return cls.from_dict(doc["model"])
+    except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
+        raise FormatError(f"malformed {doc['kind']} document: {type(exc).__name__}: {exc}") from exc
 
 
 def check_feature_schema(doc: dict, names: Sequence[str]) -> None:

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import DegenerateTraining, InputError
+from ..errors import DegenerateTraining, FormatError, InputError
 
 _LEAF = -1
 
@@ -196,8 +196,30 @@ class _TreeBase(_NodeTable):
             "right": self.right.tolist(),
         }
 
-    def _load_structure(self, doc: dict) -> None:
-        self._set_nodes(doc["feature"], doc["threshold"], doc["left"], doc["right"])
+    def _load_structure(self, doc: dict, payload_key: str) -> list:
+        """Set the node arrays from a tree document and return its per-node
+        leaf payloads. A document whose nodes do not form a tree raises
+        FormatError: each list needs one entry per node, a feature is -1 (a
+        leaf) or a column, and a split's children come after it in the table,
+        which also keeps routing from cycling. A missing key or a
+        non-numeric entry raises what indexing or numpy raises, which
+        load_document reports as a FormatError."""
+        keys = ("feature", "threshold", "left", "right", payload_key)
+        n = len(doc["feature"])
+        if n == 0 or any(len(doc[key]) != n for key in keys):
+            raise FormatError(f"tree document lists {keys} must have one entry per node")
+        feature, left, right = (
+            np.asarray(doc[key], dtype=np.int64) for key in ("feature", "left", "right")
+        )
+        threshold = np.asarray(doc["threshold"], dtype=np.float64)
+        if np.any(feature < _LEAF):
+            raise FormatError("tree document has a split feature below -1")
+        splits = np.flatnonzero(feature != _LEAF)
+        for child in (left[splits], right[splits]):
+            if np.any((child <= splits) | (child >= n)):
+                raise FormatError("tree document has a split whose child id is not after it")
+        self._set_nodes(feature, threshold, left, right)
+        return doc[payload_key]
 
 
 def _sorted_block(X: np.ndarray, idx: np.ndarray, features: np.ndarray):
@@ -318,11 +340,10 @@ class DecisionTreeClassifier(_TreeBase):
     @classmethod
     def from_dict(cls, doc: dict) -> "DecisionTreeClassifier":
         tree = cls()
-        tree._load_structure(doc)
+        leaf_counts = tree._load_structure(doc, "leaf_counts")
         tree.classes_ = _document_classes(doc["classes"])
         tree.leaf_counts = [
-            None if c is None else np.asarray(c, dtype=np.float64)
-            for c in doc["leaf_counts"]
+            None if c is None else np.asarray(c, dtype=np.float64) for c in leaf_counts
         ]
         tree._leaf_proba = tree._proba_table()
         return tree
@@ -374,7 +395,7 @@ class DecisionTreeRegressor(_TreeBase):
     @classmethod
     def from_dict(cls, doc: dict) -> "DecisionTreeRegressor":
         tree = cls()
-        tree._load_structure(doc)
-        tree.leaf_values = [None if v is None else float(v) for v in doc["leaf_values"]]
+        leaf_values = tree._load_structure(doc, "leaf_values")
+        tree.leaf_values = [None if v is None else float(v) for v in leaf_values]
         tree._leaf_value = tree._value_table()
         return tree

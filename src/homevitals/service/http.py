@@ -9,7 +9,14 @@ Routes:
   GET  /location/<identity>     optional ?tolerance_s=
   POST /train/stress            body {seed?}
   POST /train/bp                body {seed?}
-  GET  /health
+  GET  /health                  {status, records, models: {model_key: version}}
+
+GETs only read: no query writes to the store. Everything a POST stores
+survives a restart, `kill -9` included: signal chunks, beat events and
+cortisol, trained models, tag registrations, and the tag events still
+inside the match search window, which rebuild the location state. /health
+reports the store's record count and the newest version of each trained
+model, both from the store's index.
 
 Validation failures, a Content-Length outside [0, 64 MiB] among them, map to
 400, unknown identities/subjects without data to 404, missing model artifacts
@@ -148,7 +155,11 @@ class _Handler(BaseHTTPRequestHandler):
         path = parts.path
         query = parse_qs(parts.query)
         if method == "GET" and path == "/health":
-            return 200, {"status": "ok", "records": len(service.store)}
+            return 200, {
+                "status": "ok",
+                "records": len(service.store),
+                "models": service.model_versions(),
+            }
         if method == "POST" and path == "/signals/sync":
             return 200, service.sync_signals(_json_object(raw))
         if method == "POST" and path == "/tags/event":

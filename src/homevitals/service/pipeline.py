@@ -3,11 +3,18 @@ assemble per-subject bundles, train the stress classifier and blood-pressure
 regressors from stored data, and answer queries from the latest signals.
 
 Training is an exclusive job; every prediction response carries the model
-version and the exact input span it was computed over.
+version and the exact input span it was computed over. Queries only read.
+
+Location state is rebuilt from the store when the service starts: the tags
+the config names, then the tag registrations made at runtime, then the
+stored tag events inside the search window, each through the code a live
+request runs. Where a stored registration conflicts with the config, the
+config wins; events of tags no longer registered are skipped.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 import threading
 from dataclasses import dataclass, fields, replace
@@ -16,7 +23,14 @@ from typing import Callable, Iterable
 import numpy as np
 
 from ..datasets import BP_SEGMENT_S, BP_TREE_PARAMS, FOREST_PARAMS, bp_rows, stress_rows
-from ..errors import DegenerateTraining, InputError, NotReady, NoWindow, TrainingBusy
+from ..errors import (
+    DegenerateTraining,
+    InputError,
+    NotReady,
+    NoWindow,
+    RegistrationError,
+    TrainingBusy,
+)
 from ..features import MIN_SEGMENT_S, FeatureMatrix, bp_reduced_features, stress_feature_matrix
 from ..labeling import CortisolSample, LabelRule, Timepoint
 from ..location import EventLog, MatchConfig, TagKind, register, resolve_location
@@ -39,6 +53,8 @@ from ..signals import (
 )
 from .config import ServiceConfig
 from .store import IndexEntry, JsonlStore
+
+log = logging.getLogger(__name__)
 
 CONTIGUITY_SLOP_MS = 2
 
@@ -187,8 +203,10 @@ class VitalsService:
         self.store = store
         table = register(sorted(config.user_tags.items()), sorted(config.location_tags.items()))
         self.tag_log = EventLog(table, config.match_config)
+        self._tag_lock = threading.Lock()
         self._train_lock = threading.Lock()
         self._models: dict[str, tuple[object, dict]] = {}
+        self._replay_tags()
 
     # -- ingestion -----------------------------------------------------------
 
@@ -429,15 +447,18 @@ class VitalsService:
 
     # -- queries -----------------------------------------------------------------
 
+    def model_versions(self) -> dict[str, str]:
+        """The newest version of each trained model key, from the store index;
+        no record is read."""
+        return {e.meta.model_key: e.meta.version for e in self.store.index("model", "")}
+
     def _latest_model(self, model_key: str) -> tuple[object, dict]:
         """The newest model of model_key, loaded once per version."""
-        versions = [
-            e.meta.version for e in self.store.index("model", "") if e.meta.model_key == model_key
-        ]
-        if not versions:
+        version = self.model_versions().get(model_key)
+        if version is None:
             raise NotReady(f"no trained {model_key} model")
         cached = self._models.get(model_key)
-        if cached is None or cached[1]["version"] != versions[-1]:
+        if cached is None or cached[1]["version"] != version:
             payload = self.store.latest("model", model_key=model_key)["payload"]
             cached = self._models[model_key] = (load_document(payload["document"]), payload)
         return cached
@@ -449,7 +470,7 @@ class VitalsService:
         check_feature_schema(meta["document"], matrix.names)
         proba = float(model.predict_proba(matrix.X)[0, -1])
         label = "stressed" if proba > 0.5 else "not_stressed"
-        response = {
+        return {
             "subject_id": subject_id,
             "label": label,
             "probability": proba,
@@ -457,8 +478,6 @@ class VitalsService:
             "window_end_ms": window.end_ms,
             "model_version": meta["version"],
         }
-        self.store.append("prediction", subject_id, {"kind": "stress", **response})
-        return response
 
     def query_bp(self, subject_id: str) -> dict:
         sbp_model, sbp_meta = self._latest_model("bp_sbp")
@@ -480,7 +499,7 @@ class VitalsService:
         swapped = sbp < dbp
         if swapped:
             sbp, dbp = dbp, sbp
-        response = {
+        return {
             "subject_id": subject_id,
             "sbp_mmhg": sbp,
             "dbp_mmhg": dbp,
@@ -490,19 +509,54 @@ class VitalsService:
             "model_version_dbp": dbp_meta["version"],
             "swapped": swapped,
         }
-        self.store.append("prediction", subject_id, {"kind": "bp", **response})
-        return response
 
     # -- location ------------------------------------------------------------------
 
-    def register_tag(self, kind: TagKind | str, index: int, name: str) -> dict:
-        """Register a user tag's identity or a location tag's room."""
+    def _register(self, kind: TagKind, index: int, name: str) -> None:
         table = self.tag_log.table
-        if TagKind(kind) is TagKind.USER:
+        if kind is TagKind.USER:
             table.register_user(index, name)
         else:
             table.register_location(index, name)
+
+    def register_tag(self, kind: TagKind | str, index: int, name: str) -> dict:
+        """Register a user tag's identity or a location tag's room, durably."""
+        kind = TagKind(kind)
+        # One lock from the check to the append: of two racing registrations
+        # of one index, one is refused and only the other is stored.
+        with self._tag_lock:
+            self._register(kind, index, name)
+            self.store.append(
+                "tag_registration", "", {"kind": kind.value, "index": index, "name": name}
+            )
         return {"registered": True}
+
+    def _replay_tags(self) -> None:
+        """Replay the stored registrations in store order, then the stored
+        tag events inside the search window in arrival order."""
+        for record in self.store.records("tag_registration", ""):
+            kind, index, name = (record["payload"][k] for k in ("kind", "index", "name"))
+            try:
+                self._register(TagKind(kind), index, name)
+            except RegistrationError as exc:
+                log.warning(
+                    "stored %s tag registration %d = %r ignored: %s", kind, index, name, exc
+                )
+        entries = self.store.index("tag_event", "")
+        if not entries:
+            return
+        horizon = self.tag_log.horizon_ms(max(e.meta.t_server_ms for e in entries))
+        records = self.store.records("tag_event", "", where=lambda e: e.meta.t_server_ms >= horizon)
+        skipped = 0
+        for record in sorted(records, key=lambda r: (r["payload"]["t_server_ms"], r["seq"])):
+            event = record["payload"]
+            kind = TagKind(event["kind"])
+            if self.tag_log.table.is_registered(kind, event["index"]):
+                self.tag_log.ingest_event(kind, event["index"], event["t_server_ms"])
+            else:
+                skipped += 1
+        if skipped:
+            log.warning("skipped %d stored tag events of tags no longer registered", skipped)
 
     def ingest_tag_event(self, kind: str, index: int) -> dict:
         event = self.tag_log.ingest_event(kind, index)

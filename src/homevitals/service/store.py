@@ -4,13 +4,22 @@ One JSON document per line; every record carries a schema version and a
 sequence number. Appends are serialized, flushed, and fsynced before the
 call returns, so an acknowledged write survives an ungraceful kill.
 
+The record kinds, each with the metadata its index entries carry:
+  signal_chunk      channel, name, start, sample count and rate
+  ibi_chunk         first and last beat-event time
+  cortisol          none
+  model             model key and version
+  tag_registration  none
+  tag_event         server arrival time (t_server_ms)
+Every kind has a reader: queries and training read chunks, beat events,
+cortisol and models, and a starting service replays the tag registrations
+and the tag events inside its search window.
+
 Only an index lives in memory, kept per (kind, subject_id): each entry holds
-the record's byte offset and length plus the small metadata queries plan
-with, taken from the payload at append or scan time (a signal chunk's
-channel, name, start, sample count and rate; a beat-event chunk's first and
-last event time; a model's key and version). Queries pick the records they
-need from that metadata and read only those, through one long-lived read
-handle with positional reads. The index, metadata and dedup keys included,
+the record's byte offset and length plus its kind's metadata, taken from the
+payload at append or scan time. Queries pick the records they need from that
+metadata and read only those, through one long-lived read handle with
+positional reads. The index, metadata and dedup keys included,
 is snapshotted to a sidecar file periodically and on close; on open a fresh
 snapshot lets the store replay just the log tail, and a snapshot in any
 other format is ignored in favour of a full rescan. A torn trailing line
@@ -32,14 +41,14 @@ from ..errors import FormatError, InputError
 SCHEMA_VERSION = 1
 
 #: Layout of the sidecar index; a snapshot without this value is rescanned.
-INDEX_FORMAT = 2
+INDEX_FORMAT = 3
 
 RECORD_KINDS = (
     "signal_chunk",
     "ibi_chunk",
     "cortisol",
     "model",
-    "prediction",
+    "tag_registration",
     "tag_event",
 )
 
@@ -64,7 +73,16 @@ class ModelMeta(NamedTuple):
     version: str
 
 
-_META_TYPES = {"signal_chunk": ChunkMeta, "ibi_chunk": IbiMeta, "model": ModelMeta}
+class TagEventMeta(NamedTuple):
+    t_server_ms: int
+
+
+_META_TYPES = {
+    "signal_chunk": ChunkMeta,
+    "ibi_chunk": IbiMeta,
+    "model": ModelMeta,
+    "tag_event": TagEventMeta,
+}
 
 
 def _metadata(kind: str, payload: dict) -> tuple | None:
@@ -81,6 +99,8 @@ def _metadata(kind: str, payload: dict) -> tuple | None:
         return IbiMeta(events[0][0], events[-1][0]) if events else IbiMeta(None, None)
     if kind == "model":
         return ModelMeta(payload.get("model_key"), payload.get("version"))
+    if kind == "tag_event":
+        return TagEventMeta(payload.get("t_server_ms"))
     return None
 
 

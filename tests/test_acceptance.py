@@ -12,6 +12,7 @@ import signal
 import subprocess
 import sys
 import time
+import urllib.error
 import urllib.request
 from pathlib import Path
 
@@ -456,6 +457,43 @@ def test_criterion_9_end_to_end(tmp_path):
     elapsed = time.monotonic() - started
     assert elapsed < 300.0
     report(f"criterion 9 PASS: sync/train/query round-trip, idempotent resync, kill -9 durability, {elapsed:.0f}s")
+
+
+def test_location_state_survives_kill_9(tmp_path):
+    config_path = tmp_path / "service.cfg"
+    config_path.write_text(
+        "listen_port = 0\n"
+        f"storage_path = {tmp_path / 'store.jsonl'}\n"
+        "tags.user.1 = alice\n"
+        "tags.location.10 = kitchen\n"
+    )
+    proc, base = _start_server(config_path)
+    try:
+        _post(base, "/tags/register", {"kind": "user", "index": 2, "name": "bob"})
+        _post(base, "/tags/register", {"kind": "location", "index": 11, "name": "hall"})
+        acks = [
+            _post(base, "/tags/event", {"kind": "user", "index": 2}),
+            _post(base, "/tags/event", {"kind": "location", "index": 11}),
+        ]
+        with urllib.request.urlopen(f"{base}/location/bob") as response:
+            message = response.read().decode()
+        assert '"status":"ok"' in message and '"room":"hall"' in message
+    finally:
+        proc.send_signal(signal.SIGKILL)
+        proc.wait(timeout=10)
+
+    proc2, base2 = _start_server(config_path)
+    try:
+        with urllib.request.urlopen(f"{base2}/location/bob") as response:
+            assert response.read().decode() == message
+        with pytest.raises(urllib.error.HTTPError) as err:
+            _post(base2, "/tags/register", {"kind": "user", "index": 2, "name": "bob"})
+        assert err.value.code == 400
+        later = _post(base2, "/tags/event", {"kind": "user", "index": 2})
+        assert later["t_server_ms"] >= max(ack["t_server_ms"] for ack in acks)
+    finally:
+        proc2.send_signal(signal.SIGTERM)
+        proc2.wait(timeout=10)
 
 
 def test_criterion_10_determinism():

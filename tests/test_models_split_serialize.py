@@ -1,13 +1,15 @@
 """Subject-wise splitting and versioned model artifacts."""
 
 import json
+import threading
 
 import numpy as np
 import pytest
 
-from homevitals.errors import InputError, SplitImpossible
+from homevitals.errors import FormatError, InputError, SplitImpossible
 from homevitals.features import FeatureMatrix, FeatureVector
 from homevitals.models import (
+    DecisionTreeRegressor,
     RandomForestClassifier,
     check_feature_schema,
     document_version,
@@ -97,3 +99,96 @@ class TestSerialization:
         doc = model_document(forest, ("f0", "f1"))
         clone = load_document(doc)
         assert isinstance(clone, RandomForestClassifier)
+
+
+def load_in_time(doc, seconds=30.0):
+    """load_document(doc), failing the test if it has not returned in time: a
+    document whose children form a cycle once made loading spin forever."""
+    outcome = {}
+
+    def load():
+        try:
+            outcome["model"] = load_document(doc)
+        except Exception as exc:  # re-raised in the test's thread
+            outcome["error"] = exc
+
+    thread = threading.Thread(target=load, daemon=True)
+    thread.start()
+    thread.join(seconds)
+    assert not thread.is_alive(), f"load_document still running after {seconds} s"
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome["model"]
+
+
+def tree_document():
+    rng = np.random.default_rng(5)
+    X = rng.normal(size=(80, 3))
+    tree = DecisionTreeRegressor(max_depth=3).fit(X, X[:, 0] + X[:, 1] ** 2)
+    return model_document(tree, ("a", "b", "c"))
+
+
+def inner_node(nodes):
+    """The first split below the root."""
+    return next(i for i in range(1, len(nodes["feature"])) if nodes["feature"][i] != -1)
+
+
+def set_child_outside_table(nodes):
+    nodes["left"][0] = 99
+
+
+def set_child_back_to_root(nodes):
+    nodes["right"][inner_node(nodes)] = 0
+
+
+def set_child_to_itself(nodes):
+    nodes["left"][0] = 0
+
+
+def set_feature_below_minus_one(nodes):
+    nodes["feature"][0] = -2
+
+
+def drop_a_threshold(nodes):
+    nodes["threshold"].pop()
+
+
+def drop_the_thresholds(nodes):
+    del nodes["threshold"]
+
+
+def drop_the_leaf_values(nodes):
+    del nodes["leaf_values"]
+
+
+class TestMalformedDocuments:
+    def test_the_unbroken_document_loads(self):
+        doc = tree_document()
+        assert load_in_time(doc).to_dict() == doc["model"]
+
+    @pytest.mark.parametrize(
+        "break_nodes",
+        [
+            set_child_outside_table,
+            set_child_back_to_root,
+            set_child_to_itself,
+            set_feature_below_minus_one,
+            drop_a_threshold,
+            drop_the_thresholds,
+            drop_the_leaf_values,
+        ],
+    )
+    def test_broken_tree_is_a_format_error(self, break_nodes):
+        doc = tree_document()
+        break_nodes(doc["model"])
+        with pytest.raises(FormatError):
+            load_in_time(doc)
+
+    @pytest.mark.parametrize("key", ["classes", "trees", "n_trees"])
+    def test_forest_without_a_key_is_a_format_error(self, rng, key):
+        X = rng.normal(size=(30, 2))
+        forest = RandomForestClassifier(n_trees=2, seed=0).fit(X, (X[:, 0] > 0).astype(int))
+        doc = model_document(forest, ("f0", "f1"))
+        del doc["model"][key]
+        with pytest.raises(FormatError, match=key):
+            load_in_time(doc)

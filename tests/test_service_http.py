@@ -97,6 +97,27 @@ class TestRoutes:
         status, body = get(server, "/health")
         assert status == 200 and body["status"] == "ok"
 
+    def test_queries_leave_the_store_unchanged_and_health_names_model_versions(self, server):
+        for i in range(2):
+            post(server, "/signals/sync", stress_payload(f"R{i}", stressed=False, seed=i))
+            post(server, "/signals/sync", stress_payload(f"S{i}", stressed=True, seed=9 + i))
+        unit = simulate_bp_records(1, "short_term", seed=0)[0].units[0]
+        for i, offset in enumerate((0.0, 300.0)):
+            post(server, "/signals/sync", bp_payload(f"P{i}", unit, offset))
+        assert get(server, "/health")[1]["models"] == {}
+        _, stress = post(server, "/train/stress", {"seed": 3})
+        assert get(server, "/health")[1]["models"] == {"stress": stress["version"]}
+        _, bp = post(server, "/train/bp", {"seed": 0})
+        _, health = get(server, "/health")
+        assert health["models"] == {
+            "stress": stress["version"],
+            "bp_sbp": bp["bp_sbp"],
+            "bp_dbp": bp["bp_dbp"],
+        }
+        for path in ("/stress/S0", "/bp/P1", "/stress/R1", "/bp/P0"):
+            assert get(server, path)[0] == 200
+        assert get(server, "/health")[1] == health
+
     def test_sync_and_idempotency(self, server):
         payload = stress_payload("S00", stressed=False)
         status, ack = post(server, "/signals/sync", payload)

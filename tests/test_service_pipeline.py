@@ -1,9 +1,13 @@
 """Service pipeline: sync validation, training, and versioned queries."""
 
+import logging
 import os
 import subprocess
 import sys
+import threading
+import time
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -11,8 +15,9 @@ import pytest
 
 from helpers import pulse_wave
 import homevitals
-from homevitals.errors import InputError, NotReady, NoWindow, RegistrationError
+from homevitals.errors import InputError, NotFound, NotReady, NoWindow, RegistrationError
 from homevitals.labeling import CortisolSample, Timepoint
+from homevitals.location import LocationFix, NoFix, TagEvent, TagKind
 from homevitals.service import (
     JsonlStore,
     ServiceConfig,
@@ -234,8 +239,6 @@ class TestLocationThroughService:
     def test_ingest_and_locate(self, service):
         service.ingest_tag_event("user", 1)
         service.ingest_tag_event("location", 10)
-        from homevitals.location import LocationFix
-
         fix = service.locate("alice")
         assert isinstance(fix, LocationFix)
         assert fix.room == "kitchen"
@@ -250,6 +253,129 @@ class TestLocationThroughService:
     def test_duplicate_registration_raises(self, service, kind, index, name):
         with pytest.raises(RegistrationError):
             service.register_tag(kind, index, name)
+
+    def test_racing_registrations_of_one_index_store_one(self, service):
+        n = len(os.sched_getaffinity(0)) + 4
+        start = threading.Barrier(n)
+        outcomes = []
+
+        def register(i):
+            start.wait(timeout=30)
+            try:
+                service.register_tag("location", 20, f"room {i}")
+                outcomes.append("registered")
+            except RegistrationError:
+                outcomes.append("refused")
+
+        threads = [threading.Thread(target=register, args=(i,), daemon=True) for i in range(n)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sorted(outcomes) == ["refused"] * (n - 1) + ["registered"]
+        assert len(list(service.store.records("tag_registration", ""))) == 1
+
+
+def restart(service, **config_changes):
+    """A service started on the store file of `service`, which is closed
+    first, with the config changes applied."""
+    service.store.close()
+    config = replace(service.config, **config_changes)
+    return VitalsService(config, JsonlStore(config.storage_path))
+
+
+class TestTagStateFromStore:
+    def test_events_replay_in_arrival_order(self, service):
+        # Two requests can append their events in the other order.
+        now = int(time.time() * 1000)
+        for kind, index, t in (("location", 10, now), ("user", 1, now - 3000)):
+            service.store.append("tag_event", "", {"kind": kind, "index": index, "t_server_ms": t})
+        again = restart(service)
+        try:
+            assert again.locate("alice") == LocationFix(1, 10, now - 3000, now, "alice", "kitchen")
+        finally:
+            again.store.close()
+
+    def test_next_event_is_stamped_no_earlier_than_the_newest_stored(self, service):
+        ahead = int(time.time() * 1000) + 3_600_000  # stored under a clock set an hour ahead
+        service.store.append("tag_event", "", {"kind": "user", "index": 1, "t_server_ms": ahead})
+        again = restart(service)
+        try:
+            assert again.ingest_tag_event("location", 10)["t_server_ms"] == ahead
+        finally:
+            again.store.close()
+
+    @pytest.mark.parametrize(
+        "changes, users, room_11",
+        [
+            ({"user_tags": {1: "alice", 2: "carol"}}, {"carol": 2, "bob": None}, "hall"),
+            ({"user_tags": {1: "alice", 3: "bob"}}, {"bob": 3}, "hall"),
+            ({"location_tags": {10: "kitchen", 11: "attic"}}, {"bob": 2}, "attic"),
+        ],
+        ids=["user-index", "identity", "location-index"],
+    )
+    def test_config_wins_a_conflicting_stored_registration(
+        self, service, caplog, changes, users, room_11
+    ):
+        service.register_tag("user", 2, "bob")
+        service.register_tag("location", 11, "hall")
+        with caplog.at_level(logging.WARNING, logger="homevitals"):
+            again = restart(service, **changes)
+        try:
+            warnings = [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING]
+            assert len(warnings) == 1 and "ignored" in warnings[0]
+            table = again.tag_log.table
+            for identity, index in users.items():
+                if index is None:
+                    with pytest.raises(NotFound):
+                        table.user_index(identity)
+                else:
+                    assert table.user_index(identity) == index
+            assert table.room_name(11) == room_11
+        finally:
+            again.store.close()
+
+    def test_events_of_tags_no_longer_registered_are_skipped(self, service, caplog):
+        user = service.ingest_tag_event("user", 1)
+        service.ingest_tag_event("location", 10)
+        with caplog.at_level(logging.WARNING, logger="homevitals"):
+            again = restart(service, location_tags={12: "porch"})
+        try:
+            warnings = [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING]
+            assert len(warnings) == 1 and "skipped 1 stored tag event" in warnings[0]
+            assert again.tag_log.snapshot() == [TagEvent(TagKind.USER, 1, user["t_server_ms"])]
+            assert isinstance(again.locate("alice"), NoFix)
+        finally:
+            again.store.close()
+
+    def test_start_reads_only_tag_events_inside_the_search_window(self, service, monkeypatch):
+        now = int(time.time() * 1000)
+        window_ms = int(service.config.match_search_window_s * 1000)
+        for t in [now - 3 * window_ms + i for i in range(5)] + [now - 1000 + i for i in range(3)]:
+            service.store.append("tag_event", "", {"kind": "user", "index": 1, "t_server_ms": t})
+        service.store.close()
+        store = JsonlStore(service.config.storage_path)
+        yielded = Counter()
+        records = store.records
+
+        def counting(*args, **kwargs):
+            for record in records(*args, **kwargs):
+                yielded[record["kind"]] += 1
+                yield record
+
+        monkeypatch.setattr(store, "records", counting)
+        try:
+            again = VitalsService(service.config, store)
+            assert yielded["tag_event"] == 3
+            assert len(again.tag_log) == 3
+        finally:
+            store.close()
 
 
 class TestBoundaries:

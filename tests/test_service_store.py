@@ -1,11 +1,13 @@
 """Store durability, idempotency, snapshot restart, and config round-trips."""
 
 import json
+import time
 from dataclasses import fields
 
 import pytest
 
 from homevitals.errors import ConfigError, InputError
+from homevitals.location import LocationFix
 from homevitals.service import (
     JsonlStore,
     ServiceConfig,
@@ -14,9 +16,43 @@ from homevitals.service import (
     parse_config,
 )
 from homevitals.service.config import _KEY_TO_FIELD, _SCALAR_KEYS
-from homevitals.service.store import SNAPSHOT_EVERY
+from homevitals.service.store import SNAPSHOT_EVERY, TagEventMeta
 from homevitals.simulate import simulate_bp_records
 from test_service_pipeline import bp_payload, stress_payload
+
+
+@pytest.fixture(scope="module")
+def trained_store(tmp_path_factory):
+    """A closed store with synced subjects and both models trained: its
+    config, log bytes, snapshot document, signal subjects, and the answers
+    its service gave."""
+    config = ServiceConfig(
+        storage_path=str(tmp_path_factory.mktemp("trained") / "log.jsonl"),
+        forest_n_trees=5,
+        forest_max_depth=6,
+        bp_boost_estimators=4,
+        user_tags={1: "alice"},
+        location_tags={10: "kitchen"},
+    )
+    store = JsonlStore(config.storage_path)
+    service = VitalsService(config, store)
+    for i in range(2):
+        service.sync_signals(stress_payload(f"R{i}", stressed=False, seed=i))
+        service.sync_signals(stress_payload(f"S{i}", stressed=True, seed=10 + i))
+    unit = simulate_bp_records(1, "short_term", seed=0)[0].units[0]
+    for i, offset in enumerate((0.0, 300.0)):
+        service.sync_signals(bp_payload(f"P{i}", unit, offset))
+    service.train_stress(seed=0)
+    service.train_bp(seed=0)
+    answers = ask(service)
+    subjects = store.subjects("signal_chunk")
+    store.close()
+    snapshot = json.loads(store.snapshot_path.read_text())
+    return config, store.path.read_bytes(), snapshot, subjects, answers
+
+
+def ask(service):
+    return [service.query_stress("S0"), service.query_bp("P1"), service.query_bp("R0")]
 
 
 def chunk_payload(start_ms=0, n=8, channel="EDA", name=None):
@@ -66,7 +102,7 @@ class TestJsonlStore:
             fh.write(b'{"seq": 2, "kind": "cortisol", "trunc')  # torn write
         reopened = JsonlStore(path)
         assert len(reopened) == 1
-        record = reopened.append("prediction", "S00", {"kind": "stress"})
+        record = reopened.append("tag_registration", "", {"kind": "user", "index": 2, "name": "b"})
         assert record["seq"] == 2
         reopened.close()
 
@@ -79,6 +115,7 @@ class TestJsonlStore:
         store.close()
         reopened = JsonlStore(path)
         assert len(reopened) == SNAPSHOT_EVERY + 5
+        assert reopened.index("tag_event", "")[-1].meta == TagEventMeta(SNAPSHOT_EVERY + 4)
         assert reopened.append("tag_event", "", {"kind": "user", "index": -1, "t_server_ms": 0})[
             "seq"
         ] == SNAPSHOT_EVERY + 6
@@ -117,28 +154,13 @@ class TestJsonlStore:
         assert reopened.subjects("model") == []
         reopened.close()
 
-    def test_snapshot_in_the_older_layout_is_rescanned(self, tmp_path):
+    def test_snapshot_in_the_older_layout_is_rescanned(self, tmp_path, trained_store):
         # Snapshots once held five fields per entry and no format number.
-        config = ServiceConfig(
-            storage_path=str(tmp_path / "log.jsonl"),
-            forest_n_trees=5,
-            forest_max_depth=6,
-            bp_boost_estimators=4,
-            )
+        config, log, doc, subjects, answers = trained_store
+        config = config.with_storage(tmp_path / "log.jsonl")
         store = JsonlStore(config.storage_path)
-        service = VitalsService(config, store)
-        for i in range(2):
-            service.sync_signals(stress_payload(f"R{i}", stressed=False, seed=i))
-            service.sync_signals(stress_payload(f"S{i}", stressed=True, seed=10 + i))
-        unit = simulate_bp_records(1, "short_term", seed=0)[0].units[0]
-        for i, offset in enumerate((0.0, 300.0)):
-            service.sync_signals(bp_payload(f"P{i}", unit, offset))
-        service.train_stress(seed=0)
-        service.train_bp(seed=0)
-        answers = [service.query_stress("S0"), service.query_bp("P1"), service.query_bp("R0")]
-        size, subjects = len(store), store.subjects("signal_chunk")
         store.close()
-        doc = json.loads(store.snapshot_path.read_text())
+        store.path.write_bytes(log)
         older = {
             "seq": doc["seq"],
             "offset": doc["offset"],
@@ -148,17 +170,60 @@ class TestJsonlStore:
         store.snapshot_path.write_text(json.dumps(older))
 
         reopened = JsonlStore(config.storage_path)
-        assert len(reopened) == size
+        assert len(reopened) == len(log.splitlines())
         assert reopened.subjects("signal_chunk") == subjects
         service = VitalsService(config, reopened)
-        again = [service.query_stress("S0"), service.query_bp("P1"), service.query_bp("R0")]
-        assert again == answers
+        assert ask(service) == answers
+        reopened.close()
+
+    def test_format_2_store_with_prediction_records_is_rescanned(self, tmp_path, trained_store):
+        # Format 2 is the layout in which every GET /stress and /bp stored a
+        # prediction record and a tag event's index entry had no metadata.
+        config, log, doc, subjects, answers = trained_store
+        config = config.with_storage(tmp_path / "log.jsonl")
+        now = int(time.time() * 1000)
+        tail = [
+            ("prediction", "S0", {"kind": "stress", **answers[0]}),
+            ("tag_event", "", {"kind": "user", "index": 1, "t_server_ms": now - 2000}),
+            ("prediction", "P1", {"kind": "bp", **answers[1]}),
+            ("tag_event", "", {"kind": "location", "index": 10, "t_server_ms": now - 1000}),
+        ]
+        entries, offset = list(doc["entries"]), len(log)
+        for seq, (kind, subject_id, payload) in enumerate(tail, start=doc["seq"] + 1):
+            record = {
+                "seq": seq,
+                "schema": 1,
+                "kind": kind,
+                "subject_id": subject_id,
+                "created_at_ms": now,
+                "payload": payload,
+            }
+            line = (json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n").encode()
+            entries.append([seq, kind, subject_id, offset, len(line), None])
+            log, offset = log + line, offset + len(line)
+        store = JsonlStore(config.storage_path)
+        store.close()
+        store.path.write_bytes(log)
+        format_2 = {**doc, "format": 2, "seq": doc["seq"] + 4, "offset": offset, "entries": entries}
+        store.snapshot_path.write_text(json.dumps(format_2))
+
+        reopened = JsonlStore(config.storage_path)
+        assert len(reopened) == len(log.splitlines())
+        assert reopened.subjects("signal_chunk") == subjects
+        assert [e.meta for e in reopened.index("tag_event", "")] == [
+            TagEventMeta(now - 2000),
+            TagEventMeta(now - 1000),
+        ]
+        service = VitalsService(config, reopened)
+        assert ask(service) == answers
+        fix = LocationFix(1, 10, now - 2000, now - 1000, "alice", "kitchen")
+        assert service.locate("alice") == fix
         reopened.close()
 
     def test_records_are_schema_versioned(self, tmp_path):
         path = tmp_path / "log.jsonl"
         store = JsonlStore(path)
-        store.append("prediction", "S00", {"kind": "bp"})
+        store.append("tag_registration", "", {"kind": "user", "index": 2, "name": "bob"})
         store.close()
         line = json.loads(path.read_text().splitlines()[0])
         assert line["schema"] == 1

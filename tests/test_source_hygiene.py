@@ -1,8 +1,8 @@
 """Source hygiene without a linter: every exported name resolves, and no module
 under src/homevitals keeps a top-level import it never uses or a private
 top-level function, class or constant that nothing in the module reads, and
-no dataclass keeps a field that nothing in src/ or tests/ reads, and one module
-alone reads and writes CSV."""
+no dataclass keeps a field that nothing in src/ or tests/ reads, one module
+alone reads and writes CSV, and every record kind the store keeps is read."""
 
 import ast
 import importlib
@@ -176,3 +176,26 @@ def test_one_module_holds_the_csv_format():
         module_name(path) for path in MODULES if imports_module(ast.parse(path.read_text()), "csv")
     ]
     assert importers == ["homevitals.signals.series"]
+
+
+def kinds_read_by_name(paths) -> set[str]:
+    """String kinds passed first, or as kind=, to a `records`, `index` or
+    `latest` call."""
+    kinds = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("records", "index", "latest")
+            ):
+                continue
+            args = node.args[:1] + [kw.value for kw in node.keywords if kw.arg == "kind"]
+            kinds |= {a.value for a in args if isinstance(a, ast.Constant) and type(a.value) is str}
+    return kinds
+
+
+def test_every_record_kind_is_read_by_name():
+    from homevitals.service.store import RECORD_KINDS
+
+    assert sorted(set(RECORD_KINDS) - kinds_read_by_name(MODULES)) == []
