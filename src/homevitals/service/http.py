@@ -18,9 +18,10 @@ inside the match search window, which rebuild the location state. /health
 reports the store's record count and the newest version of each trained
 model, both from the store's index.
 
-Validation failures, a Content-Length outside [0, 64 MiB] among them, map to
-400, unknown identities/subjects without data to 404, missing model artifacts
-and concurrent training to 409. The location response body is exactly the
+Validation failures, a Content-Length outside [0, 64 MiB] and a body that is
+not JSON among them, map to 400, unknown identities/subjects without data to
+404, missing model artifacts, a stored model that cannot be loaded, and
+concurrent training to 409. The location response body is exactly the
 canonical location message. Every request's body is read whole before it is
 routed, whatever the route, so a keep-alive connection stays in step.
 """
@@ -81,7 +82,7 @@ def _json_object(raw: bytes) -> dict:
         return {}
     try:
         body = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON, bad UTF-8/16/32, or nested too deep
         raise InputError(f"request body is not valid JSON: {exc}") from exc
     if not isinstance(body, dict):
         raise InputError("request body must be a JSON object")

@@ -25,6 +25,7 @@ import numpy as np
 from ..datasets import BP_SEGMENT_S, BP_TREE_PARAMS, FOREST_PARAMS, bp_rows, stress_rows
 from ..errors import (
     DegenerateTraining,
+    FormatError,
     InputError,
     NotReady,
     NoWindow,
@@ -205,7 +206,8 @@ class VitalsService:
         self.tag_log = EventLog(table, config.match_config)
         self._tag_lock = threading.Lock()
         self._train_lock = threading.Lock()
-        self._models: dict[str, tuple[object, dict]] = {}
+        # model_key -> (version, (model, payload) or why it cannot be loaded)
+        self._models: dict[str, tuple[str, tuple[object, dict] | str]] = {}
         self._replay_tags()
 
     # -- ingestion -----------------------------------------------------------
@@ -453,15 +455,23 @@ class VitalsService:
         return {e.meta.model_key: e.meta.version for e in self.store.index("model", "")}
 
     def _latest_model(self, model_key: str) -> tuple[object, dict]:
-        """The newest model of model_key, loaded once per version."""
+        """The newest model of model_key, loaded once per version. A stored
+        version that cannot be loaded is NotReady until a newer one is stored,
+        and is not read again."""
         version = self.model_versions().get(model_key)
         if version is None:
             raise NotReady(f"no trained {model_key} model")
-        cached = self._models.get(model_key)
-        if cached is None or cached[1]["version"] != version:
+        cached_version, loaded = self._models.get(model_key, (None, None))
+        if cached_version != version:
             payload = self.store.latest("model", model_key=model_key)["payload"]
-            cached = self._models[model_key] = (load_document(payload["document"]), payload)
-        return cached
+            try:
+                loaded = (load_document(payload["document"]), payload)
+            except FormatError as exc:
+                loaded = f"stored {model_key} model {version} cannot be loaded: {exc}"
+            self._models[model_key] = (version, loaded)
+        if isinstance(loaded, str):
+            raise NotReady(loaded)
+        return loaded
 
     def query_stress(self, subject_id: str) -> dict:
         model, meta = self._latest_model("stress")

@@ -1,29 +1,33 @@
-"""Append-only JSONL record store with idempotent signal-chunk writes.
+"""Append-only JSONL record store with idempotent writes.
 
 One JSON document per line; every record carries a schema version and a
 sequence number. Appends are serialized, flushed, and fsynced before the
 call returns, so an acknowledged write survives an ungraceful kill.
 
-The record kinds, each with the metadata its index entries carry:
-  signal_chunk      channel, name, start, sample count and rate
-  ibi_chunk         first and last beat-event time
-  cortisol          none
-  model             model key and version
+`KINDS` is the one table of record kinds. For each kind it names the
+metadata its index entries carry and, [bracketed], the metadata fields on
+which a second record of the same subject is a duplicate, not stored:
+  signal_chunk      [channel, name, start_ms, n_samples], rate_hz
+  ibi_chunk         [first_ms], last_ms, [n_events]
+  cortisol          [timepoint]
+  model             model_key, version
   tag_registration  none
-  tag_event         server arrival time (t_server_ms)
+  tag_event         t_server_ms (server arrival time)
 Every kind has a reader: queries and training read chunks, beat events,
 cortisol and models, and a starting service replays the tag registrations
 and the tag events inside its search window.
 
 Only an index lives in memory, kept per (kind, subject_id): each entry holds
-the record's byte offset and length plus its kind's metadata, taken from the
-payload at append or scan time. Queries pick the records they need from that
-metadata and read only those, through one long-lived read handle with
-positional reads. The index, metadata and dedup keys included,
-is snapshotted to a sidecar file periodically and on close; on open a fresh
-snapshot lets the store replay just the log tail, and a snapshot in any
-other format is ignored in favour of a full rescan. A torn trailing line
-from a crash was never acknowledged and is ignored.
+the record's byte offset and length plus its kind's metadata, built once
+from the payload at append or scan time. Queries pick the records they need
+from that metadata and read only those, through one long-lived read handle
+with positional reads. The index is the store's only state: the duplicate
+set, the last sequence number and the end of the indexed log all follow
+from its entries. The entries alone are snapshotted to a sidecar file
+periodically and on close; on open a fresh snapshot lets the store replay
+just the log tail, and a snapshot in any other format is ignored in favour
+of a full rescan. A torn trailing line from a crash was never acknowledged:
+it is cut from the log at open, so the next append starts a line of its own.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ import os
 import threading
 import time
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Iterator, NamedTuple
 
@@ -41,16 +46,7 @@ from ..errors import FormatError, InputError
 SCHEMA_VERSION = 1
 
 #: Layout of the sidecar index; a snapshot without this value is rescanned.
-INDEX_FORMAT = 3
-
-RECORD_KINDS = (
-    "signal_chunk",
-    "ibi_chunk",
-    "cortisol",
-    "model",
-    "tag_registration",
-    "tag_event",
-)
+INDEX_FORMAT = 4
 
 SNAPSHOT_EVERY = 256
 
@@ -62,65 +58,89 @@ class ChunkMeta(NamedTuple):
     n_samples: int
     rate_hz: float
 
-
-class IbiMeta(NamedTuple):
-    first_ms: int | None
-    last_ms: int | None
-
-
-class ModelMeta(NamedTuple):
-    model_key: str
-    version: str
-
-
-class TagEventMeta(NamedTuple):
-    t_server_ms: int
-
-
-_META_TYPES = {
-    "signal_chunk": ChunkMeta,
-    "ibi_chunk": IbiMeta,
-    "model": ModelMeta,
-    "tag_event": TagEventMeta,
-}
-
-
-def _metadata(kind: str, payload: dict) -> tuple | None:
-    if kind == "signal_chunk":
-        return ChunkMeta(
+    @classmethod
+    def of(cls, payload: dict) -> ChunkMeta:
+        return cls(
             payload.get("channel"),
             payload.get("name"),
             payload.get("start_ms"),
             len(payload.get("values", ())),
             payload.get("rate_hz"),
         )
-    if kind == "ibi_chunk":
-        events = payload.get("events", ())
-        return IbiMeta(events[0][0], events[-1][0]) if events else IbiMeta(None, None)
-    if kind == "model":
-        return ModelMeta(payload.get("model_key"), payload.get("version"))
-    if kind == "tag_event":
-        return TagEventMeta(payload.get("t_server_ms"))
-    return None
 
 
-def _dedup_key(kind: str, subject_id: str, payload: dict) -> tuple | None:
-    if kind == "signal_chunk":
-        return (
-            kind,
-            subject_id,
-            payload.get("channel"),
-            payload.get("name"),
-            payload.get("start_ms"),
-            len(payload.get("values", ())),
-        )
-    if kind == "ibi_chunk":
+class IbiMeta(NamedTuple):
+    first_ms: int | None
+    last_ms: int | None
+    n_events: int
+
+    @classmethod
+    def of(cls, payload: dict) -> IbiMeta:
         events = payload.get("events", ())
-        first = events[0][0] if events else None
-        return (kind, subject_id, first, len(events))
-    if kind == "cortisol":
-        return (kind, subject_id, payload.get("timepoint"))
-    return None
+        if not events:
+            return cls(None, None, 0)
+        return cls(events[0][0], events[-1][0], len(events))
+
+
+class CortisolMeta(NamedTuple):
+    timepoint: str
+
+    @classmethod
+    def of(cls, payload: dict) -> CortisolMeta:
+        return cls(payload.get("timepoint"))
+
+
+class ModelMeta(NamedTuple):
+    model_key: str
+    version: str
+
+    @classmethod
+    def of(cls, payload: dict) -> ModelMeta:
+        return cls(payload.get("model_key"), payload.get("version"))
+
+
+class TagEventMeta(NamedTuple):
+    t_server_ms: int
+
+    @classmethod
+    def of(cls, payload: dict) -> TagEventMeta:
+        return cls(payload.get("t_server_ms"))
+
+
+class Kind(NamedTuple):
+    """What the index keeps of one record kind."""
+
+    meta: type | None  # its entries' metadata type, built by `meta.of(payload)`
+    duplicate_on: tuple[str, ...] = ()  # metadata fields that make a duplicate
+
+
+KINDS = {
+    "signal_chunk": Kind(ChunkMeta, ("channel", "name", "start_ms", "n_samples")),
+    "ibi_chunk": Kind(IbiMeta, ("first_ms", "n_events")),
+    "cortisol": Kind(CortisolMeta, ("timepoint",)),
+    "model": Kind(ModelMeta),
+    "tag_registration": Kind(None),
+    "tag_event": Kind(TagEventMeta),
+}
+
+RECORD_KINDS = tuple(KINDS)
+
+#: Kinds an older store may hold and no reader uses (prediction records):
+#: indexed without metadata, never a duplicate.
+_RETIRED = Kind(None)
+
+#: One getter of the duplicate_on fields per kind that has duplicates.
+_DUPLICATE_ON = {kind: attrgetter(*k.duplicate_on) for kind, k in KINDS.items() if k.duplicate_on}
+
+
+def _meta_of(kind: str, payload: dict) -> tuple | None:
+    meta_type = KINDS.get(kind, _RETIRED).meta
+    return None if meta_type is None else meta_type.of(payload)
+
+
+def _duplicate_key(kind: str, subject_id: str, meta: tuple | None) -> tuple | None:
+    fields = _DUPLICATE_ON.get(kind)
+    return None if fields is None else (kind, subject_id, fields(meta))
 
 
 @dataclass(frozen=True)
@@ -158,19 +178,18 @@ class JsonlStore:
 
     def _scan(self) -> None:
         start_offset = self._load_snapshot()
-        file_size = self.path.stat().st_size
-        if start_offset > file_size:
+        if start_offset > self.path.stat().st_size:
             # Snapshot is ahead of the log (log was truncated/replaced):
             # distrust it entirely.
             self._entries, self._by_key, self._dedup, self._seq = [], {}, set(), 0
             start_offset = 0
-        with open(self.path, "rb") as fh:
+        with open(self.path, "r+b") as fh:
             fh.seek(start_offset)
             offset = start_offset
             for line in fh:
-                end = offset + len(line)
                 if not line.endswith(b"\n"):
-                    break  # torn trailing write, never acknowledged
+                    fh.truncate(offset)  # torn trailing write, never acknowledged
+                    break
                 if line.strip():
                     try:
                         record = json.loads(line)
@@ -178,69 +197,51 @@ class JsonlStore:
                         raise FormatError(
                             f"{self.path}: corrupt record at byte {offset}: {exc}"
                         ) from exc
-                    self._register(record, offset, len(line))
-                offset = end
+                    kind, subject = record["kind"], record.get("subject_id", "")
+                    meta = _meta_of(kind, record.get("payload", {}))
+                    entry = IndexEntry(record["seq"], kind, subject, offset, len(line), meta)
+                    self._index(entry, _duplicate_key(kind, subject, meta))
+                offset += len(line)
 
     def _load_snapshot(self) -> int:
-        snap = self.snapshot_path
-        if not snap.exists():
-            return 0
+        """Index the snapshot's entries; returns the log offset where they
+        end, or 0 (nothing indexed) when there is no usable snapshot."""
         try:
-            doc = json.loads(snap.read_text())
+            doc = json.loads(self.snapshot_path.read_text())
             if doc["format"] != INDEX_FORMAT:
                 return 0
             entries = []
             for seq, kind, subject_id, offset, length, meta in doc["entries"]:
-                meta_type = _META_TYPES.get(kind)
+                meta_type = KINDS.get(kind, _RETIRED).meta
                 meta = meta_type(*meta) if meta_type is not None else None
                 entries.append(IndexEntry(seq, kind, subject_id, offset, length, meta))
-            dedup = {tuple(k) for k in doc["dedup"]}
-            offset = int(doc["offset"])
-            seq = int(doc["seq"])
-        except (json.JSONDecodeError, KeyError, IndexError, TypeError, ValueError):
+        except (OSError, json.JSONDecodeError, KeyError, IndexError, TypeError, ValueError):
             return 0
-        self._entries, self._by_key = [], {}
         for entry in entries:
-            self._index(entry)
-        self._dedup = dedup
-        self._seq = seq
-        return offset
+            self._index(entry, _duplicate_key(entry.kind, entry.subject_id, entry.meta))
+        return entries[-1].offset + entries[-1].length if entries else 0
 
-    def _index(self, entry: IndexEntry) -> None:
+    def _index(self, entry: IndexEntry, key: tuple | None) -> None:
+        """Add entry, whose duplicate key is key, to the index."""
         self._entries.append(entry)
         self._by_key.setdefault((entry.kind, entry.subject_id), []).append(entry)
-
-    def _register(self, record: dict, offset: int, length: int) -> None:
-        kind, subject_id = record["kind"], record.get("subject_id", "")
-        payload = record.get("payload", {})
-        self._index(
-            IndexEntry(
-                seq=record["seq"],
-                kind=kind,
-                subject_id=subject_id,
-                offset=offset,
-                length=length,
-                meta=_metadata(kind, payload),
-            )
-        )
-        self._seq = max(self._seq, record["seq"])
-        key = _dedup_key(kind, subject_id, payload)
         if key is not None:
             self._dedup.add(key)
+        self._seq = max(self._seq, entry.seq)
 
     # -- writing -----------------------------------------------------------
 
     def append(self, kind: str, subject_id: str, payload: dict) -> dict | None:
         """Persist one record; returns it, or None when it is a duplicate."""
-        if kind not in RECORD_KINDS:
+        if kind not in KINDS:
             raise InputError(f"unknown record kind {kind!r}")
+        meta = _meta_of(kind, payload)
+        key = _duplicate_key(kind, subject_id, meta)
         with self._lock:
-            key = _dedup_key(kind, subject_id, payload)
             if key is not None and key in self._dedup:
                 return None
-            self._seq += 1
             record = {
-                "seq": self._seq,
+                "seq": self._seq + 1,
                 "schema": SCHEMA_VERSION,
                 "kind": kind,
                 "subject_id": subject_id,
@@ -252,7 +253,7 @@ class JsonlStore:
             self._fh.write(line)
             self._fh.flush()
             os.fsync(self._fh.fileno())
-            self._register(record, offset, len(line))
+            self._index(IndexEntry(record["seq"], kind, subject_id, offset, len(line), meta), key)
             self._appends_since_snapshot += 1
             if self._appends_since_snapshot >= SNAPSHOT_EVERY:
                 self._write_snapshot_locked()
@@ -325,15 +326,8 @@ class JsonlStore:
     # -- lifecycle ----------------------------------------------------------
 
     def _write_snapshot_locked(self) -> None:
-        doc = {
-            "format": INDEX_FORMAT,
-            "seq": self._seq,
-            "offset": self._fh.tell(),
-            "dedup": [list(k) for k in self._dedup],
-            "entries": [
-                [e.seq, e.kind, e.subject_id, e.offset, e.length, e.meta] for e in self._entries
-            ],
-        }
+        entries = [[e.seq, e.kind, e.subject_id, e.offset, e.length, e.meta] for e in self._entries]
+        doc = {"format": INDEX_FORMAT, "entries": entries}
         tmp = self.snapshot_path.with_name(self.snapshot_path.name + ".tmp")
         tmp.write_text(json.dumps(doc))
         tmp.replace(self.snapshot_path)

@@ -3,14 +3,19 @@
 import json
 import math
 import socket
+import string
 import urllib.error
 import urllib.request
+from urllib.parse import quote, urlencode
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from homevitals.errors import InputError
 from homevitals.features import MIN_SEGMENT_S
 from homevitals.location import parse_message
+from homevitals.models.serialize import FORMAT_NAME, SCHEMA_VERSION
 from homevitals.service import ServiceConfig, VitalsHttpServer, series_to_payload
 from homevitals.service.http import MAX_BODY_BYTES
 from homevitals.simulate import simulate_bp_records
@@ -210,6 +215,37 @@ class TestRoutes:
         _, raw = get_raw(server, "/location/bob")
         assert '"status":"ok"' in raw
 
+    def test_unloadable_stored_model_is_409_and_read_once(self, server, monkeypatch):
+        for i in range(2):
+            post(server, "/signals/sync", stress_payload(f"R{i}", stressed=False, seed=i))
+            post(server, "/signals/sync", stress_payload(f"S{i}", stressed=True, seed=9 + i))
+        document = {
+            "format": FORMAT_NAME,
+            "schema_version": SCHEMA_VERSION,
+            "kind": "random_forest",
+            "feature_names": [],
+            "model": {},
+        }
+        payload = {"model_key": "stress", "version": "bad", "document": document}
+        server.store.append("model", "", payload)
+        reads = []
+        latest = server.store.latest
+
+        def counted_latest(*args, **kwargs):
+            reads.append(args)
+            return latest(*args, **kwargs)
+
+        monkeypatch.setattr(server.store, "latest", counted_latest)
+        for _ in range(2):
+            with pytest.raises(urllib.error.HTTPError) as err:
+                get(server, "/stress/S0")
+            code, body = status_of(err.value)
+            assert code == 409 and "stress model bad" in body["error"]
+        assert len(reads) == 1
+        _, trained = post(server, "/train/stress", {"seed": 3})
+        status, response = get(server, "/stress/S0")
+        assert status == 200 and response["model_version"] == trained["version"]
+
     def test_concurrent_training_is_409(self, server):
         with server.service._train_lock:
             with pytest.raises(urllib.error.HTTPError) as err:
@@ -270,6 +306,14 @@ class TestRoutes:
         with pytest.raises(urllib.error.HTTPError) as err:
             post(server, path, body)
         assert status_of(err.value)[0] == 400
+
+    @pytest.mark.parametrize("raw", [b"\x80", b"[" * 100_000], ids=["not-utf8", "nested-too-deep"])
+    def test_undecodable_body_is_400(self, server, raw):
+        request = urllib.request.Request(f"http://127.0.0.1:{server.port}/signals/sync", data=raw)
+        with pytest.raises(urllib.error.HTTPError) as err:
+            urllib.request.urlopen(request)
+        code, body = status_of(err.value)
+        assert code == 400 and "not valid JSON" in body["error"]
 
     @pytest.mark.parametrize(
         "body",
@@ -360,3 +404,100 @@ class TestRoutes:
             "POST", "/nope", b"b\r\n{\"seed\": 1}\r\n0\r\n\r\n", {"Transfer-Encoding": "chunked"}
         )
         assert pipelined_statuses(server, chunked, raw_request("GET", "/health")) == [404]
+
+
+# -- fuzzing -------------------------------------------------------------------
+
+_FIELDS = st.sampled_from(
+    ["subject_id", "chunks", "ibi", "cortisol", "kind", "index", "name", "seed", "channel",
+     "rate_hz", "start_ms", "values", "timepoint", "t_ms", "concentration_ugdl"]
+)
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(_FIELDS | st.text(max_size=4), inner, max_size=4),
+    max_leaves=12,
+)
+_BODIES = _JSON.map(lambda value: json.dumps(value).encode()) | st.binary(max_size=48)
+_SEGMENT = st.text(max_size=6).map(lambda text: quote(text, safe=""))
+_PATHS = st.one_of(
+    st.sampled_from(
+        ["/signals/sync", "/tags/event", "/tags/register", "/train/stress", "/train/bp", "/health"]
+    ),
+    st.tuples(st.sampled_from(["/stress/", "/bp/", "/location/"]), _SEGMENT).map("".join),
+)
+_QUERIES = st.lists(
+    st.tuples(st.sampled_from(["tolerance_s", "seed"]) | st.text(max_size=4), st.text(max_size=6)),
+    max_size=2,
+).map(urlencode)
+#: "valid" sends the body with its length, "absent" sends no length and no
+#: body (a length of 0); any other value is an invalid length, sent with no body.
+_LENGTHS = st.one_of(
+    st.sampled_from(["valid", "absent"]),
+    st.integers(max_value=-1).map(str),
+    st.text(string.ascii_letters, min_size=1, max_size=5),
+    st.integers(min_value=MAX_BODY_BYTES + 1).map(str),
+)
+
+
+def _reply_status(reader) -> int | None:
+    """The status of the next reply, its body read; None when the connection
+    ends instead."""
+    status_line = reader.readline()
+    if not status_line:
+        return None
+    length = 0
+    while (line := reader.readline()) not in (b"\r\n", b""):
+        name, _, value = line.decode().partition(":")
+        if name.strip().lower() == "content-length":
+            length = int(value)
+    reader.read(length)
+    return int(status_line.split()[1])
+
+
+@pytest.fixture(scope="module")
+def fuzzed_server(tmp_path_factory):
+    config = ServiceConfig(
+        listen_port=0,
+        storage_path=str(tmp_path_factory.mktemp("fuzz") / "store.jsonl"),
+        forest_n_trees=2,
+        bp_boost_estimators=2,
+        user_tags={1: "alice"},
+        location_tags={10: "kitchen"},
+    )
+    srv = VitalsHttpServer(config)
+    srv.serve_in_thread()
+    yield srv
+    srv.shutdown()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    method=st.sampled_from(["GET", "POST"]),
+    path=_PATHS,
+    query=_QUERIES,
+    body=_BODIES,
+    length=_LENGTHS,
+)
+def test_no_request_gets_a_5xx_and_the_connection_stays_in_step(
+    fuzzed_server, method, path, query, body, length
+):
+    target = f"{path}?{query}" if query else path
+    head = [f"{method} {target} HTTP/1.1", "Host: 127.0.0.1"]
+    if length != "absent":
+        head.append(f"Content-Length: {len(body) if length == 'valid' else length}")
+    request = ("\r\n".join(head) + "\r\n\r\n").encode() + (body if length == "valid" else b"")
+    with socket.create_connection(("127.0.0.1", fuzzed_server.port), timeout=10) as sock:
+        with sock.makefile("rb") as reader:
+            sock.sendall(request)
+            status = _reply_status(reader)
+            assert status is not None and status < 500, (status, request)
+            try:
+                sock.sendall(raw_request("GET", "/health"))
+                health = _reply_status(reader)
+            except ConnectionError:
+                health = None
+    if length in ("valid", "absent"):
+        assert health == 200
+    else:
+        assert status == 400 and health is None  # the server closed the connection

@@ -1,10 +1,14 @@
 """Store durability, idempotency, snapshot restart, and config round-trips."""
 
 import json
+import tempfile
 import time
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from homevitals.errors import ConfigError, InputError
 from homevitals.location import LocationFix
@@ -16,7 +20,13 @@ from homevitals.service import (
     parse_config,
 )
 from homevitals.service.config import _KEY_TO_FIELD, _SCALAR_KEYS
-from homevitals.service.store import SNAPSHOT_EVERY, TagEventMeta
+from homevitals.service.store import (
+    RECORD_KINDS,
+    SNAPSHOT_EVERY,
+    CortisolMeta,
+    IbiMeta,
+    TagEventMeta,
+)
 from homevitals.simulate import simulate_bp_records
 from test_service_pipeline import bp_payload, stress_payload
 
@@ -53,6 +63,39 @@ def trained_store(tmp_path_factory):
 
 def ask(service):
     return [service.query_stress("S0"), service.query_bp("P1"), service.query_bp("R0")]
+
+
+def _dedup_key(kind, subject_id, payload):
+    """The duplicate rule the store follows, read from the payload: a second
+    record with the same key is not stored; a None key is never a duplicate."""
+    if kind == "signal_chunk":
+        return (
+            kind,
+            subject_id,
+            payload.get("channel"),
+            payload.get("name"),
+            payload.get("start_ms"),
+            len(payload.get("values", ())),
+        )
+    if kind == "ibi_chunk":
+        events = payload.get("events", ())
+        first = events[0][0] if events else None
+        return (kind, subject_id, first, len(events))
+    if kind == "cortisol":
+        return (kind, subject_id, payload.get("timepoint"))
+    return None
+
+
+def older_snapshot_fields(log: bytes) -> dict:
+    """The seq, offset and dedup fields that snapshots up to format 3 held
+    beside their entries, built from the log's records and the duplicate rule."""
+    records = [json.loads(line) for line in log.splitlines()]
+    keys = {_dedup_key(r["kind"], r["subject_id"], r["payload"]) for r in records} - {None}
+    return {
+        "seq": max(r["seq"] for r in records),
+        "offset": len(log),
+        "dedup": [list(key) for key in keys],
+    }
 
 
 def chunk_payload(start_ms=0, n=8, channel="EDA", name=None):
@@ -104,7 +147,13 @@ class TestJsonlStore:
         assert len(reopened) == 1
         record = reopened.append("tag_registration", "", {"kind": "user", "index": 2, "name": "b"})
         assert record["seq"] == 2
-        reopened.close()
+        # Dropped without close(), as by kill -9: no snapshot covers the
+        # acknowledged append, so the next open scans it from the log.
+        reopened._fh.close()
+        reopened._reader.close()
+        again = JsonlStore(path)
+        assert [r["seq"] for r in again.records()] == [1, 2]
+        again.close()
 
     def test_snapshot_written_and_used(self, tmp_path):
         path = tmp_path / "log.jsonl"
@@ -161,12 +210,7 @@ class TestJsonlStore:
         store = JsonlStore(config.storage_path)
         store.close()
         store.path.write_bytes(log)
-        older = {
-            "seq": doc["seq"],
-            "offset": doc["offset"],
-            "dedup": doc["dedup"],
-            "entries": [entry[:5] for entry in doc["entries"]],
-        }
+        older = {**older_snapshot_fields(log), "entries": [entry[:5] for entry in doc["entries"]]}
         store.snapshot_path.write_text(json.dumps(older))
 
         reopened = JsonlStore(config.storage_path)
@@ -189,7 +233,8 @@ class TestJsonlStore:
             ("tag_event", "", {"kind": "location", "index": 10, "t_server_ms": now - 1000}),
         ]
         entries, offset = list(doc["entries"]), len(log)
-        for seq, (kind, subject_id, payload) in enumerate(tail, start=doc["seq"] + 1):
+        first_seq = older_snapshot_fields(log)["seq"] + 1
+        for seq, (kind, subject_id, payload) in enumerate(tail, start=first_seq):
             record = {
                 "seq": seq,
                 "schema": 1,
@@ -204,7 +249,7 @@ class TestJsonlStore:
         store = JsonlStore(config.storage_path)
         store.close()
         store.path.write_bytes(log)
-        format_2 = {**doc, "format": 2, "seq": doc["seq"] + 4, "offset": offset, "entries": entries}
+        format_2 = {"format": 2, **older_snapshot_fields(log), "entries": entries}
         store.snapshot_path.write_text(json.dumps(format_2))
 
         reopened = JsonlStore(config.storage_path)
@@ -220,6 +265,34 @@ class TestJsonlStore:
         assert service.locate("alice") == fix
         reopened.close()
 
+    def test_format_3_snapshot_is_rescanned(self, tmp_path, trained_store):
+        # Format 3 held the duplicate keys, the last seq and the log offset
+        # beside the entries; its beat-event metadata had no event count and
+        # cortisol entries had no metadata.
+        config, log, doc, subjects, answers = trained_store
+        config = config.with_storage(tmp_path / "log.jsonl")
+        entries = []
+        for seq, kind, subject_id, offset, length, meta in doc["entries"]:
+            meta = meta[:2] if kind == "ibi_chunk" else None if kind == "cortisol" else meta
+            entries.append([seq, kind, subject_id, offset, length, meta])
+        store = JsonlStore(config.storage_path)
+        store.close()
+        store.path.write_bytes(log)
+        format_3 = {"format": 3, **older_snapshot_fields(log), "entries": entries}
+        store.snapshot_path.write_text(json.dumps(format_3))
+
+        reopened = JsonlStore(config.storage_path)
+        assert len(reopened) == len(log.splitlines())
+        assert reopened.subjects("signal_chunk") == subjects
+        [ibi] = reopened.index("ibi_chunk", "S0")
+        assert isinstance(ibi.meta, IbiMeta) and ibi.meta.n_events > 0
+        assert reopened.index("cortisol", "S0")[0].meta == CortisolMeta("T1")
+        for record in reopened.records(subject_id="S0"):
+            assert reopened.append(record["kind"], "S0", record["payload"]) is None
+        service = VitalsService(config, reopened)
+        assert ask(service) == answers
+        reopened.close()
+
     def test_records_are_schema_versioned(self, tmp_path):
         path = tmp_path / "log.jsonl"
         store = JsonlStore(path)
@@ -227,6 +300,70 @@ class TestJsonlStore:
         store.close()
         line = json.loads(path.read_text().splitlines()[0])
         assert line["schema"] == 1
+
+
+_SMALL = st.integers(0, 1)
+_NAME = st.sampled_from(["sbp_mmhg", "dbp_mmhg"])
+_PAYLOADS = {
+    # Each field may be missing; values of one field collide often.
+    "signal_chunk": st.fixed_dictionaries(
+        {},
+        optional={
+            "channel": st.sampled_from(["EDA", "PPG"]),
+            "name": st.none() | _NAME,
+            "start_ms": _SMALL,
+            "values": st.lists(st.floats(-1, 1), max_size=3),
+            "rate_hz": st.sampled_from([4.0, 64.0]),
+        },
+    ),
+    "ibi_chunk": st.fixed_dictionaries(
+        {},
+        optional={"events": st.lists(st.tuples(_SMALL, st.floats(0.5, 1)).map(list), max_size=3)},
+    ),
+    "cortisol": st.fixed_dictionaries(
+        {}, optional={"timepoint": st.sampled_from(["T1", "T2"]), "t_ms": _SMALL}
+    ),
+    "model": st.fixed_dictionaries(
+        {}, optional={"model_key": st.sampled_from(["stress", "bp_sbp"]), "version": _NAME}
+    ),
+    "tag_registration": st.fixed_dictionaries({"kind": st.just("user"), "index": _SMALL}),
+    "tag_event": st.fixed_dictionaries({"t_server_ms": _SMALL}),
+}
+_APPENDS = st.lists(
+    st.sampled_from(RECORD_KINDS).flatmap(
+        lambda kind: st.tuples(st.just(kind), st.sampled_from(["", "S0"]), _PAYLOADS[kind])
+    ),
+    max_size=8,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(live=_APPENDS, after_snapshot=_APPENDS, after_rescan=_APPENDS)
+def test_duplicates_follow_the_rule_live_after_a_snapshot_and_after_a_rescan(
+    live, after_snapshot, after_rescan
+):
+    assert set(_PAYLOADS) == set(RECORD_KINDS)
+    stored_keys = set()
+
+    def append_all(store, appends):
+        for kind, subject_id, payload in appends:
+            key = _dedup_key(kind, subject_id, payload)
+            stored = store.append(kind, subject_id, payload) is not None
+            assert stored == (key is None or key not in stored_keys), (kind, payload)
+            stored_keys.add(key)
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "log.jsonl"
+        store = JsonlStore(path)
+        append_all(store, live)
+        store.close()
+        store = JsonlStore(path)  # from the snapshot close() wrote
+        append_all(store, after_snapshot)
+        store.close()
+        store.snapshot_path.unlink()
+        store = JsonlStore(path)  # a full rescan
+        append_all(store, after_rescan)
+        store.close()
 
 
 class TestServiceConfig:
