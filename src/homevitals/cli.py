@@ -31,7 +31,7 @@ from .errors import FormatError, HomevitalsError, NotFound
 from .labeling import load_cortisol_csv, save_cortisol_csv
 from .location import EventLog, format_message, register, resolve_location
 from .service import JsonlStore, ServiceConfig, VitalsHttpServer, VitalsService, load_config
-from .signals import Channel, load_ibi_csv, load_series_csv, save_ibi_csv, save_series_csv
+from .signals import MS_PER_S, Channel, load_ibi_csv, load_series_csv, save_ibi_csv, save_series_csv
 from .simulate import cohort_sessions, simulate_bp_records
 from .simulate.bp_records import TARGET_RATE_HZ
 
@@ -116,7 +116,7 @@ def _replay_locate_script(script: dict, seed: int) -> list[str]:
             raise ValueError(f"step {n}: user {identity!r} is not registered")
         if room is not None and room not in rooms:
             raise ValueError(f"step {n}: room {room!r} is not registered")
-        clock_ms[0] = int(t_s * 1000)
+        clock_ms[0] = int(t_s * MS_PER_S)
         if room is not None:
             log.ingest_event("user", identity_index[identity])
             clock_ms[0] += int(rng.uniform(0, 4500))
@@ -256,16 +256,19 @@ def _cmd_serve(args) -> int:
 
         config = replace(config, listen_port=args.port)
     server = VitalsHttpServer(config)
-    # SIGTERM, and SIGINT even where it was inherited as ignored (a background
-    # job of a non-interactive shell), stop the server as Ctrl-C does: through
-    # KeyboardInterrupt and shutdown(), which closes the store.
-    for signum in (signal.SIGINT, signal.SIGTERM):
-        signal.signal(signum, signal.default_int_handler)
-    print(f"listening on {config.listen_host}:{server.port}", flush=True)
     try:
+        # SIGTERM, and SIGINT even where it was inherited as ignored (a
+        # background job of a non-interactive shell), stop the server as
+        # Ctrl-C does: by KeyboardInterrupt. Whether that ends serve_forever
+        # or comes before it starts, close() closes the socket and the store.
+        for signum in (signal.SIGINT, signal.SIGTERM):
+            signal.signal(signum, signal.default_int_handler)
+        print(f"listening on {config.listen_host}:{server.port}", flush=True)
         server.serve_forever()
     except KeyboardInterrupt:
-        server.shutdown()
+        pass
+    finally:
+        server.close()
     return 0
 
 

@@ -17,7 +17,7 @@ from .features import (
     stress_feature_matrix,
 )
 from .labeling import CortisolSample, LabelRule, label_windows, labels_to_targets
-from .signals import ChannelBundle, SampleSeries, WindowSpec, make_windows
+from .signals import MS_PER_S, ChannelBundle, SampleSeries, WindowSpec, make_windows
 
 # The stress forest, each BP regression tree (alone or boosted), the BP
 # boosting rounds, and the length of the BP segments trained on and queried.
@@ -49,7 +49,7 @@ def segment_targets(
     """
     means = []
     for target in (sbp, dbp):
-        offset_s = (ppg.start_ms - target.start_ms) / 1000.0
+        offset_s = (ppg.start_ms - target.start_ms) / MS_PER_S
         lo = int(np.floor((offset_s + start_idx / ppg.rate_hz) * target.rate_hz))
         hi = max(lo + 1, int(np.ceil((offset_s + stop_idx / ppg.rate_hz) * target.rate_hz)))
         lo, hi = max(lo, 0), min(hi, len(target))

@@ -14,7 +14,9 @@ Routes:
 GETs only read: no query writes to the store. Everything a POST stores
 survives a restart, `kill -9` included: signal chunks, beat events and
 cortisol, trained models, tag registrations, and the tag events still
-inside the match search window, which rebuild the location state. /health
+inside the match search window, which rebuild the location state. A
+restarting server reopens the store by scanning its log's line headers,
+the same work after `kill -9` as after a clean stop. /health
 reports the store's record count and the newest version of each trained
 model, both from the store's index.
 
@@ -226,6 +228,11 @@ class VitalsHttpServer:
         return thread
 
     def shutdown(self) -> None:
+        """Stop a serve_forever loop running in another thread, then close."""
         self.httpd.shutdown()
+        self.close()
+
+    def close(self) -> None:
+        """Close the socket and the store; no serve_forever loop may be running."""
         self.httpd.server_close()
         self.store.close()

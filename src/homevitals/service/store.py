@@ -1,8 +1,11 @@
 """Append-only JSONL record store with idempotent writes.
 
-One JSON document per line; every record carries a schema version and a
-sequence number. Appends are serialized, flushed, and fsynced before the
-call returns, so an acknowledged write survives an ungraceful kill.
+Each record is one line, `<header JSON>\t<payload JSON>\n`; json.dumps
+never writes a raw tab, so the first tab splits every line. The header
+holds the seq, schema version, kind, subject_id, created_at_ms and the
+kind's index metadata as a list. Appends are serialized, flushed, and
+fsynced before the call returns, so an acknowledged write survives an
+ungraceful kill.
 
 `KINDS` is the one table of record kinds. For each kind it names the
 metadata its index entries carry and, [bracketed], the metadata fields on
@@ -18,21 +21,23 @@ cortisol and models, and a starting service replays the tag registrations
 and the tag events inside its search window.
 
 Only an index lives in memory, kept per (kind, subject_id): each entry holds
-the record's byte offset and length plus its kind's metadata, built once
-from the payload at append or scan time. Queries pick the records they need
-from that metadata and read only those, through one long-lived read handle
-with positional reads. The index is the store's only state: the duplicate
-set, the last sequence number and the end of the indexed log all follow
-from its entries. The entries alone are snapshotted to a sidecar file
-periodically and on close; on open a fresh snapshot lets the store replay
-just the log tail, and a snapshot in any other format is ignored in favour
-of a full rescan. A torn trailing line from a crash was never acknowledged:
-it is cut from the log at open, so the next append starts a line of its own.
+the record's byte offset and length plus its kind's metadata. Queries pick
+the records they need from that metadata and read only those, through one
+long-lived read handle with positional reads; a payload is first parsed
+there, so a corrupt one raises FormatError when read. The index is the
+store's only state, and the log its only file: opening scans every line's
+header, in time proportional to the log's bytes, the same after `kill -9`
+as after close(). A line without a tab is in the older layout, one JSON
+document with the payload inside; its metadata is built from the payload.
+A `.index` sidecar an older version left is neither read nor written. A
+torn trailing line from a crash was never acknowledged: it is cut from the
+log at open, so the next append starts a line of its own.
 """
 
 from __future__ import annotations
 
 import json
+import mmap
 import os
 import threading
 import time
@@ -44,11 +49,6 @@ from typing import Callable, Iterator, NamedTuple
 from ..errors import FormatError, InputError
 
 SCHEMA_VERSION = 1
-
-#: Layout of the sidecar index; a snapshot without this value is rescanned.
-INDEX_FORMAT = 4
-
-SNAPSHOT_EVERY = 256
 
 
 class ChunkMeta(NamedTuple):
@@ -155,6 +155,10 @@ class IndexEntry:
     meta: tuple | None
 
 
+def _dumps(doc) -> bytes:
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
+
+
 class JsonlStore:
     def __init__(self, path: str | Path):
         self.path = Path(path)
@@ -163,63 +167,45 @@ class JsonlStore:
         self._by_key: dict[tuple[str, str], list[IndexEntry]] = {}
         self._dedup: set[tuple] = set()
         self._seq = 0
-        self._appends_since_snapshot = 0
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self.path.touch(exist_ok=True)
         self._scan()
         self._fh = open(self.path, "ab")
         self._reader = open(self.path, "rb")
 
-    @property
-    def snapshot_path(self) -> Path:
-        return self.path.with_name(self.path.name + ".index")
-
     # -- loading -----------------------------------------------------------
 
     def _scan(self) -> None:
-        start_offset = self._load_snapshot()
-        if start_offset > self.path.stat().st_size:
-            # Snapshot is ahead of the log (log was truncated/replaced):
-            # distrust it entirely.
-            self._entries, self._by_key, self._dedup, self._seq = [], {}, set(), 0
-            start_offset = 0
+        if self.path.stat().st_size == 0:
+            return  # an empty file cannot be mapped
         with open(self.path, "r+b") as fh:
-            fh.seek(start_offset)
-            offset = start_offset
-            for line in fh:
-                if not line.endswith(b"\n"):
-                    fh.truncate(offset)  # torn trailing write, never acknowledged
-                    break
-                if line.strip():
-                    try:
-                        record = json.loads(line)
-                    except json.JSONDecodeError as exc:
-                        raise FormatError(
-                            f"{self.path}: corrupt record at byte {offset}: {exc}"
-                        ) from exc
-                    kind, subject = record["kind"], record.get("subject_id", "")
-                    meta = _meta_of(kind, record.get("payload", {}))
-                    entry = IndexEntry(record["seq"], kind, subject, offset, len(line), meta)
-                    self._index(entry, _duplicate_key(kind, subject, meta))
-                offset += len(line)
+            with mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as log:
+                offset = 0
+                while (stop := log.find(b"\n", offset) + 1) > 0:
+                    self._index_line(log, offset, stop)
+                    offset = stop
+                size = len(log)
+            if offset < size:
+                fh.truncate(offset)  # torn trailing write, never acknowledged
 
-    def _load_snapshot(self) -> int:
-        """Index the snapshot's entries; returns the log offset where they
-        end, or 0 (nothing indexed) when there is no usable snapshot."""
+    def _index_line(self, log: mmap.mmap, offset: int, stop: int) -> None:
+        """Index the line log[offset:stop]; only its header is parsed."""
+        tab = log.find(b"\t", offset, stop)
+        line = log[offset : tab if tab >= 0 else stop]
+        if tab < 0 and not line.strip():
+            return
         try:
-            doc = json.loads(self.snapshot_path.read_text())
-            if doc["format"] != INDEX_FORMAT:
-                return 0
-            entries = []
-            for seq, kind, subject_id, offset, length, meta in doc["entries"]:
+            record = json.loads(line.decode())
+            kind, subject = record["kind"], record.get("subject_id", "")
+            if tab >= 0:
                 meta_type = KINDS.get(kind, _RETIRED).meta
-                meta = meta_type(*meta) if meta_type is not None else None
-                entries.append(IndexEntry(seq, kind, subject_id, offset, length, meta))
-        except (OSError, json.JSONDecodeError, KeyError, IndexError, TypeError, ValueError):
-            return 0
-        for entry in entries:
-            self._index(entry, _duplicate_key(entry.kind, entry.subject_id, entry.meta))
-        return entries[-1].offset + entries[-1].length if entries else 0
+                meta = None if meta_type is None else meta_type(*record["meta"])
+            else:  # the older layout: one document, the payload inside
+                meta = _meta_of(kind, record.get("payload", {}))
+            entry = IndexEntry(record["seq"], kind, subject, offset, stop - offset, meta)
+        except (ValueError, KeyError, TypeError, IndexError) as exc:
+            raise FormatError(f"{self.path}: corrupt record at byte {offset}: {exc!r}") from exc
+        self._index(entry, _duplicate_key(kind, subject, meta))
 
     def _index(self, entry: IndexEntry, key: tuple | None) -> None:
         """Add entry, whose duplicate key is key, to the index."""
@@ -246,23 +232,30 @@ class JsonlStore:
                 "kind": kind,
                 "subject_id": subject_id,
                 "created_at_ms": int(time.time() * 1000),
-                "payload": payload,
             }
-            line = (json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n").encode()
+            line = _dumps({**record, "meta": meta}) + b"\t" + _dumps(payload) + b"\n"
             offset = self._fh.tell()
             self._fh.write(line)
             self._fh.flush()
             os.fsync(self._fh.fileno())
             self._index(IndexEntry(record["seq"], kind, subject_id, offset, len(line), meta), key)
-            self._appends_since_snapshot += 1
-            if self._appends_since_snapshot >= SNAPSHOT_EVERY:
-                self._write_snapshot_locked()
-            return record
+        record["payload"] = payload
+        return record
 
     # -- reading -----------------------------------------------------------
 
     def _read_entry(self, entry: IndexEntry) -> dict:
-        return json.loads(os.pread(self._reader.fileno(), entry.length, entry.offset))
+        line = os.pread(self._reader.fileno(), entry.length, entry.offset)
+        header, tab, payload = line.partition(b"\t")
+        if not tab:
+            return json.loads(line)  # the older one-document layout, parsed whole at open
+        record = json.loads(header)
+        del record["meta"]
+        try:
+            record["payload"] = json.loads(payload)  # first parsed here, not at open
+        except ValueError as exc:
+            raise FormatError(f"{self.path}: corrupt payload at byte {entry.offset}: {exc!r}") from exc
+        return record
 
     def index(self, kind: str, subject_id: str) -> list[IndexEntry]:
         """The subject's index entries of kind, in append order; no record is read."""
@@ -325,17 +318,8 @@ class JsonlStore:
 
     # -- lifecycle ----------------------------------------------------------
 
-    def _write_snapshot_locked(self) -> None:
-        entries = [[e.seq, e.kind, e.subject_id, e.offset, e.length, e.meta] for e in self._entries]
-        doc = {"format": INDEX_FORMAT, "entries": entries}
-        tmp = self.snapshot_path.with_name(self.snapshot_path.name + ".tmp")
-        tmp.write_text(json.dumps(doc))
-        tmp.replace(self.snapshot_path)
-        self._appends_since_snapshot = 0
-
     def close(self) -> None:
         with self._lock:
             if not self._fh.closed:
-                self._write_snapshot_locked()
                 self._fh.close()
                 self._reader.close()

@@ -22,6 +22,9 @@ from ..errors import ConfigError, DegenerateInput, FormatError, InputError
 IBI_MIN_S = 0.3
 IBI_MAX_S = 2.0
 
+#: Milliseconds per second, for every ms <-> s conversion of a sample time.
+MS_PER_S = 1000
+
 
 class Channel(Enum):
     EDA = "EDA"
@@ -49,7 +52,7 @@ def _as_float_array(values: Sequence[float] | np.ndarray, what: str) -> np.ndarr
 
 class SampledSpan:
     """Where uniformly spaced samples lie in time: sample i of a span starting
-    at start_ms lives at start_ms + round(1000*i/rate_hz).
+    at start_ms lives at start_ms + round(MS_PER_S*i/rate_hz).
 
     The one home of the sample-time rules. A subclass supplies rate_hz,
     start_ms, __len__ and _take(start_idx, stop_idx, start_ms), which builds
@@ -63,16 +66,16 @@ class SampledSpan:
     def time_of(index: int, start_ms: int, rate_hz: float) -> int:
         """Epoch ms of sample `index` of a span at start_ms; the end of a span
         of `index` samples."""
-        return start_ms + int(round(1000.0 * index / rate_hz))
+        return start_ms + int(round(MS_PER_S * index / rate_hz))
 
     def timestamps_ms(self) -> np.ndarray:
         """time_of at every index, vectorised (np.rint rounds half to even, as
         round does)."""
         idx = np.arange(len(self), dtype=np.float64)
-        return (self.start_ms + np.rint(1000.0 * idx / self.rate_hz)).astype(np.int64)
+        return (self.start_ms + np.rint(MS_PER_S * idx / self.rate_hz)).astype(np.int64)
 
     def _samples(self, ms: int) -> int:
-        return int(round(ms * self.rate_hz / 1000.0))
+        return int(round(ms * self.rate_hz / MS_PER_S))
 
     @property
     def duration_s(self) -> float:
@@ -239,11 +242,11 @@ class WindowSpec:
 
     @property
     def length_ms(self) -> int:
-        return int(round(self.length_s * 1000))
+        return int(round(self.length_s * MS_PER_S))
 
     @property
     def step_ms(self) -> int:
-        return int(round(self.step_s * 1000))
+        return int(round(self.step_s * MS_PER_S))
 
 
 @dataclass(frozen=True)

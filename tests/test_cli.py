@@ -168,7 +168,9 @@ def oracle_bodies(data: Path) -> list[dict]:
 
 
 def records_without_created_at(path: Path) -> list[dict]:
-    records = [json.loads(line) for line in path.read_text().splitlines()]
+    store = JsonlStore(path)
+    records = list(store.records())
+    store.close()
     for record in records:
         del record["created_at_ms"]
     return records
@@ -318,8 +320,11 @@ def test_unknown_command_exits_nonzero():
     assert result.returncode == 2
 
 
-def stored_subjects(store: Path) -> set[str]:
-    return {json.loads(line)["subject_id"] for line in store.read_text().splitlines()}
+def stored_subjects(path: Path) -> set[str]:
+    store = JsonlStore(path)
+    subjects = {record["subject_id"] for record in store.records()}
+    store.close()
+    return subjects
 
 
 class TestIngestRejectsBadFiles:
@@ -452,4 +457,36 @@ def test_serve_stops_cleanly_on_signal_even_with_sigint_ignored(tmp_path, signum
         if proc.poll() is None:
             proc.kill()
         proc.communicate()
-    assert store.with_name(store.name + ".index").exists()
+    JsonlStore(store).close()  # the log reopens
+
+
+def test_serve_closes_socket_and_store_on_an_interrupt_before_serving(tmp_path, monkeypatch):
+    # A signal that lands just after the listening line, before serve_forever
+    # runs: no loop exists for httpd.shutdown() to stop.
+    store = tmp_path / "store.jsonl"
+    config = tmp_path / "service.cfg"
+    config.write_text(f"listen_port = 0\nstorage_path = {store}\n")
+    servers = []
+
+    class RecordedServer(cli.VitalsHttpServer):
+        def __init__(self, config):
+            super().__init__(config)
+            servers.append(self)
+
+    def interrupted_print(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "VitalsHttpServer", RecordedServer)
+    monkeypatch.setattr(cli, "print", interrupted_print, raising=False)
+    handlers = {signum: signal.getsignal(signum) for signum in (signal.SIGINT, signal.SIGTERM)}
+    try:
+        code = cli.main(["serve", "--config", str(config)])
+    except KeyboardInterrupt:
+        pytest.fail("KeyboardInterrupt escaped serve")
+    finally:
+        for signum, handler in handlers.items():
+            signal.signal(signum, handler)
+    [server] = servers
+    assert code == 0
+    assert server.store._fh.closed and server.store._reader.closed
+    assert server.httpd.socket.fileno() == -1

@@ -1,4 +1,5 @@
-"""Store durability, idempotency, snapshot restart, and config round-trips."""
+"""Store durability, idempotency, restart from the log alone, the older
+one-document line layout, and config round-trips."""
 
 import json
 import tempfile
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homevitals.errors import ConfigError, InputError
+from homevitals.errors import ConfigError, FormatError, InputError
 from homevitals.location import LocationFix
 from homevitals.service import (
     JsonlStore,
@@ -21,8 +22,8 @@ from homevitals.service import (
 )
 from homevitals.service.config import _KEY_TO_FIELD, _SCALAR_KEYS
 from homevitals.service.store import (
+    KINDS,
     RECORD_KINDS,
-    SNAPSHOT_EVERY,
     CortisolMeta,
     IbiMeta,
     TagEventMeta,
@@ -34,8 +35,7 @@ from test_service_pipeline import bp_payload, stress_payload
 @pytest.fixture(scope="module")
 def trained_store(tmp_path_factory):
     """A closed store with synced subjects and both models trained: its
-    config, log bytes, snapshot document, signal subjects, and the answers
-    its service gave."""
+    config, log bytes, signal subjects, and the answers its service gave."""
     config = ServiceConfig(
         storage_path=str(tmp_path_factory.mktemp("trained") / "log.jsonl"),
         forest_n_trees=5,
@@ -57,12 +57,28 @@ def trained_store(tmp_path_factory):
     answers = ask(service)
     subjects = store.subjects("signal_chunk")
     store.close()
-    snapshot = json.loads(store.snapshot_path.read_text())
-    return config, store.path.read_bytes(), snapshot, subjects, answers
+    return config, store.path.read_bytes(), subjects, answers
 
 
 def ask(service):
     return [service.query_stress("S0"), service.query_bp("P1"), service.query_bp("R0")]
+
+
+def _dumps(doc) -> bytes:
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode() + b"\n"
+
+
+def older_layout(log: bytes) -> bytes:
+    """log rewritten in the layout before per-line headers: one JSON
+    document per record, with the payload inside it and no metadata."""
+    lines = []
+    for line in log.splitlines():
+        header, tab, payload = line.partition(b"\t")
+        assert tab, line[:80]
+        record = {**json.loads(header), "payload": json.loads(payload)}
+        del record["meta"]
+        lines.append(_dumps(record))
+    return b"".join(lines)
 
 
 def _dedup_key(kind, subject_id, payload):
@@ -87,8 +103,9 @@ def _dedup_key(kind, subject_id, payload):
 
 
 def older_snapshot_fields(log: bytes) -> dict:
-    """The seq, offset and dedup fields that snapshots up to format 3 held
-    beside their entries, built from the log's records and the duplicate rule."""
+    """The seq, offset and dedup fields that sidecars up to format 3 held
+    beside their entries, built from an older-layout log's records and the
+    duplicate rule."""
     records = [json.loads(line) for line in log.splitlines()]
     keys = {_dedup_key(r["kind"], r["subject_id"], r["payload"]) for r in records} - {None}
     return {
@@ -96,6 +113,51 @@ def older_snapshot_fields(log: bytes) -> dict:
         "offset": len(log),
         "dedup": [list(key) for key in keys],
     }
+
+
+def leftover_sidecar(log: bytes, index_format: int) -> dict:
+    """The `.index` sidecar an older version kept beside an older-layout log.
+    Format 1 had no format number and five fields per entry; formats 2 and 3
+    held seq, offset and dedup beside the entries, and neither gave cortisol
+    metadata nor a beat-event count; format 2 gave tag events no metadata.
+    The format-4 sidecar here is stale: its model versions disagree with the
+    log, so a store that read it would show it."""
+    entries, offset = [], 0
+    for line in log.splitlines(keepends=True):
+        r = json.loads(line)
+        meta_type = KINDS[r["kind"]].meta if r["kind"] in KINDS else None
+        meta = None if meta_type is None else list(meta_type.of(r["payload"]))
+        if index_format == 4 and r["kind"] == "model":
+            meta[1] = "stale"
+        if index_format in (2, 3) and r["kind"] == "ibi_chunk":
+            meta = meta[:2]
+        if index_format in (2, 3) and r["kind"] == "cortisol":
+            meta = None
+        if index_format == 2 and r["kind"] == "tag_event":
+            meta = None
+        entries.append([r["seq"], r["kind"], r["subject_id"], offset, len(line), meta])
+        offset += len(line)
+    if index_format == 1:
+        return {**older_snapshot_fields(log), "entries": [entry[:5] for entry in entries]}
+    fields_ = {} if index_format == 4 else older_snapshot_fields(log)
+    return {"format": index_format, **fields_, "entries": entries}
+
+
+def leave_older_store(path, log: bytes, index_format: int) -> Path:
+    """Write an older-layout log to path with a leftover sidecar of
+    index_format beside it; returns the sidecar's path."""
+    path = Path(path)
+    path.write_bytes(log)
+    sidecar = path.with_name(path.name + ".index")
+    sidecar.write_text(json.dumps(leftover_sidecar(log, index_format)))
+    return sidecar
+
+
+def state(store):
+    """What a store holds in memory: each entry's seq, kind, subject and
+    metadata (not where it lies in the log), the duplicate set, the last seq."""
+    entries = [(e.seq, e.kind, e.subject_id, e.meta) for e in store._entries]
+    return entries, store._dedup, store._seq
 
 
 def chunk_payload(start_ms=0, n=8, channel="EDA", name=None):
@@ -147,27 +209,101 @@ class TestJsonlStore:
         assert len(reopened) == 1
         record = reopened.append("tag_registration", "", {"kind": "user", "index": 2, "name": "b"})
         assert record["seq"] == 2
-        # Dropped without close(), as by kill -9: no snapshot covers the
-        # acknowledged append, so the next open scans it from the log.
+        # Dropped without close(), as by kill -9: the next open finds the
+        # acknowledged append in the log.
         reopened._fh.close()
         reopened._reader.close()
         again = JsonlStore(path)
         assert [r["seq"] for r in again.records()] == [1, 2]
         again.close()
 
-    def test_snapshot_written_and_used(self, tmp_path):
+    @pytest.mark.parametrize(
+        "cut", ["inside the header", "before the tab", "after the tab", "inside the payload"]
+    )
+    def test_torn_line_is_cut_wherever_it_ends(self, tmp_path, cut):
         path = tmp_path / "log.jsonl"
         store = JsonlStore(path)
-        for i in range(SNAPSHOT_EVERY + 5):
-            store.append("tag_event", "", {"kind": "user", "index": i, "t_server_ms": i})
-        assert store.snapshot_path.exists()
+        store.append("cortisol", "S00", {"timepoint": "T1", "t_ms": 0, "concentration_ugdl": 0.2})
         store.close()
+        acknowledged = path.read_bytes()
+        other = JsonlStore(tmp_path / "other.jsonl")
+        other.append("cortisol", "S00", {"timepoint": "T0"})
+        other.append("cortisol", "S00", {"timepoint": "T2", "t_ms": 1, "concentration_ugdl": 0.3})
+        other.close()
+        line = other.path.read_bytes().splitlines(keepends=True)[1]
+        tab = line.index(b"\t")
+        end = {
+            "inside the header": tab // 2,
+            "before the tab": tab,
+            "after the tab": tab + 1,
+            "inside the payload": len(line) - 3,
+        }[cut]
+        path.write_bytes(acknowledged + line[:end])  # a write cut short by a crash
+
         reopened = JsonlStore(path)
-        assert len(reopened) == SNAPSHOT_EVERY + 5
-        assert reopened.index("tag_event", "")[-1].meta == TagEventMeta(SNAPSHOT_EVERY + 4)
+        assert len(reopened) == 1
+        assert path.read_bytes() == acknowledged
+        record = reopened.append("cortisol", "S00", {"timepoint": "T2"})
+        assert record["seq"] == 2
+        reopened._fh.close()  # dropped without close(), as by kill -9
+        reopened._reader.close()
+        again = JsonlStore(path)
+        assert [(r["seq"], r["payload"]["timepoint"]) for r in again.records()] == [
+            (1, "T1"),
+            (2, "T2"),
+        ]
+        again.close()
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda header: b"x" + header[1:],
+            lambda header: header.replace(b'"seq"', b'"sequence"'),
+            lambda header: header.replace(b'"meta":["T2"]', b'"meta":[]'),
+        ],
+        ids=["not JSON", "no seq", "metadata of the wrong length"],
+    )
+    def test_corrupt_header_in_the_middle_names_its_byte_offset(self, tmp_path, corrupt):
+        path = tmp_path / "log.jsonl"
+        store = JsonlStore(path)
+        for timepoint in ("T1", "T2", "T3"):
+            store.append("cortisol", "S00", {"timepoint": timepoint})
+        store.close()
+        first, second, third = path.read_bytes().splitlines(keepends=True)
+        header, tab, payload = second.partition(b"\t")
+        path.write_bytes(first + corrupt(header) + tab + payload + third)
+        with pytest.raises(FormatError, match=f"corrupt record at byte {len(first)}:"):
+            JsonlStore(path)
+
+    def test_corrupt_payload_is_found_when_its_record_is_read(self, tmp_path):
+        path = tmp_path / "log.jsonl"
+        store = JsonlStore(path)
+        for timepoint in ("T1", "T2", "T3"):
+            store.append("cortisol", "S00", {"timepoint": timepoint})
+        store.close()
+        first, second, third = path.read_bytes().splitlines(keepends=True)
+        path.write_bytes(first + second.replace(b'"timepoint"', b'"timepoint') + third)
+        reopened = JsonlStore(path)
+        assert len(reopened) == 3
+        with pytest.raises(FormatError, match=f"corrupt payload at byte {len(first)}:"):
+            list(reopened.records())
+        intact = reopened.records(where=lambda e: e.meta != CortisolMeta("T2"))
+        assert [r["payload"]["timepoint"] for r in intact] == ["T1", "T3"]
+        reopened.close()
+
+    def test_reopen_after_many_appends_reads_only_the_log(self, tmp_path):
+        path = tmp_path / "log.jsonl"
+        store = JsonlStore(path)
+        for i in range(261):
+            store.append("tag_event", "", {"kind": "user", "index": i, "t_server_ms": i})
+        store.close()
+        assert [p.name for p in tmp_path.iterdir()] == ["log.jsonl"]
+        reopened = JsonlStore(path)
+        assert len(reopened) == 261
+        assert reopened.index("tag_event", "")[-1].meta == TagEventMeta(260)
         assert reopened.append("tag_event", "", {"kind": "user", "index": -1, "t_server_ms": 0})[
             "seq"
-        ] == SNAPSHOT_EVERY + 6
+        ] == 262
         reopened.close()
 
     def test_unknown_kind_rejected(self, tmp_path):
@@ -203,15 +339,13 @@ class TestJsonlStore:
         assert reopened.subjects("model") == []
         reopened.close()
 
-    def test_snapshot_in_the_older_layout_is_rescanned(self, tmp_path, trained_store):
-        # Snapshots once held five fields per entry and no format number.
-        config, log, doc, subjects, answers = trained_store
+    def test_older_layout_beside_a_format_1_sidecar(self, tmp_path, trained_store):
+        # The first sidecars held five fields per entry and no format number.
+        config, log, subjects, answers = trained_store
         config = config.with_storage(tmp_path / "log.jsonl")
-        store = JsonlStore(config.storage_path)
-        store.close()
-        store.path.write_bytes(log)
-        older = {**older_snapshot_fields(log), "entries": [entry[:5] for entry in doc["entries"]]}
-        store.snapshot_path.write_text(json.dumps(older))
+        log = older_layout(log)
+        sidecar = leave_older_store(config.storage_path, log, 1)
+        left = sidecar.read_bytes()
 
         reopened = JsonlStore(config.storage_path)
         assert len(reopened) == len(log.splitlines())
@@ -219,12 +353,16 @@ class TestJsonlStore:
         service = VitalsService(config, reopened)
         assert ask(service) == answers
         reopened.close()
+        assert sidecar.read_bytes() == left
 
-    def test_format_2_store_with_prediction_records_is_rescanned(self, tmp_path, trained_store):
+    def test_older_layout_with_prediction_records_beside_a_format_2_sidecar(
+        self, tmp_path, trained_store
+    ):
         # Format 2 is the layout in which every GET /stress and /bp stored a
         # prediction record and a tag event's index entry had no metadata.
-        config, log, doc, subjects, answers = trained_store
+        config, log, subjects, answers = trained_store
         config = config.with_storage(tmp_path / "log.jsonl")
+        log = older_layout(log)
         now = int(time.time() * 1000)
         tail = [
             ("prediction", "S0", {"kind": "stress", **answers[0]}),
@@ -232,7 +370,6 @@ class TestJsonlStore:
             ("prediction", "P1", {"kind": "bp", **answers[1]}),
             ("tag_event", "", {"kind": "location", "index": 10, "t_server_ms": now - 1000}),
         ]
-        entries, offset = list(doc["entries"]), len(log)
         first_seq = older_snapshot_fields(log)["seq"] + 1
         for seq, (kind, subject_id, payload) in enumerate(tail, start=first_seq):
             record = {
@@ -243,14 +380,9 @@ class TestJsonlStore:
                 "created_at_ms": now,
                 "payload": payload,
             }
-            line = (json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n").encode()
-            entries.append([seq, kind, subject_id, offset, len(line), None])
-            log, offset = log + line, offset + len(line)
-        store = JsonlStore(config.storage_path)
-        store.close()
-        store.path.write_bytes(log)
-        format_2 = {"format": 2, **older_snapshot_fields(log), "entries": entries}
-        store.snapshot_path.write_text(json.dumps(format_2))
+            log += _dumps(record)
+        sidecar = leave_older_store(config.storage_path, log, 2)
+        left = sidecar.read_bytes()
 
         reopened = JsonlStore(config.storage_path)
         assert len(reopened) == len(log.splitlines())
@@ -264,22 +396,17 @@ class TestJsonlStore:
         fix = LocationFix(1, 10, now - 2000, now - 1000, "alice", "kitchen")
         assert service.locate("alice") == fix
         reopened.close()
+        assert sidecar.read_bytes() == left
 
-    def test_format_3_snapshot_is_rescanned(self, tmp_path, trained_store):
+    def test_older_layout_beside_a_format_3_sidecar(self, tmp_path, trained_store):
         # Format 3 held the duplicate keys, the last seq and the log offset
         # beside the entries; its beat-event metadata had no event count and
         # cortisol entries had no metadata.
-        config, log, doc, subjects, answers = trained_store
+        config, log, subjects, answers = trained_store
         config = config.with_storage(tmp_path / "log.jsonl")
-        entries = []
-        for seq, kind, subject_id, offset, length, meta in doc["entries"]:
-            meta = meta[:2] if kind == "ibi_chunk" else None if kind == "cortisol" else meta
-            entries.append([seq, kind, subject_id, offset, length, meta])
-        store = JsonlStore(config.storage_path)
-        store.close()
-        store.path.write_bytes(log)
-        format_3 = {"format": 3, **older_snapshot_fields(log), "entries": entries}
-        store.snapshot_path.write_text(json.dumps(format_3))
+        log = older_layout(log)
+        sidecar = leave_older_store(config.storage_path, log, 3)
+        left = sidecar.read_bytes()
 
         reopened = JsonlStore(config.storage_path)
         assert len(reopened) == len(log.splitlines())
@@ -292,14 +419,62 @@ class TestJsonlStore:
         service = VitalsService(config, reopened)
         assert ask(service) == answers
         reopened.close()
+        assert sidecar.read_bytes() == left
+
+    @pytest.mark.parametrize("index_format", [1, 2, 3, 4])
+    def test_older_layout_opens_to_the_state_of_the_new_layout(
+        self, tmp_path, trained_store, index_format
+    ):
+        config, log, subjects, answers = trained_store
+        (tmp_path / "new").mkdir()
+        new_path = tmp_path / "new" / "log.jsonl"
+        new_path.write_bytes(log)
+        config = config.with_storage(tmp_path / "log.jsonl")
+        sidecar = leave_older_store(config.storage_path, older_layout(log), index_format)
+        left = sidecar.read_bytes()
+        new, older = JsonlStore(new_path), JsonlStore(config.storage_path)
+        assert state(older) == state(new)
+        assert list(older.records()) == list(new.records())
+        assert ask(VitalsService(config, older)) == answers
+
+        now = int(time.time() * 1000)
+        model = new.latest("model", model_key="stress")["payload"]
+        [chunk, *_] = new.records("signal_chunk", "S0")
+        appends = [
+            ("tag_event", "", {"kind": "user", "index": 1, "t_server_ms": now - 2000}),
+            ("signal_chunk", "S0", chunk["payload"]),  # a duplicate: not stored
+            ("tag_event", "", {"kind": "location", "index": 10, "t_server_ms": now - 1000}),
+            ("cortisol", "S9", {"timepoint": "T1", "t_ms": 0, "concentration_ugdl": 0.2}),
+            ("model", "", model),
+        ]
+        for kind, subject_id, payload in appends:
+            stored = [store.append(kind, subject_id, payload) for store in (new, older)]
+            assert (stored[0] is None) == (stored[1] is None) == (kind == "signal_chunk")
+            if stored[0] is not None:
+                assert stored[0]["seq"] == stored[1]["seq"]
+        assert state(older) == state(new)
+        new.close()
+        older.close()
+
+        new, older = JsonlStore(new_path), JsonlStore(config.storage_path)
+        assert state(older) == state(new)
+        assert older.append("cortisol", "S9", {"timepoint": "T1"}) is None
+        service = VitalsService(config, older)
+        assert ask(service) == answers
+        assert service.locate("alice") == LocationFix(
+            1, 10, now - 2000, now - 1000, "alice", "kitchen"
+        )
+        new.close()
+        older.close()
+        assert sidecar.read_bytes() == left
 
     def test_records_are_schema_versioned(self, tmp_path):
         path = tmp_path / "log.jsonl"
         store = JsonlStore(path)
         store.append("tag_registration", "", {"kind": "user", "index": 2, "name": "bob"})
         store.close()
-        line = json.loads(path.read_text().splitlines()[0])
-        assert line["schema"] == 1
+        header, tab, _payload = path.read_bytes().splitlines()[0].partition(b"\t")
+        assert tab and json.loads(header)["schema"] == 1
 
 
 _SMALL = st.integers(0, 1)
@@ -338,9 +513,9 @@ _APPENDS = st.lists(
 
 
 @settings(max_examples=150, deadline=None)
-@given(live=_APPENDS, after_snapshot=_APPENDS, after_rescan=_APPENDS)
-def test_duplicates_follow_the_rule_live_after_a_snapshot_and_after_a_rescan(
-    live, after_snapshot, after_rescan
+@given(live=_APPENDS, after_reopen=_APPENDS, after_kill=_APPENDS)
+def test_duplicates_follow_the_rule_live_after_a_reopen_and_after_a_kill(
+    live, after_reopen, after_kill
 ):
     assert set(_PAYLOADS) == set(RECORD_KINDS)
     stored_keys = set()
@@ -357,12 +532,12 @@ def test_duplicates_follow_the_rule_live_after_a_snapshot_and_after_a_rescan(
         store = JsonlStore(path)
         append_all(store, live)
         store.close()
-        store = JsonlStore(path)  # from the snapshot close() wrote
-        append_all(store, after_snapshot)
-        store.close()
-        store.snapshot_path.unlink()
-        store = JsonlStore(path)  # a full rescan
-        append_all(store, after_rescan)
+        store = JsonlStore(path)  # after close()
+        append_all(store, after_reopen)
+        store._fh.close()  # dropped without close(), as by kill -9
+        store._reader.close()
+        store = JsonlStore(path)
+        append_all(store, after_kill)
         store.close()
 
 
