@@ -9,11 +9,10 @@ at least (1 + threshold) times the subject's T1 baseline.
 from __future__ import annotations
 
 import logging
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -167,35 +166,6 @@ def label_windows(
 
 def labels_to_targets(labels: Sequence[StressLabel]) -> np.ndarray:
     return np.asarray([l.label.value for l in labels], dtype=np.int64)
-
-
-@dataclass(frozen=True)
-class CortisolSummary:
-    mean_ugdl: float
-    sd_ugdl: float
-    degenerate: bool
-
-
-def summarize_cortisol(
-    samples: Iterable[CortisolSample],
-) -> dict[Timepoint, CortisolSummary]:
-    """Population mean and sample standard deviation per timepoint."""
-    by_tp: dict[Timepoint, list[float]] = {tp: [] for tp in TIMEPOINTS}
-    for s in samples:
-        by_tp[s.timepoint].append(s.concentration_ugdl)
-    out: dict[Timepoint, CortisolSummary] = {}
-    for tp, values in by_tp.items():
-        if not values:
-            warnings.warn(f"no cortisol samples at {tp.value}; omitted", stacklevel=2)
-            continue
-        arr = np.asarray(values)
-        degenerate = arr.size < 2
-        out[tp] = CortisolSummary(
-            mean_ugdl=float(arr.mean()),
-            sd_ugdl=0.0 if degenerate else float(arr.std(ddof=1)),
-            degenerate=degenerate,
-        )
-    return out
 
 
 CORTISOL_CSV_HEADER = ("subject_id", "timepoint", "t_ms", "concentration_ugdl")

@@ -12,6 +12,7 @@ import logging
 import math
 import threading
 import time
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
@@ -180,19 +181,29 @@ def match_events(
     tolerance_s: float,
 ) -> tuple[TagEvent, TagEvent] | None:
     """Best (user, location) pair within tolerance: most recent first, then
-    smallest |t1 - t2|, then smallest location index."""
+    smallest |t1 - t2|, then smallest location index; of equal pairs, the
+    earliest user event, then the earliest location event, in input order.
+
+    A band join over the location events sorted by time: for one user event
+    the key falls as the location time rises, so its best partner is the
+    latest location event in its band, found by bisection.
+    """
     tol_ms = 1000.0 * tolerance_s
+    # Stable: within one time, by index, then by input order.
+    locations = sorted(location_events, key=lambda le: (le.t_server_ms, le.index))
+    times = [le.t_server_ms for le in locations]
     best_key = None
     best_pair = None
     for ue in user_events:
-        for le in location_events:
-            gap = abs(ue.t_server_ms - le.t_server_ms)
-            if gap > tol_ms:
-                continue
-            key = (-max(ue.t_server_ms, le.t_server_ms), gap, le.index)
-            if best_key is None or key < best_key:
-                best_key = key
-                best_pair = (ue, le)
+        t = ue.t_server_ms
+        end = bisect_right(times, tol_ms, key=lambda t_loc: t_loc - t)
+        if not end or abs(t - times[end - 1]) > tol_ms:
+            continue
+        le = locations[bisect_left(times, times[end - 1])]
+        key = (-max(t, le.t_server_ms), abs(t - le.t_server_ms), le.index)
+        if best_key is None or key < best_key:
+            best_key = key
+            best_pair = (ue, le)
     return best_pair
 
 

@@ -1,6 +1,6 @@
 """Smart-home cloud facade: config, append-only store, pipeline, HTTP API."""
 
-from .config import ServiceConfig, format_config, load_config, parse_config
+from .config import ServiceConfig, load_config, parse_config
 from .http import VitalsHttpServer
 from .pipeline import (
     VitalsService,
@@ -19,7 +19,6 @@ __all__ = [
     "VitalsHttpServer",
     "VitalsService",
     "cortisol_to_payload",
-    "format_config",
     "load_config",
     "parse_config",
     "payload_to_cortisol",

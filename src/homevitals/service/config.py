@@ -95,17 +95,5 @@ def parse_config(text: str) -> ServiceConfig:
     return ServiceConfig(user_tags=user_tags, location_tags=location_tags, **values)
 
 
-def format_config(config: ServiceConfig) -> str:
-    lines = []
-    for key, caster in _SCALAR_KEYS.items():
-        value = getattr(config, _KEY_TO_FIELD[key])
-        lines.append(f"{key} = {value}")
-    for index, identity in sorted(config.user_tags.items()):
-        lines.append(f"tags.user.{index} = {identity}")
-    for index, room in sorted(config.location_tags.items()):
-        lines.append(f"tags.location.{index} = {room}")
-    return "\n".join(lines) + "\n"
-
-
 def load_config(path: str | Path) -> ServiceConfig:
     return parse_config(Path(path).read_text())

@@ -14,7 +14,10 @@ Routes:
 GETs only read: no query writes to the store. Everything a POST stores
 survives a restart, `kill -9` included: signal chunks, beat events and
 cortisol, trained models, tag registrations, and the tag events still
-inside the match search window, which rebuild the location state. A
+inside the match search window, which rebuild the location state. A sync
+stores its records with one write and one fsync before it is
+acknowledged; a crash before that can leave some of its records stored,
+and the client's re-send stores only the rest, by the duplicate rule. A
 restarting server reopens the store by scanning its log's line headers,
 the same work after `kill -9` as after a clean stop. /health
 reports the store's record count and the newest version of each trained

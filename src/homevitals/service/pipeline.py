@@ -53,23 +53,33 @@ from ..signals import (
     window_grid,
 )
 from .config import ServiceConfig
-from .store import IndexEntry, JsonlStore
+from .store import IndexEntry, JsonlStore, decode_samples, encode_samples
 
 log = logging.getLogger(__name__)
 
 CONTIGUITY_SLOP_MS = 2
 
 
-def series_to_payload(series: SampleSeries, name: str | None = None) -> dict:
+def _chunk_payload(series: SampleSeries, name: str | None, **samples) -> dict:
     payload = {
         "channel": series.channel.value,
         "rate_hz": series.rate_hz,
         "start_ms": series.start_ms,
-        "values": [float(v) for v in series.values],
+        **samples,
     }
     if name is not None:
         payload["name"] = name
     return payload
+
+
+def series_to_payload(series: SampleSeries, name: str | None = None) -> dict:
+    """A chunk of a sync body: its samples as a JSON list."""
+    return _chunk_payload(series, name, values=[float(v) for v in series.values])
+
+
+def _stored_chunk(series: SampleSeries, name: str | None) -> dict:
+    """A chunk as the store keeps it: its samples as base64 float64."""
+    return _chunk_payload(series, name, f64le=encode_samples(series.values))
 
 
 def payload_to_series(payload: dict, field: str = "chunk") -> SampleSeries:
@@ -216,7 +226,8 @@ class VitalsService:
         """Validate and persist chunks, beat events, and cortisol samples.
 
         The whole request is validated before anything is stored, so a
-        rejected sync leaves the store untouched.
+        rejected sync leaves the store untouched; its records are then
+        stored in one batch, with one fsync.
         """
         subject_id = request.get("subject_id")
         if not subject_id or not isinstance(subject_id, str):
@@ -229,7 +240,7 @@ class VitalsService:
             name = chunk.get("name")
             if name is not None and not isinstance(name, str):
                 raise InputError(f"chunks[{i}]: name must be a string")
-            records.append(("signal_chunk", series_to_payload(series, name=name)))
+            records.append(("signal_chunk", _stored_chunk(series, name)))
         ibi_events = request.get("ibi", [])
         if ibi_events:
             try:
@@ -240,9 +251,8 @@ class VitalsService:
         samples = payload_to_cortisol(_list_field(request, "cortisol"), subject_id)
         records += [("cortisol", payload) for payload in cortisol_to_payload(samples)]
 
-        stored = sum(
-            self.store.append(kind, subject_id, payload) is not None for kind, payload in records
-        )
+        appended = self.store.append_many((kind, subject_id, payload) for kind, payload in records)
+        stored = sum(record is not None for record in appended)
         return {"subject_id": subject_id, "stored": stored, "duplicates": len(records) - stored}
 
     # -- bundle assembly -------------------------------------------------------
@@ -264,7 +274,7 @@ class VitalsService:
             offset += n
         seqs = {entry.seq for _offset, entry in under}
         decoded = {
-            record["seq"]: record["payload"]["values"]
+            record["seq"]: decode_samples(record["payload"])
             for record in self.store.records(
                 "signal_chunk", subject_id, where=lambda e: e.seq in seqs
             )
@@ -272,7 +282,7 @@ class VitalsService:
         values = np.empty(0)
         if under:
             first = under[0][0]
-            parts = [np.asarray(decoded[entry.seq], dtype=np.float64) for _offset, entry in under]
+            parts = [decoded[entry.seq] for _offset, entry in under]
             values = np.concatenate(parts)[span.lo - first : span.hi - first]
         return SampleSeries(
             channel=span.channel,

@@ -3,9 +3,15 @@
 Each record is one line, `<header JSON>\t<payload JSON>\n`; json.dumps
 never writes a raw tab, so the first tab splits every line. The header
 holds the seq, schema version, kind, subject_id, created_at_ms and the
-kind's index metadata as a list. Appends are serialized, flushed, and
-fsynced before the call returns, so an acknowledged write survives an
-ungraceful kill.
+kind's index metadata as a list. A batch of records (one sync request's
+chunks, beat events and cortisol) is written with one write, flushed and
+fsynced once before the call returns, so an acknowledged batch survives an
+ungraceful kill; a single append is a batch of one.
+
+A signal chunk's samples are stored as base64 little-endian float64 under
+"f64le" (`encode_samples`), which float64 survives exactly; chunks that an
+older version stored as a JSON "values" list still load, and
+`decode_samples` reads either form.
 
 `KINDS` is the one table of record kinds. For each kind it names the
 metadata its index entries carry and, [bracketed], the metadata fields on
@@ -16,6 +22,7 @@ which a second record of the same subject is a duplicate, not stored:
   model             model_key, version
   tag_registration  none
   tag_event         t_server_ms (server arrival time)
+A record that duplicates one earlier in its own batch is skipped as well.
 Every kind has a reader: queries and training read chunks, beat events,
 cortisol and models, and a starting service replays the tag registrations
 and the tag events inside its search window.
@@ -36,6 +43,7 @@ log at open, so the next append starts a line of its own.
 
 from __future__ import annotations
 
+import base64
 import json
 import mmap
 import os
@@ -44,11 +52,33 @@ import time
 from dataclasses import dataclass
 from operator import attrgetter
 from pathlib import Path
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
+
+import numpy as np
 
 from ..errors import FormatError, InputError
 
 SCHEMA_VERSION = 1
+
+
+def encode_samples(values) -> str:
+    """Sample values as the store keeps them: base64 little-endian float64."""
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
+
+
+def decode_samples(payload: dict) -> np.ndarray:
+    """A stored chunk's samples, from "f64le" or an older "values" list."""
+    if "f64le" in payload:
+        return np.frombuffer(base64.b64decode(payload["f64le"]), dtype="<f8")
+    return np.asarray(payload["values"], dtype=np.float64)
+
+
+def _n_samples(payload: dict) -> int:
+    """How many samples a stored chunk holds, without decoding them: 4 base64
+    characters carry 3 bytes, and the padding of 8n bytes is under 8 bytes."""
+    if "f64le" in payload:
+        return len(payload["f64le"]) * 3 // 4 // 8
+    return len(payload.get("values", ()))
 
 
 class ChunkMeta(NamedTuple):
@@ -64,7 +94,7 @@ class ChunkMeta(NamedTuple):
             payload.get("channel"),
             payload.get("name"),
             payload.get("start_ms"),
-            len(payload.get("values", ())),
+            _n_samples(payload),
             payload.get("rate_hz"),
         )
 
@@ -219,28 +249,48 @@ class JsonlStore:
 
     def append(self, kind: str, subject_id: str, payload: dict) -> dict | None:
         """Persist one record; returns it, or None when it is a duplicate."""
-        if kind not in KINDS:
-            raise InputError(f"unknown record kind {kind!r}")
-        meta = _meta_of(kind, payload)
-        key = _duplicate_key(kind, subject_id, meta)
+        return self.append_many([(kind, subject_id, payload)])[0]
+
+    def append_many(self, batch: Iterable[tuple[str, str, dict]]) -> list[dict | None]:
+        """Persist (kind, subject_id, payload) records in order, with one write
+        and one fsync; returns each stored record, or None for a duplicate of
+        a stored record or of one earlier in the batch."""
+        planned = []
+        for kind, subject_id, payload in batch:
+            if kind not in KINDS:
+                raise InputError(f"unknown record kind {kind!r}")
+            meta = _meta_of(kind, payload)
+            key = _duplicate_key(kind, subject_id, meta)
+            planned.append((kind, subject_id, payload, meta, key, _dumps(payload)))
+        stored: list[dict | None] = []
         with self._lock:
-            if key is not None and key in self._dedup:
-                return None
-            record = {
-                "seq": self._seq + 1,
-                "schema": SCHEMA_VERSION,
-                "kind": kind,
-                "subject_id": subject_id,
-                "created_at_ms": int(time.time() * 1000),
-            }
-            line = _dumps({**record, "meta": meta}) + b"\t" + _dumps(payload) + b"\n"
-            offset = self._fh.tell()
-            self._fh.write(line)
-            self._fh.flush()
-            os.fsync(self._fh.fileno())
-            self._index(IndexEntry(record["seq"], kind, subject_id, offset, len(line), meta), key)
-        record["payload"] = payload
-        return record
+            lines, entries, keys = [], [], set()
+            offset, now_ms = self._fh.tell(), int(time.time() * 1000)
+            for kind, subject_id, payload, meta, key, payload_line in planned:
+                if key is not None and (key in self._dedup or key in keys):
+                    stored.append(None)
+                    continue
+                keys.add(key)
+                record = {
+                    "seq": self._seq + len(lines) + 1,
+                    "schema": SCHEMA_VERSION,
+                    "kind": kind,
+                    "subject_id": subject_id,
+                    "created_at_ms": now_ms,
+                }
+                line = _dumps({**record, "meta": meta}) + b"\t" + payload_line + b"\n"
+                lines.append(line)
+                entry = IndexEntry(record["seq"], kind, subject_id, offset, len(line), meta)
+                entries.append((entry, key))
+                offset += len(line)
+                stored.append({**record, "payload": payload})
+            if lines:
+                self._fh.write(b"".join(lines))
+                self._fh.flush()
+                os.fsync(self._fh.fileno())
+                for entry, key in entries:
+                    self._index(entry, key)
+        return stored
 
     # -- reading -----------------------------------------------------------
 

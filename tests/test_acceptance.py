@@ -459,6 +459,37 @@ def test_criterion_9_end_to_end(tmp_path):
     report(f"criterion 9 PASS: sync/train/query round-trip, idempotent resync, kill -9 durability, {elapsed:.0f}s")
 
 
+def test_acknowledged_syncs_survive_kill_9(tmp_path):
+    from homevitals.service import JsonlStore
+    from test_service_pipeline import bp_payload, stress_payload
+
+    config_path = tmp_path / "service.cfg"
+    config_path.write_text(f"listen_port = 0\nstorage_path = {tmp_path / 'store.jsonl'}\n")
+    unit = simulate_bp_records(1, "short_term", seed=0)[0].units[0]
+    bodies = [stress_payload("S0", stressed=True, seed=3), bp_payload("P0", unit, 0.0)]
+    proc, base = _start_server(config_path)
+    try:
+        acks = [_post(base, "/signals/sync", body) for body in bodies]
+    finally:
+        proc.send_signal(signal.SIGKILL)  # right after the last acknowledgement
+        proc.wait(timeout=10)
+    assert [(ack["stored"], ack["duplicates"]) for ack in acks] == [(6, 0), (3, 0)]
+
+    store = JsonlStore(tmp_path / "store.jsonl")
+    assert len(store) == 9
+    assert sorted(store.subjects("signal_chunk")) == ["P0", "S0"]
+    store.close()
+    proc2, base2 = _start_server(config_path)
+    try:
+        assert _get(base2, "/health")["records"] == 9
+        for body, ack in zip(bodies, acks):
+            again = _post(base2, "/signals/sync", body)
+            assert (again["stored"], again["duplicates"]) == (0, ack["stored"])
+    finally:
+        proc2.send_signal(signal.SIGTERM)
+        proc2.wait(timeout=10)
+
+
 def test_location_state_survives_kill_9(tmp_path):
     config_path = tmp_path / "service.cfg"
     config_path.write_text(

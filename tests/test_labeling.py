@@ -1,4 +1,4 @@
-"""Cortisol labeling: ratio rule, timepoint mapping, summaries, invariances."""
+"""Cortisol labeling: ratio rule, timepoint mapping, invariances."""
 
 import numpy as np
 import pytest
@@ -13,7 +13,6 @@ from homevitals.labeling import (
     labels_to_targets,
     load_cortisol_csv,
     save_cortisol_csv,
-    summarize_cortisol,
 )
 from homevitals.signals import WindowSpec, make_windows
 
@@ -88,25 +87,6 @@ class TestLabelWindows:
         ]
         with pytest.raises(InputError):
             label_windows(broken + samples[2:], session_windows)
-
-
-class TestSummarizeCortisol:
-    def test_single_subject_flagged_degenerate(self):
-        out = summarize_cortisol(cortisol([0.1, 0.2, 0.1, 0.1, 0.1]))
-        assert out[Timepoint.T1].sd_ugdl == 0.0
-        assert out[Timepoint.T1].degenerate
-
-    def test_two_subject_hand_case(self):
-        samples = cortisol([0.1] * 5, subject="A") + cortisol([0.3] * 5, subject="B")
-        out = summarize_cortisol(samples)
-        assert out[Timepoint.T1].mean_ugdl == pytest.approx(0.2)
-        assert out[Timepoint.T1].sd_ugdl == pytest.approx(0.1414, abs=1e-4)
-
-    def test_empty_timepoint_omitted_with_warning(self):
-        samples = cortisol([0.1] * 5)[:3]
-        with pytest.warns(UserWarning):
-            out = summarize_cortisol(samples)
-        assert Timepoint.T4 not in out and Timepoint.T5 not in out
 
 
 def test_cortisol_csv_round_trip(tmp_path):

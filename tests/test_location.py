@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from homevitals.errors import NotFound, RegistrationError, RejectedEvent
 from homevitals.location import (
@@ -195,6 +197,45 @@ class TestResolveLocation:
         a = resolve_location("alice", log)
         b = resolve_location("alice", log)
         assert a == b
+
+
+def match_by_double_loop(user_events, location_events, tolerance_s):
+    """The quadratic matcher match_events replaced: every pair, first of the
+    smallest keys in (user, location) input order."""
+    tol_ms = 1000.0 * tolerance_s
+    best_key = None
+    best_pair = None
+    for ue in user_events:
+        for le in location_events:
+            gap = abs(ue.t_server_ms - le.t_server_ms)
+            if gap > tol_ms:
+                continue
+            key = (-max(ue.t_server_ms, le.t_server_ms), gap, le.index)
+            if best_key is None or key < best_key:
+                best_key = key
+                best_pair = (ue, le)
+    return best_pair
+
+
+# Few distinct times, indices and gaps, so that ties are common, near zero and
+# near epoch milliseconds; tolerances that land on a gap, just under one
+# (1000 * 0.0029999999999999996 < 3), or are no wider than a millisecond.
+_ORIGIN = st.sampled_from([0, 1_760_000_000_000])
+_STAMPS = st.lists(st.tuples(st.integers(0, 12), st.sampled_from([7, 8, 9])), max_size=12)
+_TOLERANCES_S = st.sampled_from([0.0, 0.0004, 0.001, 0.002, 0.0029999999999999996, 0.003, 0.0035, 0.012])
+
+
+@settings(max_examples=400, deadline=None)
+@given(origin=_ORIGIN, users=_STAMPS, locations=_STAMPS, tolerance_s=_TOLERANCES_S)
+def test_band_join_picks_the_pair_the_double_loop_picks(origin, users, locations, tolerance_s):
+    user_events = [TagEvent(TagKind.USER, 3, origin + t) for t, _index in users]
+    location_events = [TagEvent(TagKind.LOCATION, index, origin + t) for t, index in locations]
+    got = match_events(user_events, location_events, tolerance_s)
+    want = match_by_double_loop(user_events, location_events, tolerance_s)
+    if want is None:
+        assert got is None
+    else:  # the same objects, not only equal ones
+        assert got is not None and got[0] is want[0] and got[1] is want[1]
 
 
 class TestMessages:

@@ -27,6 +27,7 @@ from homevitals.service import (
     series_to_payload,
 )
 from homevitals.signals import Channel, SampleSeries
+from homevitals.service.store import decode_samples
 from homevitals.simulate import simulate_bp_records
 
 MIN_MS = 60_000
@@ -85,6 +86,33 @@ class TestSync:
         ack = service.sync_signals(payload)
         assert ack["stored"] == 0
         assert ack["duplicates"] == 6
+
+    def test_one_store_call_and_one_fsync_per_sync(self, service, monkeypatch):
+        payload = stress_payload("S00", stressed=False)
+        payload["chunks"].append(payload["chunks"][0])  # a duplicate inside the request
+        batches, fsyncs = [], []
+        append_many = service.store.append_many
+        monkeypatch.setattr(service.store, "append", lambda *a: pytest.fail("append called"))
+        monkeypatch.setattr(
+            service.store, "append_many", lambda batch: batches.append(1) or append_many(batch)
+        )
+        monkeypatch.setattr(os, "fsync", lambda fd: fsyncs.append(fd))
+        ack = service.sync_signals(payload)
+        assert (ack["stored"], ack["duplicates"]) == (6, 1)
+        assert batches == [1] and len(fsyncs) == 1
+
+    def test_chunks_are_stored_as_exact_float64(self, service):
+        payload = stress_payload("S00", stressed=False)
+        payload["chunks"][0]["values"][:3] = [-0.0, 5e-324, 1.7976931348623157e308]
+        service.sync_signals(payload)
+        stored = [r["payload"] for r in service.store.records("signal_chunk", "S00")]
+        assert all("f64le" in p and "values" not in p for p in stored)
+        for sent, kept in zip(payload["chunks"], stored):
+            assert {k: v for k, v in kept.items() if k != "f64le"} == {
+                k: v for k, v in sent.items() if k != "values"
+            }
+            got = decode_samples(kept)
+            assert got.tobytes() == np.asarray(sent["values"], dtype=np.float64).tobytes()
 
     def test_wrong_rate_rejected_with_field(self, service):
         bad = {

@@ -14,8 +14,9 @@ from homevitals.datasets import BP_SEGMENT_S
 from homevitals.errors import HomevitalsError, NoWindow, NotReady
 from homevitals.features import bp_reduced_features, stress_feature_matrix
 from homevitals.models import check_feature_schema, load_document
-from homevitals.service import JsonlStore, ServiceConfig, VitalsService, payload_to_series
+from homevitals.service import JsonlStore, ServiceConfig, VitalsService
 from homevitals.service.pipeline import CONTIGUITY_SLOP_MS, _Span
+from homevitals.service.store import decode_samples, encode_samples
 from homevitals.signals import (
     Channel,
     ChannelBundle,
@@ -79,7 +80,13 @@ def reference_channel_series(store, subject_id, channel, name=None):
     ]
     if not payloads:
         return None
-    chunks = sorted((payload_to_series(p) for p in payloads), key=lambda s: s.start_ms)
+    chunks = sorted(
+        (
+            SampleSeries(Channel(p["channel"]), p["rate_hz"], p["start_ms"], decode_samples(p))
+            for p in payloads
+        ),
+        key=lambda s: s.start_ms,
+    )
     run = [chunks[-1]]
     for prev in reversed(chunks[:-1]):
         if abs(prev.end_ms - run[0].start_ms) <= CONTIGUITY_SLOP_MS:
@@ -273,14 +280,16 @@ def histories(draw):
 def store_history(store, subject_id, history):
     records, seed = history
     rng = np.random.default_rng(seed)
-    for kind, item in records:
+    for i, (kind, item) in enumerate(records):
         if kind == "signal_chunk":
             channel, start, n = item
+            values = [float(v) for v in 2.0 + rng.normal(size=n)]
             payload = {
                 "channel": channel,
                 "rate_hz": RATES[channel],
                 "start_ms": start,
-                "values": [float(v) for v in 2.0 + rng.normal(size=n)],
+                # Every other chunk in the JSON-list form older stores hold.
+                **({"values": values} if i % 2 else {"f64le": encode_samples(values)}),
             }
         else:
             payload = {"events": item}

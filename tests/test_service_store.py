@@ -1,7 +1,9 @@
 """Store durability, idempotency, restart from the log alone, the older
 one-document line layout, and config round-trips."""
 
+import base64
 import json
+import struct
 import tempfile
 import time
 from dataclasses import fields
@@ -17,8 +19,9 @@ from homevitals.service import (
     JsonlStore,
     ServiceConfig,
     VitalsService,
-    format_config,
     parse_config,
+    series_to_payload,
+    sync_body,
 )
 from homevitals.service.config import _KEY_TO_FIELD, _SCALAR_KEYS
 from homevitals.service.store import (
@@ -27,7 +30,9 @@ from homevitals.service.store import (
     CortisolMeta,
     IbiMeta,
     TagEventMeta,
+    decode_samples,
 )
+from homevitals.signals import Channel, SampleSeries
 from homevitals.simulate import simulate_bp_records
 from test_service_pipeline import bp_payload, stress_payload
 
@@ -81,6 +86,31 @@ def older_layout(log: bytes) -> bytes:
     return b"".join(lines)
 
 
+def json_list_payloads(log: bytes) -> bytes:
+    """log with each chunk's samples as a JSON "values" list, the form chunks
+    were stored in before "f64le"; headers are kept byte for byte."""
+    lines = []
+    for line in log.splitlines(keepends=True):
+        header, tab, payload = line.partition(b"\t")
+        doc = json.loads(payload)
+        if json.loads(header)["kind"] == "signal_chunk":
+            doc["values"] = [float(v) for v in decode_samples(doc)]
+            del doc["f64le"]
+            line = header + tab + _dumps(doc)
+        lines.append(line)
+    return b"".join(lines)
+
+
+def _f64le(values) -> str:
+    return base64.b64encode(struct.pack(f"<{len(values)}d", *values)).decode()
+
+
+def _n_samples(payload):
+    if "f64le" in payload:
+        return len(base64.b64decode(payload["f64le"])) // 8
+    return len(payload.get("values", ()))
+
+
 def _dedup_key(kind, subject_id, payload):
     """The duplicate rule the store follows, read from the payload: a second
     record with the same key is not stored; a None key is never a duplicate."""
@@ -91,7 +121,7 @@ def _dedup_key(kind, subject_id, payload):
             payload.get("channel"),
             payload.get("name"),
             payload.get("start_ms"),
-            len(payload.get("values", ())),
+            _n_samples(payload),
         )
     if kind == "ibi_chunk":
         events = payload.get("events", ())
@@ -468,6 +498,129 @@ class TestJsonlStore:
         older.close()
         assert sidecar.read_bytes() == left
 
+    @pytest.mark.parametrize("layout", ["headers", "one document"])
+    def test_json_list_chunks_answer_as_f64le_chunks(self, tmp_path, trained_store, layout):
+        config, log, subjects, answers = trained_store
+        assert b'"f64le":' in log and b'"values":' not in log
+        listed = json_list_payloads(log)
+        if layout == "one document":
+            listed = older_layout(listed)
+        (tmp_path / "f64le").mkdir()
+        (tmp_path / "f64le" / "log.jsonl").write_bytes(log)
+        config = config.with_storage(tmp_path / "log.jsonl")
+        Path(config.storage_path).write_bytes(listed)
+        binary, store = JsonlStore(tmp_path / "f64le" / "log.jsonl"), JsonlStore(config.storage_path)
+        assert state(store) == state(binary)
+        assert store.subjects("signal_chunk") == subjects
+        for got, want in zip(store.records("signal_chunk"), binary.records("signal_chunk")):
+            assert "values" in got["payload"] and "f64le" in want["payload"]
+            assert decode_samples(got["payload"]).tobytes() == decode_samples(want["payload"]).tobytes()
+        service = VitalsService(config, store)
+        assert ask(service) == answers
+        versions = VitalsService(config, binary).model_versions()
+        assert service.train_stress(seed=0)["version"] == versions["stress"]
+        trained = service.train_bp(seed=0)
+        assert (trained["bp_sbp"], trained["bp_dbp"]) == (versions["bp_sbp"], versions["bp_dbp"])
+        binary.close()
+        store.close()
+
+    @pytest.mark.parametrize("layout", ["headers", "one document"])
+    def test_chunk_stored_as_json_list_is_a_duplicate_when_resent(self, tmp_path, layout):
+        series = SampleSeries(Channel.EDA, 4.0, 60_000, [0.1 * i for i in range(240)])
+        path = tmp_path / "log.jsonl"
+        store = JsonlStore(path)
+        store.append("signal_chunk", "S0", series_to_payload(series))  # as stored before f64le
+        store.close()
+        if layout == "one document":
+            path.write_bytes(older_layout(path.read_bytes()))
+        store = JsonlStore(path)
+        service = VitalsService(ServiceConfig(storage_path=str(path)), store)
+        assert service.sync_signals(sync_body("S0", [series])) == {
+            "subject_id": "S0",
+            "stored": 0,
+            "duplicates": 1,
+        }
+        assert len(store) == 1
+        store.close()
+
+    def test_a_batch_is_one_write_and_one_fsync(self, tmp_path, monkeypatch):
+        store = JsonlStore(tmp_path / "log.jsonl")
+        calls = []
+        monkeypatch.setattr("os.fsync", lambda fd: calls.append("fsync"))
+        fh = store._fh
+
+        class Recording:
+            def __getattr__(self, name):
+                return getattr(fh, name)
+
+            def write(self, data):
+                calls.append("write")
+                return fh.write(data)
+
+        store._fh = Recording()
+        batch = [
+            ("signal_chunk", "S0", chunk_payload(0)),
+            ("cortisol", "S0", {"timepoint": "T1"}),
+            ("signal_chunk", "S0", chunk_payload(0)),  # a duplicate inside the batch
+            ("signal_chunk", "S0", chunk_payload(2000)),
+        ]
+        stored = store.append_many(batch)
+        assert [r is not None for r in stored] == [True, True, False, True]
+        assert [r["seq"] for r in stored if r] == [1, 2, 3]
+        assert calls == ["write", "fsync"]
+        assert store.append_many(batch) == [None] * 4
+        assert calls == ["write", "fsync"]  # nothing to write, nothing to fsync
+        store._fh = fh
+        store.close()
+
+    def test_a_batch_cut_anywhere_reopens_to_a_prefix_of_it(self, tmp_path):
+        path = tmp_path / "log.jsonl"
+        store = JsonlStore(path)
+        store.append("cortisol", "S0", {"timepoint": "T1"})
+        store.close()
+        acknowledged = path.read_bytes()
+        batch = [
+            ("signal_chunk", "S0", chunk_payload(0)),
+            ("signal_chunk", "S0", chunk_payload(2000, name="sbp_mmhg")),
+            ("ibi_chunk", "S0", {"events": [[0, 0.8], [800, 0.81]]}),
+            ("cortisol", "S0", {"timepoint": "T1"}),  # stored before: a duplicate
+            ("cortisol", "S0", {"timepoint": "T2"}),
+        ]
+        store = JsonlStore(path)
+        assert [r is not None for r in store.append_many(batch)] == [True] * 3 + [False, True]
+        full = state(store)
+        store.close()
+        written = path.read_bytes()[len(acknowledged) :]
+        lines = written.splitlines(keepends=True)
+        assert len(lines) == 4
+
+        def prefix_state(n):
+            """The state of a store that was given the batch's first n stored lines."""
+            reference = JsonlStore(tmp_path / f"reference{n}.jsonl")
+            reference.append("cortisol", "S0", {"timepoint": "T1"})
+            reference.append_many([r for r in batch if r[2] != {"timepoint": "T1"}][:n])
+            reference.close()
+            return state(reference)
+
+        cuts = {}  # byte offset into the batch -> complete lines before it
+        for n, line in enumerate(lines):
+            start = sum(map(len, lines[:n]))
+            tab = line.index(b"\t")
+            cuts[start] = n
+            for inside in (1, tab // 2, tab, tab + 1, len(line) - 1):
+                cuts[start + inside] = n
+        cuts[len(written)] = len(lines)
+        for cut, n in sorted(cuts.items()):
+            path.write_bytes(acknowledged + written[:cut])  # a write cut short by a crash
+            reopened = JsonlStore(path)
+            assert path.read_bytes() == acknowledged + b"".join(lines[:n]), cut
+            assert state(reopened) == prefix_state(n), cut
+            # The batch sent again stores exactly what the cut lost.
+            again = reopened.append_many(batch)
+            assert sum(r is not None for r in again) == len(lines) - n, cut
+            assert state(reopened) == full, cut
+            reopened.close()
+
     def test_records_are_schema_versioned(self, tmp_path):
         path = tmp_path / "log.jsonl"
         store = JsonlStore(path)
@@ -479,15 +632,18 @@ class TestJsonlStore:
 
 _SMALL = st.integers(0, 1)
 _NAME = st.sampled_from(["sbp_mmhg", "dbp_mmhg"])
+_SAMPLES = st.lists(st.floats(-1, 1), max_size=3)
 _PAYLOADS = {
-    # Each field may be missing; values of one field collide often.
+    # Each field may be missing; values of one field collide often. A chunk
+    # holds its samples as a JSON list, as base64 float64, both or neither.
     "signal_chunk": st.fixed_dictionaries(
         {},
         optional={
             "channel": st.sampled_from(["EDA", "PPG"]),
             "name": st.none() | _NAME,
             "start_ms": _SMALL,
-            "values": st.lists(st.floats(-1, 1), max_size=3),
+            "values": _SAMPLES,
+            "f64le": _SAMPLES.map(_f64le),
             "rate_hz": st.sampled_from([4.0, 64.0]),
         },
     ),
@@ -513,20 +669,31 @@ _APPENDS = st.lists(
 
 
 @settings(max_examples=150, deadline=None)
-@given(live=_APPENDS, after_reopen=_APPENDS, after_kill=_APPENDS)
+@given(live=_APPENDS, after_reopen=_APPENDS, after_kill=_APPENDS, data=st.data())
 def test_duplicates_follow_the_rule_live_after_a_reopen_and_after_a_kill(
-    live, after_reopen, after_kill
+    live, after_reopen, after_kill, data
 ):
     assert set(_PAYLOADS) == set(RECORD_KINDS)
     stored_keys = set()
 
-    def append_all(store, appends):
-        for kind, subject_id, payload in appends:
-            key = _dedup_key(kind, subject_id, payload)
-            stored = store.append(kind, subject_id, payload) is not None
-            assert stored == (key is None or key not in stored_keys), (kind, payload)
-            stored_keys.add(key)
+    def split(appends):
+        """appends cut at random into batches; a batch of one may take either path."""
+        cuts = data.draw(st.sets(st.integers(0, len(appends))), label="cuts")
+        bounds = sorted({0, len(appends), *cuts})
+        batches = [appends[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+        return [(b, len(b) == 1 and data.draw(st.booleans(), label="append")) for b in batches]
 
+    def append_all(store, batches):
+        for batch, one_by_one in batches:
+            results = [store.append(*batch[0])] if one_by_one else store.append_many(batch)
+            assert len(results) == len(batch)
+            for (kind, subject_id, payload), result in zip(batch, results):
+                key = _dedup_key(kind, subject_id, payload)
+                stored = result is not None
+                assert stored == (key is None or key not in stored_keys), (kind, payload)
+                stored_keys.add(key)
+
+    live, after_reopen, after_kill = map(split, (live, after_reopen, after_kill))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "log.jsonl"
         store = JsonlStore(path)
@@ -569,8 +736,9 @@ class TestServiceConfig:
         )
         defaults = ServiceConfig()
         assert [k for k in changed if getattr(config, k) == getattr(defaults, k)] == []
-        parsed = parse_config(format_config(config))
-        assert parsed == config
+        text = "".join(f"{key} = {changed[_KEY_TO_FIELD[key]]}\n" for key in _SCALAR_KEYS)
+        text += "tags.user.1 = alice\ntags.user.2 = bob\ntags.location.10 = kitchen\n"
+        assert parse_config(text) == config
 
     def test_comments_and_unknown_keys(self):
         parsed = parse_config("# comment\nseed = 5\n\nforest.n_trees = 10\n")

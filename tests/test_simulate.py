@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from homevitals.labeling import Timepoint, summarize_cortisol
+from homevitals.labeling import Timepoint
 from homevitals.signals import WindowSpec, make_windows
 from homevitals.simulate import (
     BpMode,
@@ -88,11 +88,14 @@ class TestSimulateSession:
         samples = []
         for _profile, _bundle, cs in cohort_sessions(40, seed=0):
             samples.extend(cs)
-        summary = summarize_cortisol(samples)
+        by_tp = {
+            tp: np.array([s.concentration_ugdl for s in samples if s.timepoint is tp])
+            for tp in Timepoint
+        }
         for tp, target in zip(Timepoint, COHORT_CORTISOL_MEANS_UGDL):
-            got = summary[tp].mean_ugdl
+            got = by_tp[tp].mean()
             assert abs(got - target) / target < 0.15, tp
-        t1_sd = summary[Timepoint.T1].sd_ugdl
+        t1_sd = by_tp[Timepoint.T1].std(ddof=1)
         assert abs(t1_sd - COHORT_CORTISOL_T1_SD_UGDL) / COHORT_CORTISOL_T1_SD_UGDL < 0.15
 
     def test_envelope_shape(self):
