@@ -37,6 +37,11 @@ class ServiceConfig:
     user_tags: dict[int, str] = field(default_factory=dict)
     location_tags: dict[int, str] = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        # Also runs on dataclasses.replace, so `serve --port` is checked too.
+        if not 0 <= self.listen_port <= 65535:
+            raise ConfigError(f"listen_port must be in 0..65535, got {self.listen_port}")
+
     @property
     def window_spec(self) -> WindowSpec:
         return WindowSpec(self.window_length_s, self.window_overlap_s)

@@ -82,6 +82,12 @@ def _text(value) -> str:
     return value
 
 
+def _integer(value) -> int:
+    if type(value) is not int:  # not a bool, a float or a numeric string
+        raise TypeError(f"must be an integer, got {value!r}")
+    return value
+
+
 def _json_object(raw: bytes) -> dict:
     if not raw:
         return {}
@@ -170,11 +176,11 @@ class _Handler(BaseHTTPRequestHandler):
             return 200, service.sync_signals(_json_object(raw))
         if method == "POST" and path == "/tags/event":
             body = _json_object(raw)
-            kind, index = _field(body, "kind", TagKind), _field(body, "index", int)
+            kind, index = _field(body, "kind", TagKind), _field(body, "index", _integer)
             return 200, service.ingest_tag_event(kind, index)
         if method == "POST" and path == "/tags/register":
             body = _json_object(raw)
-            kind, index = _field(body, "kind", TagKind), _field(body, "index", int)
+            kind, index = _field(body, "kind", TagKind), _field(body, "index", _integer)
             return 200, service.register_tag(kind, index, _field(body, "name", _text))
         if method == "POST" and path == "/train/stress":
             return 200, service.train_stress(_seed(_json_object(raw)))

@@ -261,9 +261,7 @@ class VitalsService:
     # index metadata alone; only the chunks under the planned samples are
     # decoded. Training reads whole runs, queries only what they answer from.
 
-    def _read_series(
-        self, subject_id: str, span: _Span, start_ms: int | None = None
-    ) -> SampleSeries:
+    def _read_series(self, span: _Span, start_ms: int | None = None) -> SampleSeries:
         """The span's samples, decoded from only the chunks under them; placed
         at start_ms when given, else where slicing the run would place them."""
         under, offset = [], 0  # (first sample within the run, chunk)
@@ -272,18 +270,12 @@ class VitalsService:
             if n and offset < span.hi and offset + n > span.lo:
                 under.append((offset, entry))
             offset += n
-        seqs = {entry.seq for _offset, entry in under}
-        decoded = {
-            record["seq"]: decode_samples(record["payload"])
-            for record in self.store.records(
-                "signal_chunk", subject_id, where=lambda e: e.seq in seqs
-            )
-        }
         values = np.empty(0)
         if under:
             first = under[0][0]
-            parts = [decoded[entry.seq] for _offset, entry in under]
-            values = np.concatenate(parts)[span.lo - first : span.hi - first]
+            records = self.store.records(entry for _offset, entry in under)
+            values = np.concatenate([decode_samples(r["payload"]) for r in records])
+            values = values[span.lo - first : span.hi - first]
         return SampleSeries(
             channel=span.channel,
             rate_hz=span.rate_hz,
@@ -294,15 +286,18 @@ class VitalsService:
     def _read_ibi(self, subject_id: str, start_ms: int, end_ms: int) -> IbiSeries:
         """Beat events with start_ms <= t < end_ms, from the chunks that reach
         into that span; equal times keep the first-synced event."""
-        pairs: list[tuple[int, float]] = []
-        for record in self.store.records(
-            "ibi_chunk",
-            subject_id,
-            where=lambda e: e.meta.first_ms is not None
+        reaching = [
+            e
+            for e in self.store.index("ibi_chunk", subject_id)
+            if e.meta.first_ms is not None
             and e.meta.first_ms < end_ms
-            and e.meta.last_ms >= start_ms,
-        ):
-            pairs.extend((int(t), float(v)) for t, v in record["payload"]["events"])
+            and e.meta.last_ms >= start_ms
+        ]
+        pairs = [
+            (int(t), float(v))
+            for record in self.store.records(reaching)
+            for t, v in record["payload"]["events"]
+        ]
         pairs.sort(key=lambda p: p[0])
         deduped = [p for i, p in enumerate(pairs) if i == 0 or p[0] > pairs[i - 1][0]]
         return IbiSeries.from_pairs(deduped).between(start_ms, end_ms)
@@ -312,7 +307,7 @@ class VitalsService:
     ) -> ChannelBundle:
         """The one place a bundle is decoded: the EDA, BVP and ST spans placed
         at start_ms, with the beat events in [start_ms, end_ms)."""
-        eda, bvp, st = (self._read_series(subject_id, span, start_ms) for span in spans)
+        eda, bvp, st = (self._read_series(span, start_ms) for span in spans)
         return ChannelBundle(
             subject_id=subject_id,
             eda=eda,
@@ -375,7 +370,7 @@ class VitalsService:
         return Window(index=index, start_ms=w_start, end_ms=w_end, bundle=bundle)
 
     def _subject_cortisol(self, subject_id: str) -> list[CortisolSample]:
-        records = self.store.records(kind="cortisol", subject_id=subject_id)
+        records = self.store.records(self.store.index("cortisol", subject_id))
         return payload_to_cortisol((record["payload"] for record in records), subject_id)
 
     # -- training --------------------------------------------------------------
@@ -439,7 +434,7 @@ class VitalsService:
             )
             if any(run is None for run in runs):
                 continue
-            ppg, sbp, dbp = (self._read_series(subject_id, run) for run in runs)
+            ppg, sbp, dbp = (self._read_series(run) for run in runs)
             segments += bp_rows(ppg, sbp, dbp, subject_id)
         if not segments:
             raise DegenerateTraining("no PPG records with pressure targets in store")
@@ -510,7 +505,7 @@ class VitalsService:
             raise NoWindow(f"no recent pulse signal for {subject_id}")
         take = min(len(source), int(BP_SEGMENT_S * source.rate_hz))
         last = source.slice_samples(len(source) - take, len(source))
-        segment = self._read_series(subject_id, last)
+        segment = self._read_series(last)
         features = bp_reduced_features(segment, subject_id=subject_id)
         check_feature_schema(sbp_meta["document"], features.names)
         row = features.values.reshape(1, -1)
@@ -554,7 +549,7 @@ class VitalsService:
     def _replay_tags(self) -> None:
         """Replay the stored registrations in store order, then the stored
         tag events inside the search window in arrival order."""
-        for record in self.store.records("tag_registration", ""):
+        for record in self.store.records(self.store.index("tag_registration", "")):
             kind, index, name = (record["payload"][k] for k in ("kind", "index", "name"))
             try:
                 self._register(TagKind(kind), index, name)
@@ -566,7 +561,7 @@ class VitalsService:
         if not entries:
             return
         horizon = self.tag_log.horizon_ms(max(e.meta.t_server_ms for e in entries))
-        records = self.store.records("tag_event", "", where=lambda e: e.meta.t_server_ms >= horizon)
+        records = self.store.records(e for e in entries if e.meta.t_server_ms >= horizon)
         skipped = 0
         for record in sorted(records, key=lambda r: (r["payload"]["t_server_ms"], r["seq"])):
             event = record["payload"]

@@ -28,9 +28,11 @@ cortisol and models, and a starting service replays the tag registrations
 and the tag events inside its search window.
 
 Only an index lives in memory, kept per (kind, subject_id): each entry holds
-the record's byte offset and length plus its kind's metadata. Queries pick
-the records they need from that metadata and read only those, through one
-long-lived read handle with positional reads; a payload is first parsed
+the record's seq, byte offset and length plus its kind's metadata. Reads go
+in two steps: `index(kind, subject_id)` lists a subject's entries of one
+kind, the caller picks the ones it needs from their metadata, and
+`records(entries)` reads exactly those, in the order given, through one
+long-lived read handle with positional reads. A payload is first parsed
 there, so a corrupt one raises FormatError when read. The index is the
 store's only state, and the log its only file: opening scans every line's
 header, in time proportional to the log's bytes, the same after `kill -9`
@@ -49,10 +51,9 @@ import mmap
 import os
 import threading
 import time
-from dataclasses import dataclass
 from operator import attrgetter
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -173,13 +174,11 @@ def _duplicate_key(kind: str, subject_id: str, meta: tuple | None) -> tuple | No
     return None if fields is None else (kind, subject_id, fields(meta))
 
 
-@dataclass(frozen=True)
-class IndexEntry:
-    """Where one record lives in the log, and its kind's metadata (or None)."""
+class IndexEntry(NamedTuple):
+    """Where one record lives in the log, and its kind's metadata (or None);
+    the index keeps it under its (kind, subject_id)."""
 
     seq: int
-    kind: str
-    subject_id: str
     offset: int
     length: int
     meta: tuple | None
@@ -193,7 +192,6 @@ class JsonlStore:
     def __init__(self, path: str | Path):
         self.path = Path(path)
         self._lock = threading.Lock()
-        self._entries: list[IndexEntry] = []
         self._by_key: dict[tuple[str, str], list[IndexEntry]] = {}
         self._dedup: set[tuple] = set()
         self._seq = 0
@@ -232,15 +230,14 @@ class JsonlStore:
                 meta = None if meta_type is None else meta_type(*record["meta"])
             else:  # the older layout: one document, the payload inside
                 meta = _meta_of(kind, record.get("payload", {}))
-            entry = IndexEntry(record["seq"], kind, subject, offset, stop - offset, meta)
+            entry = IndexEntry(record["seq"], offset, stop - offset, meta)
         except (ValueError, KeyError, TypeError, IndexError) as exc:
             raise FormatError(f"{self.path}: corrupt record at byte {offset}: {exc!r}") from exc
-        self._index(entry, _duplicate_key(kind, subject, meta))
+        self._index(kind, subject, entry, _duplicate_key(kind, subject, meta))
 
-    def _index(self, entry: IndexEntry, key: tuple | None) -> None:
-        """Add entry, whose duplicate key is key, to the index."""
-        self._entries.append(entry)
-        self._by_key.setdefault((entry.kind, entry.subject_id), []).append(entry)
+    def _index(self, kind: str, subject_id: str, entry: IndexEntry, key: tuple | None) -> None:
+        """Add entry, of kind and subject_id, whose duplicate key is key, to the index."""
+        self._by_key.setdefault((kind, subject_id), []).append(entry)
         if key is not None:
             self._dedup.add(key)
         self._seq = max(self._seq, entry.seq)
@@ -280,16 +277,16 @@ class JsonlStore:
                 }
                 line = _dumps({**record, "meta": meta}) + b"\t" + payload_line + b"\n"
                 lines.append(line)
-                entry = IndexEntry(record["seq"], kind, subject_id, offset, len(line), meta)
-                entries.append((entry, key))
+                entry = IndexEntry(record["seq"], offset, len(line), meta)
+                entries.append((kind, subject_id, entry, key))
                 offset += len(line)
                 stored.append({**record, "payload": payload})
             if lines:
                 self._fh.write(b"".join(lines))
                 self._fh.flush()
                 os.fsync(self._fh.fileno())
-                for entry, key in entries:
-                    self._index(entry, key)
+                for kind, subject_id, entry, key in entries:
+                    self._index(kind, subject_id, entry, key)
         return stored
 
     # -- reading -----------------------------------------------------------
@@ -312,27 +309,11 @@ class JsonlStore:
         with self._lock:
             return list(self._by_key.get((kind, subject_id), ()))
 
-    def records(
-        self,
-        kind: str | None = None,
-        subject_id: str | None = None,
-        where: Callable[[IndexEntry], bool] | None = None,
-    ) -> Iterator[dict]:
-        """Records in append order; with `where`, only those whose index entry
-        it accepts are read."""
-        if kind is not None and subject_id is not None:
-            entries = self.index(kind, subject_id)
-        else:
-            with self._lock:
-                entries = [
-                    e
-                    for e in self._entries
-                    if (kind is None or e.kind == kind)
-                    and (subject_id is None or e.subject_id == subject_id)
-                ]
+    def records(self, entries: Iterable[IndexEntry]) -> Iterator[dict]:
+        """The record of each given index entry, in the order given; only
+        those records are read."""
         for entry in entries:
-            if where is None or where(entry):
-                yield self._read_entry(entry)
+            yield self._read_entry(entry)
 
     def subjects(self, kind: str) -> list[str]:
         """Subjects with at least one record of kind, in first-append order.
@@ -364,7 +345,7 @@ class JsonlStore:
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self._entries)
+            return sum(map(len, self._by_key.values()))
 
     # -- lifecycle ----------------------------------------------------------
 

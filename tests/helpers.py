@@ -42,6 +42,13 @@ def make_bundle(
     )
 
 
+def every_entry(store):
+    """Every index entry the store holds, of every kind and subject, in seq
+    (append) order; `store.records(every_entry(store))` reads the whole log."""
+    entries = (entry for listed in store._by_key.values() for entry in listed)
+    return sorted(entries, key=lambda entry: entry.seq)
+
+
 def single_window(**kwargs):
     bundle = make_bundle(**kwargs)
     return make_windows(bundle, WindowSpec(90.0, 45.0))[0]

@@ -18,6 +18,7 @@ from homevitals.labeling import load_cortisol_csv
 from homevitals.service import JsonlStore, ServiceConfig, VitalsService, series_to_payload
 from homevitals.signals import Channel, load_ibi_csv, load_series_csv, save_series_csv
 from homevitals.simulate import cohort_sessions
+from helpers import every_entry
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -169,7 +170,7 @@ def oracle_bodies(data: Path) -> list[dict]:
 
 def records_without_created_at(path: Path) -> list[dict]:
     store = JsonlStore(path)
-    records = list(store.records())
+    records = list(store.records(every_entry(store)))
     store.close()
     for record in records:
         del record["created_at_ms"]
@@ -322,7 +323,7 @@ def test_unknown_command_exits_nonzero():
 
 def stored_subjects(path: Path) -> set[str]:
     store = JsonlStore(path)
-    subjects = {record["subject_id"] for record in store.records()}
+    subjects = {record["subject_id"] for record in store.records(every_entry(store))}
     store.close()
     return subjects
 
@@ -458,6 +459,24 @@ def test_serve_stops_cleanly_on_signal_even_with_sigint_ignored(tmp_path, signum
             proc.kill()
         proc.communicate()
     JsonlStore(store).close()  # the log reopens
+
+
+@pytest.mark.parametrize(
+    ("port_line", "flags", "port"),
+    [("listen_port = -3\n", [], -3), ("listen_port = 0\n", ["--port", "70000"], 70000)],
+    ids=["config", "flag"],
+)
+def test_serve_refuses_a_port_out_of_range_before_creating_the_store(
+    tmp_path, capsys, port_line, flags, port
+):
+    store = tmp_path / "store.jsonl"
+    config = tmp_path / "service.cfg"
+    config.write_text(f"{port_line}storage_path = {store}\n")
+    assert cli.main(["serve", "--config", str(config), *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: listen_port must be in 0..65535, got {port}\n"
+    assert not store.exists()
 
 
 def test_serve_closes_socket_and_store_on_an_interrupt_before_serving(tmp_path, monkeypatch):

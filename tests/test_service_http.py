@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from homevitals.errors import InputError
 from homevitals.features import MIN_SEGMENT_S
-from homevitals.location import parse_message
+from homevitals.location import TagKind, parse_message
 from homevitals.models.serialize import FORMAT_NAME, SCHEMA_VERSION
 from homevitals.service import ServiceConfig, VitalsHttpServer, series_to_payload
 from homevitals.service.http import MAX_BODY_BYTES
@@ -306,6 +306,25 @@ class TestRoutes:
         with pytest.raises(urllib.error.HTTPError) as err:
             post(server, path, body)
         assert status_of(err.value)[0] == 400
+
+    @pytest.mark.parametrize("index", [1.9, "7", True], ids=["float", "string", "bool"])
+    @pytest.mark.parametrize(
+        "path, body",
+        [("/tags/event", {"kind": "user"}), ("/tags/register", {"kind": "user", "name": "carol"})],
+        ids=["event", "register"],
+    )
+    def test_tag_index_that_is_not_an_integer_is_400_and_stores_nothing(
+        self, server, path, body, index
+    ):
+        # int() would read 1.9 as 1, "7" as 7 and true as 1.
+        before = get(server, "/health")[1]["records"]
+        with pytest.raises(urllib.error.HTTPError) as err:
+            post(server, path, {**body, "index": index})
+        code, reply = status_of(err.value)
+        assert code == 400 and "index: must be an integer" in reply["error"]
+        assert get(server, "/health")[1]["records"] == before
+        assert server.service.tag_log.snapshot() == []
+        assert not server.service.tag_log.table.is_registered(TagKind.USER, 7)
 
     @pytest.mark.parametrize("raw", [b"\x80", b"[" * 100_000], ids=["not-utf8", "nested-too-deep"])
     def test_undecodable_body_is_400(self, server, raw):

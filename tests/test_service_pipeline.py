@@ -105,7 +105,8 @@ class TestSync:
         payload = stress_payload("S00", stressed=False)
         payload["chunks"][0]["values"][:3] = [-0.0, 5e-324, 1.7976931348623157e308]
         service.sync_signals(payload)
-        stored = [r["payload"] for r in service.store.records("signal_chunk", "S00")]
+        chunks = service.store.index("signal_chunk", "S00")
+        stored = [r["payload"] for r in service.store.records(chunks)]
         assert all("f64le" in p and "values" not in p for p in stored)
         for sent, kept in zip(payload["chunks"], stored):
             assert {k: v for k, v in kept.items() if k != "f64le"} == {
@@ -171,8 +172,9 @@ class TestStressTrainQuery:
         read_entry = service.store._read_entry
 
         def counting(entry):
-            reads[entry.kind, entry.subject_id] += 1
-            return read_entry(entry)
+            record = read_entry(entry)
+            reads[record["kind"], record["subject_id"]] += 1
+            return record
 
         monkeypatch.setattr(service.store, "_read_entry", counting)
         service.query_stress("S0")
@@ -270,7 +272,7 @@ class TestLocationThroughService:
         fix = service.locate("alice")
         assert isinstance(fix, LocationFix)
         assert fix.room == "kitchen"
-        stored = list(service.store.records(kind="tag_event"))
+        stored = list(service.store.records(service.store.index("tag_event", "")))
         assert len(stored) == 2
 
     @pytest.mark.parametrize(
@@ -307,7 +309,8 @@ class TestLocationThroughService:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert sorted(outcomes) == ["refused"] * (n - 1) + ["registered"]
-        assert len(list(service.store.records("tag_registration", ""))) == 1
+        registrations = service.store.index("tag_registration", "")
+        assert len(list(service.store.records(registrations))) == 1
 
 
 def restart(service, **config_changes):

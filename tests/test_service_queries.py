@@ -75,7 +75,7 @@ def seeded_service(directory, model_payloads, **overrides):
 def reference_channel_series(store, subject_id, channel, name=None):
     payloads = [
         r["payload"]
-        for r in store.records(kind="signal_chunk", subject_id=subject_id)
+        for r in store.records(store.index("signal_chunk", subject_id))
         if (r["payload"]["channel"], r["payload"].get("name")) == (channel.value, name)
     ]
     if not payloads:
@@ -103,7 +103,7 @@ def reference_channel_series(store, subject_id, channel, name=None):
 
 def reference_ibi(store, subject_id):
     pairs = []
-    for record in store.records(kind="ibi_chunk", subject_id=subject_id):
+    for record in store.records(store.index("ibi_chunk", subject_id)):
         pairs.extend((int(t), float(v)) for t, v in record["payload"]["events"])
     pairs.sort(key=lambda p: p[0])
     deduped = [p for i, p in enumerate(pairs) if i == 0 or p[0] > pairs[i - 1][0]]
@@ -388,8 +388,9 @@ class TestHistoryIndependence:
             read_entry = service.store._read_entry
 
             def counting(entry):
-                reads[entry.kind] += 1
-                return read_entry(entry)
+                record = read_entry(entry)
+                reads[record["kind"]] += 1
+                return record
 
             monkeypatch.setattr(service.store, "_read_entry", counting)
             service.query_stress("H0")

@@ -34,6 +34,7 @@ from homevitals.service.store import (
 )
 from homevitals.signals import Channel, SampleSeries
 from homevitals.simulate import simulate_bp_records
+from helpers import every_entry
 from test_service_pipeline import bp_payload, stress_payload
 
 
@@ -186,7 +187,11 @@ def leave_older_store(path, log: bytes, index_format: int) -> Path:
 def state(store):
     """What a store holds in memory: each entry's seq, kind, subject and
     metadata (not where it lies in the log), the duplicate set, the last seq."""
-    entries = [(e.seq, e.kind, e.subject_id, e.meta) for e in store._entries]
+    entries = sorted(
+        (e.seq, kind, subject_id, e.meta)
+        for (kind, subject_id), listed in store._by_key.items()
+        for e in listed
+    )
     return entries, store._dedup, store._seq
 
 
@@ -207,7 +212,7 @@ class TestJsonlStore:
         store = JsonlStore(tmp_path / "log.jsonl")
         record = store.append("signal_chunk", "S00", chunk_payload())
         assert record["seq"] == 1
-        got = list(store.records(kind="signal_chunk"))
+        got = list(store.records(store.index("signal_chunk", "S00")))
         assert got[0]["payload"]["channel"] == "EDA"
         store.close()
 
@@ -244,7 +249,7 @@ class TestJsonlStore:
         reopened._fh.close()
         reopened._reader.close()
         again = JsonlStore(path)
-        assert [r["seq"] for r in again.records()] == [1, 2]
+        assert [r["seq"] for r in again.records(every_entry(again))] == [1, 2]
         again.close()
 
     @pytest.mark.parametrize(
@@ -278,10 +283,8 @@ class TestJsonlStore:
         reopened._fh.close()  # dropped without close(), as by kill -9
         reopened._reader.close()
         again = JsonlStore(path)
-        assert [(r["seq"], r["payload"]["timepoint"]) for r in again.records()] == [
-            (1, "T1"),
-            (2, "T2"),
-        ]
+        read = again.records(every_entry(again))
+        assert [(r["seq"], r["payload"]["timepoint"]) for r in read] == [(1, "T1"), (2, "T2")]
         again.close()
 
     @pytest.mark.parametrize(
@@ -316,8 +319,9 @@ class TestJsonlStore:
         reopened = JsonlStore(path)
         assert len(reopened) == 3
         with pytest.raises(FormatError, match=f"corrupt payload at byte {len(first)}:"):
-            list(reopened.records())
-        intact = reopened.records(where=lambda e: e.meta != CortisolMeta("T2"))
+            list(reopened.records(every_entry(reopened)))
+        cortisol = reopened.index("cortisol", "S00")
+        intact = reopened.records(e for e in cortisol if e.meta != CortisolMeta("T2"))
         assert [r["payload"]["timepoint"] for r in intact] == ["T1", "T3"]
         reopened.close()
 
@@ -444,8 +448,9 @@ class TestJsonlStore:
         [ibi] = reopened.index("ibi_chunk", "S0")
         assert isinstance(ibi.meta, IbiMeta) and ibi.meta.n_events > 0
         assert reopened.index("cortisol", "S0")[0].meta == CortisolMeta("T1")
-        for record in reopened.records(subject_id="S0"):
-            assert reopened.append(record["kind"], "S0", record["payload"]) is None
+        for kind in RECORD_KINDS:
+            for record in reopened.records(reopened.index(kind, "S0")):
+                assert reopened.append(kind, "S0", record["payload"]) is None
         service = VitalsService(config, reopened)
         assert ask(service) == answers
         reopened.close()
@@ -464,12 +469,31 @@ class TestJsonlStore:
         left = sidecar.read_bytes()
         new, older = JsonlStore(new_path), JsonlStore(config.storage_path)
         assert state(older) == state(new)
-        assert list(older.records()) == list(new.records())
+        assert list(older.records(every_entry(older))) == list(new.records(every_entry(new)))
+        # records(entries) reads exactly the entries given, in the order given:
+        # here each key's entries newest first, every other one, key after key.
+        reads = []
+        for store in (new, older):
+            picked = [
+                (kind, subject_id, entry)
+                for kind in ("model", "cortisol", "signal_chunk", "ibi_chunk")
+                for subject_id in ("", "S0", "P1")
+                for entry in store.index(kind, subject_id)[::-2]
+            ]
+            assert len({(kind, subject_id) for kind, subject_id, _entry in picked}) >= 4
+            seqs = [entry.seq for _kind, _subject_id, entry in picked]
+            assert seqs != sorted(seqs)
+            read = list(store.records(entry for _kind, _subject_id, entry in picked))
+            assert [(r["seq"], r["kind"], r["subject_id"]) for r in read] == [
+                (entry.seq, kind, subject_id) for kind, subject_id, entry in picked
+            ]
+            reads.append(read)
+        assert reads[0] == reads[1]
         assert ask(VitalsService(config, older)) == answers
 
         now = int(time.time() * 1000)
         model = new.latest("model", model_key="stress")["payload"]
-        [chunk, *_] = new.records("signal_chunk", "S0")
+        [chunk, *_] = new.records(new.index("signal_chunk", "S0"))
         appends = [
             ("tag_event", "", {"kind": "user", "index": 1, "t_server_ms": now - 2000}),
             ("signal_chunk", "S0", chunk["payload"]),  # a duplicate: not stored
@@ -512,9 +536,13 @@ class TestJsonlStore:
         binary, store = JsonlStore(tmp_path / "f64le" / "log.jsonl"), JsonlStore(config.storage_path)
         assert state(store) == state(binary)
         assert store.subjects("signal_chunk") == subjects
-        for got, want in zip(store.records("signal_chunk"), binary.records("signal_chunk")):
-            assert "values" in got["payload"] and "f64le" in want["payload"]
-            assert decode_samples(got["payload"]).tobytes() == decode_samples(want["payload"]).tobytes()
+        for subject_id in subjects:
+            gots = store.records(store.index("signal_chunk", subject_id))
+            wants = binary.records(binary.index("signal_chunk", subject_id))
+            for got, want in zip(gots, wants):
+                assert "values" in got["payload"] and "f64le" in want["payload"]
+                got, want = decode_samples(got["payload"]), decode_samples(want["payload"])
+                assert got.tobytes() == want.tobytes()
         service = VitalsService(config, store)
         assert ask(service) == answers
         versions = VitalsService(config, binary).model_versions()
