@@ -83,16 +83,13 @@ def build_stress_dataset(
     n_subjects: int = 40, cohort_seed: int = 0
 ) -> dict[tuple[str, ...], FeatureMatrix]:
     """Labeled feature matrices for every reported channel combination."""
-    per_combo: dict[tuple[str, ...], list[FeatureMatrix]] = {
-        combo: [] for combo in CHANNEL_COMBINATIONS
-    }
     profiles, script = generate_cohort(n_subjects, seed=cohort_seed)
     jobs = [(profile, script, i) for i, profile in enumerate(profiles)]
-    for full in _ordered_map(_subject_rows, jobs):
-        for combo in CHANNEL_COMBINATIONS:
-            names = [n for n in full.names if n.split("_")[0].upper() in combo]
-            per_combo[combo].append(full.select_columns(names))
-    return {combo: FeatureMatrix.concat(parts) for combo, parts in per_combo.items()}
+    full = FeatureMatrix.concat(_ordered_map(_subject_rows, jobs))
+    return {
+        combo: full.select_columns([n for n in full.names if n.split("_")[0].upper() in combo])
+        for combo in CHANNEL_COMBINATIONS
+    }
 
 
 @dataclass

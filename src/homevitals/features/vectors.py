@@ -1,5 +1,6 @@
-"""Feature containers: named per-window/per-segment vectors, rectangular
-matrices with subject provenance, and selection results.
+"""Feature containers: named per-window/per-segment vectors, feature
+matrices held as one array with each row's subject id and an optional label
+column, and selection results.
 
 Feature names are the stable public contract: model artifacts record them and
 queries check them before predicting.
@@ -67,7 +68,8 @@ class FeatureVector:
 
 
 class FeatureMatrix:
-    """Rectangular collection of FeatureVectors plus an optional label/target column."""
+    """Read-only float64 X (a row per window or segment, a column per name),
+    each row's subject id and optional read-only labels, held as arrays."""
 
     def __init__(
         self,
@@ -77,82 +79,73 @@ class FeatureMatrix:
         rows = list(rows)
         if not rows:
             raise InputError("feature matrix needs at least one row")
-        names = rows[0].names
         for r in rows:
-            if r.names != names:
+            if r.names != rows[0].names:
                 raise InputError("all rows must share one feature-name list")
             if not r.subject_id:
                 raise InputError("subject ids must be non-empty")
-        self._names = names
-        self._rows = rows
-        self._X = np.vstack([r.values for r in rows])
-        self._X.setflags(write=False)
+        subject_ids = tuple(r.subject_id for r in rows)
+        self._set(rows[0].names, np.vstack([r.values for r in rows]), subject_ids, labels)
+
+    def _set(self, names, X: np.ndarray, subject_ids: tuple[str, ...], labels) -> None:
+        """Hold X, which nothing else writes to, and a copy of the labels."""
+        if not subject_ids:
+            raise InputError("feature matrix needs at least one row")
         if labels is not None:
-            labels = np.asarray(labels, dtype=np.float64).copy()
-            if labels.shape != (len(rows),):
+            labels = np.array(labels, dtype=np.float64)
+            if labels.shape != (len(subject_ids),):
                 raise InputError(
-                    f"labels length {labels.size} does not match {len(rows)} rows"
+                    f"labels length {labels.size} does not match {len(subject_ids)} rows"
                 )
             labels.setflags(write=False)
-        self._labels = labels
+        X.setflags(write=False)
+        self.names, self.X, self.subject_ids, self.labels = tuple(names), X, subject_ids, labels
 
-    @property
-    def names(self) -> tuple[str, ...]:
-        return self._names
-
-    @property
-    def X(self) -> np.ndarray:
-        return self._X
-
-    @property
-    def labels(self) -> np.ndarray | None:
-        return self._labels
-
-    @property
-    def subject_ids(self) -> list[str]:
-        return [r.subject_id for r in self._rows]
-
-    @property
-    def rows(self) -> list[FeatureVector]:
-        return list(self._rows)
+    @classmethod
+    def _of(cls, names, X: np.ndarray, subject_ids: tuple[str, ...], labels) -> "FeatureMatrix":
+        matrix = cls.__new__(cls)
+        matrix._set(names, X, subject_ids, labels)
+        return matrix
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return len(self.subject_ids)
 
-    def with_labels(self, labels: Sequence[float]) -> "FeatureMatrix":
-        return FeatureMatrix(self._rows, labels)
+    def with_labels(self, labels: Sequence[float] | np.ndarray) -> "FeatureMatrix":
+        return self._of(self.names, self.X, self.subject_ids, labels)
 
     def select_rows(self, indices: Sequence[int] | np.ndarray) -> "FeatureMatrix":
         idx = list(indices)
-        labels = None if self._labels is None else self._labels[idx]
-        return FeatureMatrix([self._rows[i] for i in idx], labels)
+        labels = None if self.labels is None else self.labels[idx]
+        return self._of(self.names, self.X[idx], tuple(self.subject_ids[i] for i in idx), labels)
 
     def select_columns(self, names: Sequence[str]) -> "FeatureMatrix":
-        missing = [n for n in names if n not in self._names]
+        names = tuple(names)
+        missing = [n for n in names if n not in self.names]
         if missing:
             raise InputError(f"unknown feature names: {missing}")
-        cols = [self._names.index(n) for n in names]
-        rows = [
-            FeatureVector(r.subject_id, r.origin, tuple(names), r.values[cols], r.flags)
-            for r in self._rows
-        ]
-        return FeatureMatrix(rows, self._labels)
+        if len(set(names)) != len(names):
+            raise InputError("feature names must be unique")
+        cols = [self.names.index(n) for n in names]
+        # take() keeps X C-contiguous, as X[:, cols] would not.
+        return self._of(names, self.X.take(cols, axis=1), self.subject_ids, self.labels)
 
     @staticmethod
     def concat(parts: Iterable["FeatureMatrix"]) -> "FeatureMatrix":
         parts = list(parts)
         if not parts:
             raise InputError("nothing to concatenate")
-        rows: list[FeatureVector] = []
-        labels: list[np.ndarray] = []
-        has_labels = parts[0].labels is not None
+        labeled = parts[0].labels is not None
         for p in parts:
-            if (p.labels is not None) != has_labels:
+            if (p.labels is not None) != labeled:
                 raise InputError("cannot mix labeled and unlabeled matrices")
-            rows.extend(p.rows)
-            if has_labels:
-                labels.append(p.labels)
-        return FeatureMatrix(rows, np.concatenate(labels) if has_labels else None)
+            if p.names != parts[0].names:
+                raise InputError("all rows must share one feature-name list")
+        return FeatureMatrix._of(
+            parts[0].names,
+            np.concatenate([p.X for p in parts]),
+            tuple(sid for p in parts for sid in p.subject_ids),
+            np.concatenate([p.labels for p in parts]) if labeled else None,
+        )
 
 
 @dataclass(frozen=True)

@@ -33,9 +33,6 @@ class Timepoint(Enum):
     T5 = "T5"
 
 
-TIMEPOINTS = tuple(Timepoint)
-
-
 class StressState(Enum):
     NOT_STRESSED = 0
     STRESSED = 1
@@ -108,8 +105,8 @@ class LabelRule:
     threshold: float = 0.10
 
     def __post_init__(self) -> None:
-        if self.threshold < 0:
-            raise InputError("threshold must be non-negative")
+        if not 0 <= self.threshold < np.inf:
+            raise InputError(f"threshold must be non-negative and finite, got {self.threshold}")
 
 
 def check_session_samples(samples: Sequence[CortisolSample]) -> list[CortisolSample]:

@@ -3,6 +3,7 @@ contributes rows to both sides, hitting the closest achievable row fraction."""
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -18,16 +19,14 @@ def subject_split(
 ) -> tuple["FeatureMatrix", "FeatureMatrix"]:
     """Shuffle subjects, then take the prefix whose row count lands closest to
     the target test fraction (at least one subject on each side)."""
-    subjects = list(dict.fromkeys(matrix.subject_ids))
+    rows_of = Counter(matrix.subject_ids)  # in first-seen order
+    subjects = list(rows_of)
     if len(subjects) < 2:
         raise SplitImpossible(f"need >= 2 subjects, got {len(subjects)}")
     if not 0.0 < test_fraction < 1.0:
         raise SplitImpossible(f"test_fraction must lie in (0, 1), got {test_fraction}")
     rng = np.random.default_rng(seed)
     order = [subjects[i] for i in rng.permutation(len(subjects))]
-    rows_of = {s: 0 for s in subjects}
-    for sid in matrix.subject_ids:
-        rows_of[sid] += 1
     total = len(matrix)
     best_k, best_gap = 1, float("inf")
     cum = 0

@@ -15,7 +15,8 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from ..datasets import BP_BOOST_ROUNDS, FOREST_PARAMS
-from ..errors import ConfigError
+from ..errors import ConfigError, InputError
+from ..labeling import LabelRule
 from ..location import MatchConfig
 from ..signals import WindowSpec
 
@@ -41,6 +42,17 @@ class ServiceConfig:
         # Also runs on dataclasses.replace, so `serve --port` is checked too.
         if not 0 <= self.listen_port <= 65535:
             raise ConfigError(f"listen_port must be in 0..65535, got {self.listen_port}")
+        # Settings training cannot use fail here, before a store is opened;
+        # the window, match and label rules check their own.
+        least = {"forest.n_trees": 1, "bp.boost_estimators": 1, "seed": 0}
+        for key, bound in least.items():
+            value = getattr(self, _KEY_TO_FIELD[key])
+            if value < bound:
+                raise ConfigError(f"{key} must be >= {bound}, got {value}")
+        try:
+            self.window_spec, self.match_config, LabelRule(self.label_threshold)
+        except InputError as exc:
+            raise ConfigError(str(exc)) from exc
 
     @property
     def window_spec(self) -> WindowSpec:

@@ -53,7 +53,7 @@ from ..errors import (
 )
 from ..location import TagKind, format_message
 from .config import ServiceConfig
-from .pipeline import VitalsService
+from .pipeline import VitalsService, json_field, json_int
 from .store import JsonlStore
 
 log = logging.getLogger(__name__)
@@ -66,25 +66,9 @@ _BP = re.compile(r"^/bp/([^/]+)$")
 _LOCATION = re.compile(r"^/location/([^/]+)$")
 
 
-def _field(source: dict, key: str, convert):
-    """source[key] passed through convert; absent or unconvertible is an InputError."""
-    if key not in source:
-        raise InputError(f"missing field {key!r}")
-    try:
-        return convert(source[key])
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InputError(f"{key}: {exc}") from exc
-
-
 def _text(value) -> str:
     if not isinstance(value, str):
         raise TypeError(f"must be a string, got {type(value).__name__}")
-    return value
-
-
-def _integer(value) -> int:
-    if type(value) is not int:  # not a bool, a float or a numeric string
-        raise TypeError(f"must be an integer, got {value!r}")
     return value
 
 
@@ -176,12 +160,12 @@ class _Handler(BaseHTTPRequestHandler):
             return 200, service.sync_signals(_json_object(raw))
         if method == "POST" and path == "/tags/event":
             body = _json_object(raw)
-            kind, index = _field(body, "kind", TagKind), _field(body, "index", _integer)
+            kind, index = json_field(body, "kind", TagKind), json_field(body, "index", json_int)
             return 200, service.ingest_tag_event(kind, index)
         if method == "POST" and path == "/tags/register":
             body = _json_object(raw)
-            kind, index = _field(body, "kind", TagKind), _field(body, "index", _integer)
-            return 200, service.register_tag(kind, index, _field(body, "name", _text))
+            kind, index = json_field(body, "kind", TagKind), json_field(body, "index", json_int)
+            return 200, service.register_tag(kind, index, json_field(body, "name", _text))
         if method == "POST" and path == "/train/stress":
             return 200, service.train_stress(_seed(_json_object(raw)))
         if method == "POST" and path == "/train/bp":
@@ -197,7 +181,7 @@ class _Handler(BaseHTTPRequestHandler):
             if match:
                 tolerance = None
                 if "tolerance_s" in query:
-                    tolerance = _field(query, "tolerance_s", lambda v: float(v[0]))
+                    tolerance = json_field(query, "tolerance_s", lambda v: float(v[0]))
                 result = service.locate(match.group(1), tolerance)
                 return 200, format_message(result)
         raise NotFound(f"no route for {method} {path}")

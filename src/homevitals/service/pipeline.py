@@ -15,9 +15,8 @@ config wins; events of tags no longer registered are skipped.
 from __future__ import annotations
 
 import logging
-import math
 import threading
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable
 
 import numpy as np
@@ -60,6 +59,28 @@ log = logging.getLogger(__name__)
 CONTIGUITY_SLOP_MS = 2
 
 
+def json_field(source: dict, key: str, convert):
+    """source[key] passed through convert; absent or unconvertible is an InputError."""
+    if key not in source:
+        raise InputError(f"missing field {key!r}")
+    try:
+        return convert(source[key])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InputError(f"{key}: {exc}") from exc
+
+
+def json_int(value) -> int:
+    if type(value) is not int:  # not a bool, a float or a numeric string
+        raise TypeError(f"must be an integer, got {value!r}")
+    return value
+
+
+def json_number(value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):  # not a bool or a numeric string
+        raise TypeError(f"must be a number, got {value!r}")
+    return float(value)
+
+
 def _chunk_payload(series: SampleSeries, name: str | None, **samples) -> dict:
     payload = {
         "channel": series.channel.value,
@@ -86,8 +107,8 @@ def payload_to_series(payload: dict, field: str = "chunk") -> SampleSeries:
     try:
         return SampleSeries(
             channel=Channel(payload["channel"]),
-            rate_hz=float(payload["rate_hz"]),
-            start_ms=int(payload["start_ms"]),
+            rate_hz=json_field(payload, "rate_hz", json_number),
+            start_ms=json_field(payload, "start_ms", json_int),
             values=payload["values"],
         )
     except (KeyError, ValueError, TypeError, OverflowError, InputError) as exc:
@@ -113,8 +134,8 @@ def payload_to_cortisol(payload: Iterable[dict], subject_id: str) -> list[Cortis
                 CortisolSample(
                     subject_id=subject_id,
                     timepoint=Timepoint(entry["timepoint"]),
-                    t_ms=int(entry["t_ms"]),
-                    concentration_ugdl=float(entry["concentration_ugdl"]),
+                    t_ms=json_field(entry, "t_ms", json_int),
+                    concentration_ugdl=json_field(entry, "concentration_ugdl", json_number),
                 )
             )
         except (KeyError, ValueError, TypeError, OverflowError, InputError) as exc:
@@ -205,10 +226,6 @@ def _latest_run(
 
 class VitalsService:
     def __init__(self, config: ServiceConfig, store: JsonlStore):
-        values = {f.name: getattr(config, f.name) for f in fields(config)}
-        non_finite = [k for k, v in values.items() if isinstance(v, float) and not math.isfinite(v)]
-        if non_finite:
-            raise InputError(f"settings must be finite: {', '.join(non_finite)}")
         self.config = config
         self.window_spec = config.window_spec
         self.store = store
@@ -244,7 +261,7 @@ class VitalsService:
         ibi_events = request.get("ibi", [])
         if ibi_events:
             try:
-                ibi = IbiSeries.from_pairs([(int(t), float(v)) for t, v in ibi_events])
+                ibi = IbiSeries.from_pairs([(json_int(t), json_number(v)) for t, v in ibi_events])
             except (InputError, ValueError, TypeError, OverflowError) as exc:
                 raise InputError(f"ibi: {exc}") from exc
             records.append(("ibi_chunk", {"events": _ibi_pairs(ibi)}))

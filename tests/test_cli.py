@@ -479,6 +479,33 @@ def test_serve_refuses_a_port_out_of_range_before_creating_the_store(
     assert not store.exists()
 
 
+@pytest.mark.parametrize(
+    ("line", "reason"),
+    [
+        ("label.threshold = -1", "threshold must be non-negative and finite, got -1.0"),
+        ("forest.n_trees = 0", "forest.n_trees must be >= 1, got 0"),
+        ("bp.boost_estimators = 0", "bp.boost_estimators must be >= 1, got 0"),
+        ("window.overlap_s = 100", "overlap must satisfy 0 <= overlap < length"),
+        ("window.length_s = nan", "window length must be positive and finite"),
+        ("match.tolerance_s = -1", "tolerance_s and search_window_s must be finite and positive"),
+    ],
+    ids=["threshold", "n_trees", "boost_estimators", "overlap", "length", "tolerance"],
+)
+def test_serve_refuses_a_setting_it_cannot_use_before_creating_the_store(
+    tmp_path, capsys, monkeypatch, line, reason
+):
+    # A server that got this far would serve until stopped.
+    monkeypatch.setattr(cli.VitalsHttpServer, "serve_forever", lambda self: pytest.fail("served"))
+    store = tmp_path / "store.jsonl"
+    config = tmp_path / "service.cfg"
+    config.write_text(f"listen_port = 0\n{line}\nstorage_path = {store}\n")
+    assert cli.main(["serve", "--config", str(config)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {reason}\n"
+    assert not store.exists()
+
+
 def test_serve_closes_socket_and_store_on_an_interrupt_before_serving(tmp_path, monkeypatch):
     # A signal that lands just after the listening line, before serve_forever
     # runs: no loop exists for httpd.shutdown() to stop.

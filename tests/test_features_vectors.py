@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from homevitals.errors import InputError
 from homevitals.features import FeatureMatrix, FeatureVector, SelectionResult
@@ -44,6 +46,114 @@ class TestFeatureMatrix:
         sub = matrix.select_columns(["b"])
         assert sub.names == ("b",)
         assert list(sub.X[:, 0]) == [2.0, 4.0]
+
+
+    def test_derived_operations_reject_what_the_vectors_would(self):
+        matrix = FeatureMatrix([vec(), vec(origin="1", values=(3.0, 4.0))])
+        with pytest.raises(InputError, match="unknown feature names: \\['zz'\\]"):
+            matrix.select_columns(["a", "zz"])
+        with pytest.raises(InputError, match="feature names must be unique"):
+            matrix.select_columns(["a", "b", "a"])
+        with pytest.raises(InputError, match="one feature-name list"):
+            FeatureMatrix.concat([matrix, matrix.select_columns(["b", "a"])])
+        with pytest.raises(InputError, match="cannot mix labeled and unlabeled"):
+            FeatureMatrix.concat([matrix, matrix.with_labels([0, 1])])
+        with pytest.raises(InputError, match="cannot mix labeled and unlabeled"):
+            FeatureMatrix.concat([matrix.with_labels([0, 1]), matrix])
+        with pytest.raises(InputError, match="labels length 3 does not match 2 rows"):
+            matrix.with_labels([0, 1, 0])
+        with pytest.raises(InputError, match="at least one row"):
+            matrix.select_rows([])
+        with pytest.raises(InputError, match="nothing to concatenate"):
+            FeatureMatrix.concat([])
+
+    def test_construction_rejects_no_rows_and_empty_subject_ids(self):
+        with pytest.raises(InputError, match="at least one row"):
+            FeatureMatrix([])
+        with pytest.raises(InputError, match="subject ids must be non-empty"):
+            FeatureMatrix([vec(), vec(subject="")])
+        with pytest.raises(InputError, match="labels length 1 does not match 2 rows"):
+            FeatureMatrix([vec(), vec()], labels=[1.0])
+
+    def test_derived_arrays_are_read_only_and_own_their_labels(self):
+        labels = np.array([0.0, 1.0])
+        matrix = FeatureMatrix([vec(), vec(subject="S1", values=(3.0, 4.0))], labels)
+        labels[0] = 9.0  # the matrix keeps a copy
+        derived = [
+            matrix,
+            matrix.with_labels(labels),
+            matrix.select_rows([1, 0]),
+            matrix.select_columns(["b"]),
+            FeatureMatrix.concat([matrix, matrix]),
+        ]
+        assert matrix.labels[0] == 0.0
+        for m in derived:
+            for array in (m.X, m.labels):
+                assert not array.flags.writeable
+                with pytest.raises(ValueError):
+                    array[0] = 1.0
+            assert m.X.flags.c_contiguous
+
+
+NAMES = ("a", "b", "c", "d")
+FINITE = st.floats(-1e6, 1e6)
+
+
+def draw_rows(draw, names) -> list[FeatureVector]:
+    n = draw(st.integers(1, 5))
+    values = st.lists(FINITE, min_size=len(names), max_size=len(names))
+    subjects = st.sampled_from(["S0", "S1", "S2"])
+    return [FeatureVector(draw(subjects), str(i), names, np.array(draw(values))) for i in range(n)]
+
+
+def draw_labels(draw, rows, labeled: bool) -> list[float] | None:
+    return draw(st.lists(FINITE, min_size=len(rows), max_size=len(rows))) if labeled else None
+
+
+def assert_same_matrix(derived: FeatureMatrix, expected: FeatureMatrix) -> None:
+    assert derived.names == expected.names
+    assert derived.subject_ids == expected.subject_ids
+    assert derived.X.dtype == np.float64 and derived.X.shape == expected.X.shape
+    assert np.array_equal(derived.X, expected.X)
+    if expected.labels is None:
+        assert derived.labels is None
+    else:
+        assert np.array_equal(derived.labels, expected.labels)
+    assert not derived.X.flags.writeable
+    assert derived.labels is None or not derived.labels.flags.writeable
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_derived_matrices_equal_the_matrix_built_from_their_vectors(data):
+    draw = data.draw
+    names = tuple(draw(st.permutations(NAMES))[: draw(st.integers(1, len(NAMES)))])
+    labeled = draw(st.booleans())
+    rows = draw_rows(draw, names)
+    labels = draw_labels(draw, rows, labeled)
+    matrix = FeatureMatrix(rows, labels)
+    assert_same_matrix(matrix, matrix)
+
+    relabeled = draw_labels(draw, rows, True)
+    assert_same_matrix(matrix.with_labels(relabeled), FeatureMatrix(rows, relabeled))
+
+    idx = draw(st.lists(st.integers(0, len(rows) - 1), min_size=1, max_size=8))
+    expected = FeatureMatrix(
+        [rows[i] for i in idx], None if labels is None else [labels[i] for i in idx]
+    )
+    assert_same_matrix(matrix.select_rows(idx), expected)
+
+    picked = tuple(draw(st.permutations(names))[: draw(st.integers(0, len(names)))])
+    cols = [names.index(n) for n in picked]
+    expected = FeatureMatrix(
+        [FeatureVector(r.subject_id, r.origin, picked, r.values[cols]) for r in rows], labels
+    )
+    assert_same_matrix(matrix.select_columns(picked), expected)
+
+    more = draw_rows(draw, names)
+    more_labels = draw_labels(draw, more, labeled)
+    expected = FeatureMatrix(rows + more, None if not labeled else labels + more_labels)
+    assert_same_matrix(FeatureMatrix.concat([matrix, FeatureMatrix(more, more_labels)]), expected)
 
 
 def test_selection_result_validates_scores_order():

@@ -12,7 +12,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homevitals.errors import InputError
 from homevitals.features import MIN_SEGMENT_S
 from homevitals.location import TagKind, parse_message
 from homevitals.models.serialize import FORMAT_NAME, SCHEMA_VERSION
@@ -22,6 +21,17 @@ from homevitals.simulate import simulate_bp_records
 from test_service_pipeline import bp_payload, stress_payload
 
 NAN, INF = math.nan, math.inf
+
+
+def ppg_chunk(**fields) -> dict:
+    """Sync body fields of one PPG chunk, with the given fields replaced."""
+    chunk = {"channel": "PPG", "rate_hz": 125.0, "start_ms": 0, "values": [1.0]}
+    return {"chunks": [{**chunk, **fields}]}
+
+
+def cortisol_entry(**fields) -> dict:
+    """Sync body fields of one cortisol sample, with the given fields replaced."""
+    return {"cortisol": [{"timepoint": "T1", "t_ms": 0, "concentration_ugdl": 0.5, **fields}]}
 
 
 @pytest.fixture
@@ -359,6 +369,44 @@ class TestRoutes:
         assert status_of(err.value)[0] == 400
         assert get(server, "/health")[1]["records"] == before
 
+    @pytest.mark.parametrize(
+        "body, field",
+        [
+            (ppg_chunk(start_ms=1.9), "start_ms"),
+            (ppg_chunk(start_ms="7"), "start_ms"),
+            (ppg_chunk(start_ms=True), "start_ms"),
+            (ppg_chunk(rate_hz="4"), "rate_hz"),
+            (ppg_chunk(rate_hz=True), "rate_hz"),
+            ({"ibi": [[1.9, 0.8]]}, "ibi"),
+            ({"ibi": [["7", 0.8]]}, "ibi"),
+            ({"ibi": [[True, 0.8]]}, "ibi"),
+            ({"ibi": [[1000, "0.8"]]}, "ibi"),
+            ({"ibi": [[1000, True]]}, "ibi"),
+            (cortisol_entry(t_ms=1.9), "t_ms"),
+            (cortisol_entry(t_ms="7"), "t_ms"),
+            (cortisol_entry(t_ms=True), "t_ms"),
+            (cortisol_entry(concentration_ugdl="0.2"), "concentration_ugdl"),
+            (cortisol_entry(concentration_ugdl=True), "concentration_ugdl"),
+        ],
+        ids=[
+            "start-float", "start-string", "start-bool", "rate-string", "rate-bool",
+            "ibi-time-float", "ibi-time-string", "ibi-time-bool", "ibi-interval-string",
+            "ibi-interval-bool", "cortisol-time-float", "cortisol-time-string",
+            "cortisol-time-bool", "cortisol-string", "cortisol-bool",
+        ],
+    )
+    def test_sync_number_of_the_wrong_json_type_is_400_and_stores_nothing(
+        self, server, body, field
+    ):
+        # int() and float() would read 1.9 as 1, "7" as 7 and true as 1.
+        post(server, "/signals/sync", {"subject_id": "S00", **ppg_chunk(start_ms=1)})
+        before = get(server, "/health")[1]["records"]
+        with pytest.raises(urllib.error.HTTPError) as err:
+            post(server, "/signals/sync", {"subject_id": "S00", **body})
+        code, reply = status_of(err.value)
+        assert code == 400 and field in reply["error"]
+        assert get(server, "/health")[1]["records"] == before
+
     def test_malformed_tolerance_is_400(self, server):
         with pytest.raises(urllib.error.HTTPError) as err:
             get_raw(server, "/location/alice?tolerance_s=abc")
@@ -375,15 +423,6 @@ class TestRoutes:
             get_raw(server, f"/location/alice?tolerance_s={value}")
         code, body = status_of(err.value)
         assert code == 400 and "tolerance_s" in body["error"]
-
-    def test_sub_millisecond_window_step_is_refused_before_serving(self, tmp_path):
-        # The window grid steps in whole ms; a 0 ms step reaching it would
-        # turn /train/stress and /stress into 500s.
-        config = ServiceConfig(
-            listen_port=0, storage_path=str(tmp_path / "store.jsonl"), window_overlap_s=89.9996
-        )
-        with pytest.raises(InputError, match="at least 1 ms"):
-            VitalsHttpServer(config)
 
     def test_unknown_route_is_404(self, server):
         with pytest.raises(urllib.error.HTTPError) as err:

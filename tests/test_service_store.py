@@ -785,34 +785,28 @@ class TestServiceConfig:
                 parse_config(f"{key} = 1\n")
 
     @pytest.mark.parametrize(
-        "line",
+        "line, reason",
         [
-            "match.search_window_s = nan",
-            "match.search_window_s = inf",
-            "match.tolerance_s = nan",
-            "window.length_s = nan",
-            "window.overlap_s = inf",
-            "label.threshold = nan",
+            ("match.search_window_s = nan", "finite"),
+            ("match.search_window_s = inf", "finite"),
+            ("match.tolerance_s = nan", "finite"),
+            ("match.tolerance_s = -1", "positive"),
+            ("window.length_s = nan", "finite"),
+            ("window.overlap_s = inf", "overlap < length"),
+            ("window.overlap_s = 100", "overlap < length"),
+            # The window grid steps in whole ms; a 0 ms step reaching it
+            # would turn /train/stress and /stress into 500s.
+            ("window.overlap_s = 89.9996", "at least 1 ms"),
+            ("label.threshold = nan", "finite"),
+            ("label.threshold = -1", "non-negative"),
+            ("forest.n_trees = 0", "forest.n_trees must be >= 1"),
+            ("bp.boost_estimators = 0", "bp.boost_estimators must be >= 1"),
+            ("seed = -1", "seed must be >= 0"),
         ],
     )
-    def test_non_finite_match_setting_fails_at_service_start(self, tmp_path, line):
-        config = parse_config(line + "\n").with_storage(tmp_path / "store.jsonl")
-        store = JsonlStore(config.storage_path)
-        try:
-            with pytest.raises(InputError, match="finite"):
-                VitalsService(config, store)
-        finally:
-            store.close()
-
-    def test_sub_millisecond_window_step_fails_at_service_start(self, tmp_path):
-        lines = "window.length_s = 90\nwindow.overlap_s = 89.9996\n"
-        config = parse_config(lines).with_storage(tmp_path / "store.jsonl")
-        store = JsonlStore(config.storage_path)
-        try:
-            with pytest.raises(InputError, match="at least 1 ms"):
-                VitalsService(config, store)
-        finally:
-            store.close()
+    def test_setting_the_service_cannot_use_fails_at_parse(self, line, reason):
+        with pytest.raises(ConfigError, match=reason):
+            parse_config(line + "\n")
 
     @pytest.mark.parametrize("key", ["tags.user.abc", "tags.location.1.5", "tags.user."])
     def test_bad_tag_index_is_config_error(self, key):
