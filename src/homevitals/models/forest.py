@@ -4,6 +4,11 @@ Each tree trains on a bootstrap resample with ceil(sqrt(d)) candidate
 features per split; the forest probability is the fraction of tree votes and
 class ties break to the lowest class (not-stressed in the stress pipeline).
 
+`fit` draws every tree's bootstrap and seed first, then grows all trees in
+lockstep (`tree._fit_classifiers`): one node per tree per round and one
+batched Gini split search per round, which gives each tree exactly the nodes
+it would get grown alone.
+
 `fit` and `from_dict` stack the trees into one node table whose leaves hold
 the forest column of the class their tree predicts there, so a prediction is
 one routing pass over all trees followed by an integer vote count.
@@ -16,7 +21,13 @@ import math
 import numpy as np
 
 from ..errors import DegenerateTraining, InputError
-from .tree import DecisionTreeClassifier, _document_classes, _NodeTable, _validate_xy
+from .tree import (
+    DecisionTreeClassifier,
+    _document_classes,
+    _fit_classifiers,
+    _NodeTable,
+    _validate_xy,
+)
 
 
 class RandomForestClassifier:
@@ -30,6 +41,8 @@ class RandomForestClassifier:
     ):
         if n_trees < 1:
             raise InputError("n_trees must be >= 1")
+        if features_per_split is not None and features_per_split < 1:
+            raise InputError("features_per_split must be >= 1")
         self.n_trees = n_trees
         self.max_depth = max_depth
         self.min_samples_leaf = min_samples_leaf
@@ -58,15 +71,13 @@ class RandomForestClassifier:
                 features_per_split=mtry,
                 seed=rng.integers(0, 2**31 - 1),
             )
-            yb = y[boot]
-            if np.unique(yb).size < 2:
+            if np.unique(y[boot]).size < 2:
                 # Degenerate bootstrap: retry once with a reshuffle, else accept
                 # the constant tree (its vote is still well defined).
                 boot = rng.integers(0, n, size=n)
-                yb = y[boot]
-            tree.fit(X[boot], yb)
             self.trees.append(tree)
             self.bootstrap_indices.append(boot)
+        _fit_classifiers(self.trees, X, y, self.bootstrap_indices)
         self._stack_trees()
         return self
 

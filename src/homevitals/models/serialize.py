@@ -68,7 +68,7 @@ def load_document(doc: dict):
         raise FormatError(f"unknown model kind {doc.get('kind')!r}")
     try:
         return cls.from_dict(doc["model"])
-    except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, IndexError, TypeError, ValueError, OverflowError, InputError) as exc:
         raise FormatError(f"malformed {doc['kind']} document: {type(exc).__name__}: {exc}") from exc
 
 

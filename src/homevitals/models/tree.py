@@ -1,19 +1,27 @@
 """CART decision trees built from scratch: Gini splits for classification,
 variance-reduction splits for regression, mean-payload leaves.
 
-Both trees grow through one loop, `_TreeBase._grow`: it pops nodes depth
-first, stops on a pure node, too few rows or the depth limit, draws the
-node's candidate features, splits, and pushes the left child before the
-right. Each tree supplies only its node statistics (impurity and leaf
-payload) and its split scorer.
+Both trees grow through one loop, `_TreeBase._grow`, over a list of trees
+(a lone tree is a list of one). Each round pops one node from every tree
+that has one left; a node stops on purity, too few rows or the depth limit,
+and otherwise draws its candidate features from its tree's own generator,
+is split, and pushes its left child before its right. So every tree keeps
+the node ids and feature draws of its own depth-first order, as if it grew
+alone. Each tree kind supplies only its node statistics (impurity and leaf
+payload) and its split scorer, both called once per round for the round's
+nodes.
 
-Split search is vectorized across a node's candidate features: their values
-form one (features x rows) block, sorted row-wise by a single argsort, and
-every boundary between distinct values of every candidate is scored from
-prefix sums along the rows. The winner is the first minimal boundary within a
-feature and, across features, the first minimal feature in candidate order,
-exactly as a per-feature loop would choose, so training stays fast enough for
-hundred-tree forests and boosting.
+The classifier's scorer, `_best_splits_classification`, scores all of a
+round's nodes at once, so a forest's hundred trees cost a few dozen numpy
+calls per round: nodes of a similar row count share one padded (nodes x
+features x rows) block of integer keys, each a value's rank in its column
+combined with the row's class, sorted row-wise in one call; class counts
+left of every boundary are prefix sums of per-class planes. The regressor
+scores its one node per round over a (features x rows) block, sorted
+row-wise by a stable argsort, from prefix sums of the targets. Either way
+the winner is the first minimal boundary within a feature and, across
+features, the first minimal feature in candidate order, with the same
+floats a per-feature loop computes.
 
 Prediction goes through one router, `_NodeTable.route`. A tree is a node
 table of one tree: `fit` and `from_dict` build its `feature`, `threshold`,
@@ -29,6 +37,11 @@ import numpy as np
 from ..errors import DegenerateTraining, FormatError, InputError
 
 _LEAF = -1
+# The batched Gini search holds at most _BLOCK_CELLS (node, feature, row,
+# class) cells in one block, which bounds its memory at a few tens of MB;
+# nodes of up to 2**_SMALLEST_BAND rows share one band.
+_BLOCK_CELLS = 1 << 19
+_SMALLEST_BAND = 4
 
 
 def _validate_xy(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -123,6 +136,8 @@ class _TreeBase(_NodeTable):
     """Shared structure: growth, and the node table of one tree."""
 
     def __init__(self, max_depth=None, min_samples_leaf=1, features_per_split=None, seed=0):
+        if features_per_split is not None and features_per_split < 1:
+            raise InputError("features_per_split must be >= 1")
         self.max_depth = max_depth
         self.min_samples_leaf = int(min_samples_leaf)
         self.features_per_split = features_per_split
@@ -143,45 +158,63 @@ class _TreeBase(_NodeTable):
             return np.arange(d)
         return rng.choice(d, size=k, replace=False)
 
-    def _grow(self, X: np.ndarray, node_stats, best_split) -> list:
-        """Grow the tree over every row of X, set its node arrays, and return
-        each node's leaf payload (None for internal nodes).
+    @staticmethod
+    def _grow(trees: list["_TreeBase"], X: np.ndarray, rows: list, node_stats, best_splits) -> list:
+        """Grow every tree of `trees` in lockstep, set their node arrays, and
+        return each tree's list of leaf payloads (None for internal nodes).
 
-        node_stats(idx) gives (impurity, leaf payload) for the rows idx, and
-        best_split(idx, features) gives (cost, position in features,
-        threshold) or None. Features are drawn only for nodes that do not
-        stop, so the seed's draws follow the depth-first order exactly.
+        Tree t grows over the rows rows[t] of X, in that order. Each round
+        pops one node from every tree that has one left. node_stats(nodes),
+        for nodes [(t, idx), ...], gives each node's (impurity, leaf payload);
+        best_splits(jobs), for jobs [(t, idx, features), ...], gives each
+        job's (cost, position in features, threshold) or None. A tree draws
+        candidate features from its own generator, only for nodes that do not
+        stop, and pushes the left child before the right, so each tree's
+        draws and node ids follow its own depth-first order exactly as if it
+        grew alone.
         """
-        rng = np.random.default_rng(self.seed)
-        # Nodes grow as lists; _set_nodes turns them into arrays at the end.
-        self.feature, self.threshold, self.left, self.right = [], [], [], []
-        payloads: list = []
-        stack = [(self._new_node(payloads), np.arange(X.shape[0]), 0)]
-        while stack:
-            node, idx, depth = stack.pop()
-            impurity, payload = node_stats(idx)
-            stop = (
-                impurity == 0.0
-                or idx.size < 2 * self.min_samples_leaf
-                or (self.max_depth is not None and depth >= self.max_depth)
-            )
-            best = None
-            if not stop:
-                features = self._candidate_features(rng, X.shape[1])
-                best = best_split(idx, features)
-            if best is None:
-                payloads[node] = payload
-                continue
-            _cost, at, thr = best
-            f = int(features[at])
-            go_left = X[idx, f] < thr
-            self.feature[node] = f
-            self.threshold[node] = thr
-            self.left[node] = self._new_node(payloads)
-            self.right[node] = self._new_node(payloads)
-            stack.append((self.left[node], idx[go_left], depth + 1))
-            stack.append((self.right[node], idx[~go_left], depth + 1))
-        self._set_nodes(self.feature, self.threshold, self.left, self.right)
+        d = X.shape[1]
+        rngs = [np.random.default_rng(tree.seed) for tree in trees]
+        payloads: list[list] = [[] for _ in trees]
+        stacks = []
+        for tree, tree_payloads, tree_rows in zip(trees, payloads, rows):
+            # Nodes grow as lists; _set_nodes turns them into arrays at the end.
+            tree.feature, tree.threshold, tree.left, tree.right = [], [], [], []
+            stacks.append([(tree._new_node(tree_payloads), tree_rows, 0)])
+        growing = list(range(len(trees)))
+        while growing:
+            popped = [stacks[t].pop() for t in growing]
+            stats = node_stats([(t, idx) for t, (_node, idx, _depth) in zip(growing, popped)])
+            jobs, splitting = [], []
+            for t, (node, idx, depth), (impurity, payload) in zip(growing, popped, stats):
+                tree = trees[t]
+                if (
+                    impurity == 0.0
+                    or idx.size < 2 * tree.min_samples_leaf
+                    or (tree.max_depth is not None and depth >= tree.max_depth)
+                ):
+                    payloads[t][node] = payload
+                    continue
+                jobs.append((t, idx, tree._candidate_features(rngs[t], d)))
+                splitting.append((node, depth, payload))
+            bests = best_splits(jobs)
+            for (t, idx, features), (node, depth, payload), best in zip(jobs, splitting, bests):
+                if best is None:
+                    payloads[t][node] = payload
+                    continue
+                tree = trees[t]
+                _cost, at, thr = best
+                f = int(features[at])
+                go_left = X[idx, f] < thr
+                tree.feature[node] = f
+                tree.threshold[node] = thr
+                tree.left[node] = tree._new_node(payloads[t])
+                tree.right[node] = tree._new_node(payloads[t])
+                stacks[t].append((tree.left[node], idx[go_left], depth + 1))
+                stacks[t].append((tree.right[node], idx[~go_left], depth + 1))
+            growing = [t for t in growing if stacks[t]]
+        for tree in trees:
+            tree._set_nodes(tree.feature, tree.threshold, tree.left, tree.right)
         return payloads
 
     def _leaf_ids(self, X: np.ndarray) -> np.ndarray:
@@ -222,24 +255,51 @@ class _TreeBase(_NodeTable):
         return doc[payload_key]
 
 
-def _sorted_block(X: np.ndarray, idx: np.ndarray, features: np.ndarray):
-    """Candidate columns of the node's rows as a (features x rows) block,
-    each row sorted; returns (sort order, sorted values). The sort is stable
-    because float prefix sums over tied rows depend on their order."""
-    block = X[np.ix_(idx, features)].T
-    order = np.argsort(block, axis=1, kind="stable")
-    return order, np.take_along_axis(block, order, axis=1)
+def _column_ranks(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each cell's rank among the distinct values of its column, and the
+    value of each rank: (ranks, values), with ranks[f, i] the rank of row i
+    in column f and values[f, r] the value of rank r. Equal values share a
+    rank, -0.0 and 0.0 included, as they tie in a sort; a midpoint between
+    a zero and any other value is the same float for either zero."""
+    n, d = X.shape
+    order = np.argsort(X, axis=0)
+    xs = np.take_along_axis(X, order, axis=0)
+    new = np.ones(xs.shape, dtype=bool)
+    new[1:] = xs[1:] != xs[:-1]
+    dense = np.cumsum(new, axis=0) - 1
+    ranks = np.empty((d, n), dtype=np.intp)
+    ranks[np.arange(d), order] = dense
+    values = np.zeros((d, n))
+    values[np.arange(d), dense] = xs
+    return ranks, values
 
 
-def _pick_split(cost, xs, min_leaf):
-    """Return (cost, row of xs, threshold) for the lowest-cost valid boundary.
+def _sorted_block(columns, idx: np.ndarray, features: np.ndarray):
+    """The node's rows in value order for each candidate column, the order a
+    stable argsort of the values gives, as a (features x rows) block;
+    returns (sort order, ranks in that order). The keys rank * rows +
+    position are distinct, so one integer sort gives the stable order,
+    which matters because float prefix sums over tied rows depend on it."""
+    ranks, _values = columns
+    n = idx.size
+    keys = ranks[features[:, None], idx] * n
+    keys += np.arange(n)
+    keys.sort(axis=1)
+    ranked, order = np.divmod(keys, n)
+    return order, ranked
 
-    cost[f, i] scores splitting feature row f after sorted position i; a
-    boundary is valid between distinct values with min_leaf rows each side.
+
+def _pick_split(cost, ranked, values, features, min_leaf):
+    """Return (cost, position in features, threshold) for the lowest-cost
+    valid boundary.
+
+    cost[f, i] scores splitting candidate f after sorted position i, whose
+    rank is ranked[f, i]; a boundary is valid between distinct values with
+    min_leaf rows each side, and its threshold is their midpoint.
     """
-    n = xs.shape[1]
+    n = ranked.shape[1]
     n_left = np.arange(1, n)
-    valid = (xs[:, :-1] < xs[:, 1:]) & (n_left >= min_leaf) & (n - n_left >= min_leaf)
+    valid = (ranked[:, :-1] < ranked[:, 1:]) & (n_left >= min_leaf) & (n - n_left >= min_leaf)
     cost = np.where(valid, cost, np.inf)
     at = np.argmin(cost, axis=1)
     per_feature = cost[np.arange(cost.shape[0]), at]
@@ -247,26 +307,142 @@ def _pick_split(cost, xs, min_leaf):
     if per_feature[f] == np.inf:
         return None
     i = at[f]
-    return float(per_feature[f]), f, float((xs[f, i] + xs[f, i + 1]) / 2.0)
+    column = values[features[f]]
+    return float(per_feature[f]), f, float((column[ranked[f, i]] + column[ranked[f, i + 1]]) / 2.0)
 
 
-def _best_split_classification(X, idx, features, onehot, min_leaf):
-    """Best Gini split of rows idx over the candidate features, or None."""
-    order, xs = _sorted_block(X, idx, features)
-    n = idx.size
-    counts_left = np.cumsum(onehot[order], axis=1)[:, :-1]  # split after position i
-    counts_right = onehot.sum(axis=0) - counts_left
-    n_left = np.arange(1, n, dtype=np.float64)
+def _class_sum(terms: list) -> np.ndarray:
+    """Sum per-class arrays in the order numpy's pairwise summation adds a
+    contiguous axis of len(terms) values: one running sum below eight
+    classes, eight interleaved ones up to 128, halves above. So each element
+    is the float np.sum(..., axis=-1) gives for the same values side by side."""
+    n = len(terms)
+    if n < 8:
+        total = terms[0]
+        for term in terms[1:]:
+            total = total + term
+        return total
+    if n <= 128:
+        stop = n - n % 8
+        r = list(terms[:8])
+        for i in range(8, stop, 8):
+            r = [a + b for a, b in zip(r, terms[i : i + 8])]
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for term in terms[stop:]:
+            total = total + term
+        return total
+    half = n // 2 - (n // 2) % 8
+    return _class_sum(terms[:half]) + _class_sum(terms[half:])
+
+
+def _best_splits_classification(columns, codes, n_classes, nodes, min_leaf) -> list:
+    """Best Gini split of every node over its candidate features, or None.
+
+    columns is _column_ranks(X); nodes lists (t, idx, features): the node's
+    rows of X and its candidate columns; codes[t][i] is the class of row i
+    of X in tree t, 0 to n_classes - 1. Nodes with as many candidates and a
+    row count in the same power-of-two band share one padded block
+    (_gini_block), so a round of a forest's growth costs a few dozen numpy
+    calls, not a few dozen per node. Each result is the (cost, position in
+    features, threshold) a per-node search over that node alone gives, to
+    the bit.
+    """
+    groups: dict[tuple, list] = {}
+    for at, (_t, idx, features) in enumerate(nodes):
+        band = max((idx.size - 1).bit_length(), _SMALLEST_BAND)
+        groups.setdefault((features.size, band), []).append(at)
+    found = [None] * len(nodes)
+    for (k, _band), members in groups.items():
+        width = max(nodes[at][1].size for at in members)
+        per_block = max(1, _BLOCK_CELLS // max(k * width * n_classes, 1))
+        for start in range(0, len(members), per_block):
+            block = members[start : start + per_block]
+            scored = _gini_block(
+                columns, codes, n_classes, [nodes[at] for at in block], width, min_leaf
+            )
+            for at, best in zip(block, scored):
+                found[at] = best
+    return found
+
+
+def _gini_block(columns, codes, n_classes, nodes, width, min_leaf) -> list:
+    """Score nodes as one (nodes x features x width) block.
+
+    Each cell is the key rank * n_classes + class, so one integer sort per
+    row orders a candidate's rows by value and carries their classes along.
+    Rows past a node's count are padding, whose key sorts after every real
+    one. Only the order within a run of equal values differs from a stable
+    sort of the values, and no boundary inside a run is valid, so the class
+    counts left of every valid boundary are the same. They are prefix sums
+    of one plane per class but the last, whose count is the rest of n_left;
+    every count is a whole number, so each is exact, and the Gini terms are
+    summed in class order (_class_sum). Costs, first-minimum ties and
+    midpoint thresholds are thus the floats of a per-node search. A boundary
+    is valid between distinct values with min_leaf rows on each side.
+    """
+    ranks, values = columns
+    n_rows = ranks.shape[1]
+    sizes = np.array([idx.size for _t, idx, _f in nodes])
+    real = np.arange(width) < sizes[:, None]
+    rows = np.zeros(real.shape, dtype=np.intp)
+    rows[real] = np.concatenate([idx for _t, idx, _f in nodes])
+    features = np.array([f for _t, _idx, f in nodes])
+    trees = np.array([t for t, _idx, _f in nodes])
+    keys = np.take(ranks, features[:, :, None] * n_rows + rows[:, None, :])
+    keys *= n_classes
+    keys += codes[trees[:, None], rows][:, None, :]
+    # Padding: a rank past every real one, in the last class, which no plane counts.
+    np.copyto(keys, n_rows * n_classes + n_classes - 1, where=~real[:, None, :])
+    keys.sort(axis=2)
+    ranked, classes = np.divmod(keys, n_classes)
+    planes = classes == np.arange(n_classes - 1)[:, None, None, None]
+    counts = np.cumsum(planes, axis=3, dtype=np.float64)
+    left = counts[..., :-1]  # split after sorted position i
+    right = counts[..., -1:] - left
+    n = sizes[:, None, None]
+    n_left = np.arange(1, width, dtype=np.float64)
     n_right = n - n_left
-    gini_left = 1.0 - np.sum((counts_left / n_left[:, None]) ** 2, axis=2)
-    gini_right = 1.0 - np.sum((counts_right / n_right[:, None]) ** 2, axis=2)
-    cost = (n_left * gini_left + n_right * gini_right) / n
-    return _pick_split(cost, xs, min_leaf)
+    last_left = n_left - _class_sum(list(left))
+    last_right = n_right - _class_sum(list(right))
+    # Past a node's last row n_right is 0 or less; no boundary there is valid.
+    right_div = np.maximum(n_right, 1.0)
+    gini_left = _gini_sum([*left, last_left], n_left)
+    gini_right = _gini_sum([*right, last_right], right_div)
+    gini_left *= n_left
+    gini_right *= n_right
+    cost = gini_left
+    cost += gini_right
+    cost /= n
+    valid = ranked[..., :-1] < ranked[..., 1:]
+    valid &= (n_left >= min_leaf) & (n_right >= max(min_leaf, 1))
+    cost[~valid] = np.inf
+    at = np.argmin(cost, axis=2)
+    per_feature = np.take_along_axis(cost, at[..., None], axis=2)[..., 0]
+    f = np.argmin(per_feature, axis=1)
+    node = np.arange(len(nodes))
+    best, i = per_feature[node, f], at[node, f]
+    column = features[node, f]
+    thr = (values[column, ranked[node, f, i]] + values[column, ranked[node, f, i + 1]]) / 2.0
+    return [
+        None if b == np.inf else (b, at_f, t)
+        for b, at_f, t in zip(best.tolist(), f.tolist(), thr.tolist())
+    ]
 
 
-def _best_split_regression(X, idx, features, y, min_leaf):
-    """Best variance-reduction split of rows idx over the candidate features, or None."""
-    order, xs = _sorted_block(X, idx, features)
+def _gini_sum(counts: list, n_side: np.ndarray) -> np.ndarray:
+    """1 - sum over classes of (count / n_side) ** 2, per boundary."""
+    terms = []
+    for count in counts:
+        term = count / n_side
+        terms.append(np.square(term, out=term))
+    total = _class_sum(terms)
+    return np.subtract(1.0, total, out=total)
+
+
+def _best_split_regression(columns, idx, features, y, min_leaf):
+    """Best variance-reduction split of rows idx over the candidate features,
+    or None; columns is _column_ranks(X)."""
+    order, ranked = _sorted_block(columns, idx, features)
     ys = y[order]
     n = idx.size
     s = np.cumsum(ys, axis=1)[:, :-1]
@@ -279,7 +455,7 @@ def _best_split_regression(X, idx, features, y, min_leaf):
     sse_left = s2 - s**2 / n_left
     sse_right = (total2 - s2) - (total - s) ** 2 / n_right
     cost = (sse_left + sse_right) / n
-    return _pick_split(cost, xs, min_leaf)
+    return _pick_split(cost, ranked, columns[1], features, min_leaf)
 
 
 class DecisionTreeClassifier(_TreeBase):
@@ -295,21 +471,7 @@ class DecisionTreeClassifier(_TreeBase):
         X, y = _validate_xy(X, y)
         if X.shape[0] == 0:
             raise DegenerateTraining("empty training set")
-        self.classes_ = np.unique(y)
-        onehot = np.zeros((X.shape[0], len(self.classes_)))
-        onehot[np.arange(X.shape[0]), np.searchsorted(self.classes_, y)] = 1.0
-
-        def gini_and_counts(idx):
-            counts = onehot[idx].sum(axis=0)
-            return 1.0 - np.sum((counts / idx.size) ** 2), counts
-
-        def best_split(idx, features):
-            return _best_split_classification(
-                X, idx, features, onehot[idx], self.min_samples_leaf
-            )
-
-        self.leaf_counts = self._grow(X, gini_and_counts, best_split)
-        self._leaf_proba = self._proba_table()
+        _fit_classifiers([self], X, y, [np.arange(X.shape[0])])
         return self
 
     def _proba_table(self) -> np.ndarray:
@@ -349,6 +511,48 @@ class DecisionTreeClassifier(_TreeBase):
         return tree
 
 
+def _fit_classifiers(trees: list["DecisionTreeClassifier"], X, y, rows: list) -> None:
+    """Fit trees[t] on the rows rows[t] of X and y, in that order. A tree
+    knows only the classes its rows hold, and its Gini terms run over those,
+    so trees with the same number of classes grow in lockstep, one batched
+    split search per round. The trees share max_depth, min_samples_leaf and
+    features_per_split."""
+    for tree, tree_rows in zip(trees, rows):
+        tree.classes_ = np.unique(y[tree_rows])
+    columns = _column_ranks(X)
+    by_count: dict[int, list[int]] = {}
+    for t, tree in enumerate(trees):
+        by_count.setdefault(tree.classes_.size, []).append(t)
+    for n_classes, members in by_count.items():
+        group = [trees[t] for t in members]
+        # codes[i][r]: the class of row r in group[i], for the rows it holds.
+        codes = np.stack([np.searchsorted(tree.classes_, y) for tree in group])
+
+        def gini_and_counts(nodes):
+            sizes = np.array([idx.size for _i, idx in nodes])
+            labels = codes[
+                np.repeat([i for i, _idx in nodes], sizes),
+                np.concatenate([idx for _i, idx in nodes]),
+            ]
+            cells = np.repeat(np.arange(len(nodes)) * n_classes, sizes) + labels
+            counts = np.bincount(cells, minlength=len(nodes) * n_classes)
+            counts = counts.reshape(len(nodes), n_classes).astype(np.float64)
+            gini = 1.0 - np.sum((counts / sizes[:, None]) ** 2, axis=1)
+            return zip(gini.tolist(), counts)
+
+        def best_splits(jobs):
+            return _best_splits_classification(
+                columns, codes, n_classes, jobs, group[0].min_samples_leaf
+            )
+
+        payloads = _TreeBase._grow(
+            group, X, [rows[t] for t in members], gini_and_counts, best_splits
+        )
+        for tree, leaf_counts in zip(group, payloads):
+            tree.leaf_counts = leaf_counts
+            tree._leaf_proba = tree._proba_table()
+
+
 class DecisionTreeRegressor(_TreeBase):
     """CART regressor: splits minimize within-child variance, leaves predict means."""
 
@@ -368,14 +572,24 @@ class DecisionTreeRegressor(_TreeBase):
                 f"{n} rows cannot satisfy min_samples_leaf={self.min_samples_leaf}"
             )
 
-        def variance_and_mean(idx):
-            target = y[idx]
-            return float(target.var()), float(target.mean())
+        columns = _column_ranks(X)
 
-        def best_split(idx, features):
-            return _best_split_regression(X, idx, features, y[idx], self.min_samples_leaf)
+        def variance_and_mean(nodes):
+            # The arithmetic of target.var() and target.mean(), without
+            # their per-call overhead.
+            for _t, idx in nodes:
+                target = y[idx]
+                mean = target.sum() / idx.size
+                deviation = target - mean
+                yield float((deviation * deviation).sum() / idx.size), float(mean)
 
-        self.leaf_values = self._grow(X, variance_and_mean, best_split)
+        def best_splits(jobs):
+            return [
+                _best_split_regression(columns, idx, features, y[idx], self.min_samples_leaf)
+                for _t, idx, features in jobs
+            ]
+
+        (self.leaf_values,) = self._grow([self], X, [np.arange(n)], variance_and_mean, best_splits)
         self._leaf_value = self._value_table()
         return self
 

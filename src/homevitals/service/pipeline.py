@@ -81,6 +81,13 @@ def json_number(value) -> float:
     return float(value)
 
 
+def json_numbers(values) -> list:
+    """A JSON array of numbers, checked in one pass over the item types."""
+    if type(values) is not list or not set(map(type, values)) <= {int, float}:
+        raise TypeError("must be an array of numbers, not bools, strings or nulls")
+    return values
+
+
 def _chunk_payload(series: SampleSeries, name: str | None, **samples) -> dict:
     payload = {
         "channel": series.channel.value,
@@ -109,7 +116,7 @@ def payload_to_series(payload: dict, field: str = "chunk") -> SampleSeries:
             channel=Channel(payload["channel"]),
             rate_hz=json_field(payload, "rate_hz", json_number),
             start_ms=json_field(payload, "start_ms", json_int),
-            values=payload["values"],
+            values=json_field(payload, "values", json_numbers),
         )
     except (KeyError, ValueError, TypeError, OverflowError, InputError) as exc:
         raise InputError(f"{field}: {exc}") from exc

@@ -192,3 +192,14 @@ class TestMalformedDocuments:
         del doc["model"][key]
         with pytest.raises(FormatError, match=key):
             load_in_time(doc)
+
+    @pytest.mark.parametrize("key", ["n_trees", "features_per_split"])
+    def test_forest_with_a_parameter_below_one_is_a_format_error(self, rng, key):
+        # The forest's constructor refuses the value with an InputError; in a
+        # stored document that is a malformed document, not a bad request.
+        X = rng.normal(size=(30, 2))
+        forest = RandomForestClassifier(n_trees=2, seed=0).fit(X, (X[:, 0] > 0).astype(int))
+        doc = model_document(forest, ("f0", "f1"))
+        doc["model"][key] = 0
+        with pytest.raises(FormatError, match=key):
+            load_in_time(doc)

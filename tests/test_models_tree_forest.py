@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -19,7 +20,12 @@ from homevitals.models import (
     dumps_model,
     load_document,
 )
-from homevitals.models.tree import _best_split_classification, _best_split_regression
+from homevitals.models.tree import (
+    _best_split_regression,
+    _best_splits_classification,
+    _class_sum,
+    _column_ranks,
+)
 
 
 def reference_split(X, idx, features, score):
@@ -279,14 +285,44 @@ class TestRandomForest:
 
 class TestSplitSearch:
     def test_classification_matches_per_feature_reference(self):
-        for rng, X, idx, features, min_leaf in split_cases(300):
-            n_classes = int(rng.choice([2, 3]))
-            y = rng.integers(0, n_classes, size=X.shape[0])
-            onehot = np.eye(n_classes)[y[idx]]
-            expected = reference_split(
-                X, idx, features, lambda x: reference_gini(x, onehot, min_leaf)
-            )
-            assert _best_split_classification(X, idx, features, onehot, min_leaf) == expected
+        # Nodes of different sizes and candidate counts, from two trees that
+        # code the classes differently, scored in one call as a round of
+        # lockstep growth scores them.
+        for case in range(150):
+            rng = np.random.default_rng(case)
+            n, d = int(rng.integers(2, 120)), int(rng.integers(1, 9))
+            X = np.round(rng.normal(size=(n, d)), int(rng.integers(0, 2)))
+            n_classes = int(rng.choice([2, 3, 9]))
+            y = rng.integers(0, n_classes, size=n)
+            codes = np.stack([y, (y + 1) % n_classes])
+            min_leaf = int(rng.choice([1, 2, 5]))
+            nodes = [
+                (
+                    int(rng.integers(0, 2)),
+                    rng.choice(n, size=int(rng.integers(2, n + 1)), replace=False),
+                    rng.choice(d, size=int(rng.integers(1, d + 1)), replace=False),
+                )
+                for _ in range(int(rng.integers(1, 12)))
+            ]
+            found = _best_splits_classification(_column_ranks(X), codes, n_classes, nodes, min_leaf)
+            assert len(found) == len(nodes)
+            for (t, idx, features), got in zip(nodes, found):
+                onehot = np.eye(n_classes)[codes[t][idx]]
+                expected = reference_split(
+                    X, idx, features, lambda x: reference_gini(x, onehot, min_leaf)
+                )
+                assert got == expected, case
+
+    @pytest.mark.parametrize("n_classes", [1, 2, 3, 7, 8, 9, 15, 16, 17, 40, 128, 129, 300])
+    def test_class_sum_adds_as_numpy_sums_a_row(self, n_classes):
+        # The batched Gini search sums its per-class planes in the order
+        # numpy's pairwise summation adds a contiguous row, which the
+        # per-node search summed with np.sum over its class axis.
+        rng = np.random.default_rng(n_classes)
+        terms = (rng.random((6, 5, n_classes)) * 10.0) ** 2
+        planes = [terms[..., c] for c in range(n_classes)]
+        assert _class_sum(planes).tobytes() == np.sum(terms, axis=-1).tobytes()
+        assert _class_sum([p[0, 0] for p in planes]) == np.sum(terms[0, 0])
 
     def test_regression_matches_per_feature_reference(self):
         for rng, X, idx, features, min_leaf in split_cases(300):
@@ -295,7 +331,8 @@ class TestSplitSearch:
             expected = reference_split(
                 X, idx, features, lambda x: reference_variance(x, target, min_leaf)
             )
-            assert _best_split_regression(X, idx, features, target, min_leaf) == expected
+            found = _best_split_regression(_column_ranks(X), idx, features, target, min_leaf)
+            assert found == expected
 
     def test_fixed_seed_models_match_recorded_digests(self):
         # Digests of to_dict() recorded with the per-feature split search.
@@ -504,6 +541,142 @@ class TestStackedRoutingCases:
         probe = np.vstack([X2, rng.normal(size=(20, 5))])
         assert model.predict(probe).tobytes() == fresh.predict(probe).tobytes()
         assert model.predict_proba(probe).tobytes() == fresh.predict_proba(probe).tobytes()
+
+
+# -- lockstep growth against the per-tree growth it replaced ------------------
+
+
+def reference_best_split_classification(X, idx, features, onehot, min_leaf):
+    """The per-node Gini search over a (features x rows x classes) one-hot
+    block, sorted by a stable argsort of the values, that the batched search
+    replaced."""
+    block = X[np.ix_(idx, features)].T
+    order = np.argsort(block, axis=1, kind="stable")
+    xs = np.take_along_axis(block, order, axis=1)
+    n = idx.size
+    counts_left = np.cumsum(onehot[order], axis=1)[:, :-1]
+    counts_right = onehot.sum(axis=0) - counts_left
+    n_left = np.arange(1, n, dtype=np.float64)
+    n_right = n - n_left
+    gini_left = 1.0 - np.sum((counts_left / n_left[:, None]) ** 2, axis=2)
+    gini_right = 1.0 - np.sum((counts_right / n_right[:, None]) ** 2, axis=2)
+    cost = (n_left * gini_left + n_right * gini_right) / n
+    valid = (xs[:, :-1] < xs[:, 1:]) & (n_left >= min_leaf) & (n_right >= min_leaf)
+    cost = np.where(valid, cost, np.inf)
+    at = np.argmin(cost, axis=1)
+    per_feature = cost[np.arange(cost.shape[0]), at]
+    f = int(np.argmin(per_feature))
+    if per_feature[f] == np.inf:
+        return None
+    i = at[f]
+    return float(per_feature[f]), f, float((xs[f, i] + xs[f, i + 1]) / 2.0)
+
+
+def reference_classifier_fit(tree, X, y):
+    """DecisionTreeClassifier.fit as one tree grown alone, depth first, one
+    node and one split search at a time."""
+    tree.classes_ = np.unique(y)
+    onehot = np.zeros((X.shape[0], len(tree.classes_)))
+    onehot[np.arange(X.shape[0]), np.searchsorted(tree.classes_, y)] = 1.0
+    rng = np.random.default_rng(tree.seed)
+    tree.feature, tree.threshold, tree.left, tree.right = [], [], [], []
+    payloads = []
+    stack = [(tree._new_node(payloads), np.arange(X.shape[0]), 0)]
+    while stack:
+        node, idx, depth = stack.pop()
+        counts = onehot[idx].sum(axis=0)
+        impurity = 1.0 - np.sum((counts / idx.size) ** 2)
+        stop = (
+            impurity == 0.0
+            or idx.size < 2 * tree.min_samples_leaf
+            or (tree.max_depth is not None and depth >= tree.max_depth)
+        )
+        best = None
+        if not stop:
+            features = tree._candidate_features(rng, X.shape[1])
+            best = reference_best_split_classification(
+                X, idx, features, onehot[idx], tree.min_samples_leaf
+            )
+        if best is None:
+            payloads[node] = counts
+            continue
+        _cost, at, thr = best
+        f = int(features[at])
+        go_left = X[idx, f] < thr
+        tree.feature[node] = f
+        tree.threshold[node] = thr
+        tree.left[node] = tree._new_node(payloads)
+        tree.right[node] = tree._new_node(payloads)
+        stack.append((tree.left[node], idx[go_left], depth + 1))
+        stack.append((tree.right[node], idx[~go_left], depth + 1))
+    tree._set_nodes(tree.feature, tree.threshold, tree.left, tree.right)
+    tree.leaf_counts = payloads
+    tree._leaf_proba = tree._proba_table()
+    return tree
+
+
+def reference_forest_fit(forest, X, y):
+    """RandomForestClassifier.fit with each tree fit alone on its bootstrap."""
+    forest.classes_ = np.unique(y)
+    n, d = X.shape
+    mtry = forest.features_per_split or math.ceil(math.sqrt(d))
+    forest.trees, forest.bootstrap_indices = [], []
+    for tree_seed in np.random.SeedSequence(forest.seed).spawn(forest.n_trees):
+        rng = np.random.default_rng(tree_seed)
+        boot = rng.integers(0, n, size=n)
+        tree = DecisionTreeClassifier(
+            max_depth=forest.max_depth,
+            min_samples_leaf=forest.min_samples_leaf,
+            features_per_split=mtry,
+            seed=rng.integers(0, 2**31 - 1),
+        )
+        if np.unique(y[boot]).size < 2:
+            boot = rng.integers(0, n, size=n)
+        forest.trees.append(reference_classifier_fit(tree, X[boot], y[boot]))
+        forest.bootstrap_indices.append(boot)
+    return forest
+
+
+@st.composite
+def growth_cases(draw):
+    """Small data with many tied values, 2, 3 or 9 classes (so resamples
+    often miss classes or hold only one), and every growth parameter."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, d = draw(st.integers(2, 40)), draw(st.integers(1, 4))
+    X = np.round(rng.normal(size=(n, d)), draw(st.integers(0, 1)))
+    n_classes = draw(st.sampled_from([2, 3, 9]))
+    y = rng.integers(0, n_classes, size=n) * 3 + 1
+    y[:2] = [1, 4]
+    params = {
+        "max_depth": draw(st.sampled_from([None, 3])),
+        "min_samples_leaf": draw(st.integers(1, 4)),
+        "features_per_split": draw(st.sampled_from([None, 1, 2])),
+        "seed": draw(st.integers(0, 1000)),
+    }
+    return X, y, params, draw(st.integers(1, 7))
+
+
+@given(growth_cases())
+def test_lockstep_growth_matches_growing_each_tree_alone(case):
+    X, y, params, n_trees = case
+    forest = RandomForestClassifier(n_trees=n_trees, **params).fit(X, y)
+    expected = reference_forest_fit(RandomForestClassifier(n_trees=n_trees, **params), X, y)
+    assert json.dumps(forest.to_dict()) == json.dumps(expected.to_dict())
+    assert len(forest.bootstrap_indices) == n_trees
+    for got, want in zip(forest.bootstrap_indices, expected.bootstrap_indices):
+        assert got.tobytes() == want.tobytes()
+    tree = DecisionTreeClassifier(**params).fit(X, y)
+    alone = reference_classifier_fit(DecisionTreeClassifier(**params), X, y)
+    assert json.dumps(tree.to_dict()) == json.dumps(alone.to_dict())
+
+
+@pytest.mark.parametrize("per_split", [0, -2])
+@pytest.mark.parametrize(
+    "cls", [DecisionTreeClassifier, DecisionTreeRegressor, RandomForestClassifier]
+)
+def test_features_per_split_below_one_is_refused_at_construction(cls, per_split):
+    with pytest.raises(InputError, match="features_per_split"):
+        cls(features_per_split=per_split)
 
 
 class TestPredictRejectsUnusableInput:

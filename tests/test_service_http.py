@@ -387,12 +387,20 @@ class TestRoutes:
             (cortisol_entry(t_ms=True), "t_ms"),
             (cortisol_entry(concentration_ugdl="0.2"), "concentration_ugdl"),
             (cortisol_entry(concentration_ugdl=True), "concentration_ugdl"),
+            (ppg_chunk(values=["1.5", 2.0]), "values"),
+            (ppg_chunk(values=[1.5, True]), "values"),
+            (ppg_chunk(values=[True, False]), "values"),
+            (ppg_chunk(values=[1.5, None]), "values"),
+            (ppg_chunk(values=[1.5, [2.0]]), "values"),
+            (ppg_chunk(values="1.5"), "values"),
         ],
         ids=[
             "start-float", "start-string", "start-bool", "rate-string", "rate-bool",
             "ibi-time-float", "ibi-time-string", "ibi-time-bool", "ibi-interval-string",
             "ibi-interval-bool", "cortisol-time-float", "cortisol-time-string",
             "cortisol-time-bool", "cortisol-string", "cortisol-bool",
+            "sample-string", "sample-bool", "samples-all-bool", "sample-null",
+            "sample-array", "samples-string",
         ],
     )
     def test_sync_number_of_the_wrong_json_type_is_400_and_stores_nothing(
