@@ -9,13 +9,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .features import (
-    FeatureMatrix,
-    FeatureVector,
-    bp_lowpass,
-    bp_reduced_features,
-    stress_feature_matrix,
-)
+from .features import FeatureMatrix, bp_lowpass, bp_reduced_features, stress_feature_matrix
 from .labeling import CortisolSample, LabelRule, label_windows, labels_to_targets
 from .signals import MS_PER_S, ChannelBundle, SampleSeries, WindowSpec, make_windows
 
@@ -60,9 +54,8 @@ def segment_targets(
 
 
 def bp_rows(
-    ppg: SampleSeries, sbp: SampleSeries, dbp: SampleSeries, subject_id: str,
-    origin_prefix: str = "",
-) -> list[tuple[FeatureVector, float, float]]:
+    ppg: SampleSeries, sbp: SampleSeries, dbp: SampleSeries
+) -> list[tuple[np.ndarray, float, float]]:
     """(reduced BP features, SBP, DBP) for each whole BP_SEGMENT_S segment of
     the PPG; segments the pressure series miss are left out. Every segment
     shares the PPG's rate, so the low-pass is designed once, at the first
@@ -76,8 +69,6 @@ def bp_rows(
         if targets is not None:
             if lowpass is None:
                 lowpass = bp_lowpass(ppg.rate_hz)
-            segment = ppg.slice_samples(i0, i1)
-            origin = f"{origin_prefix}{k}"
-            row = bp_reduced_features(segment, origin, subject_id, lowpass)
+            row = bp_reduced_features(ppg.slice_samples(i0, i1), lowpass)
             out.append((row, *targets))
     return out

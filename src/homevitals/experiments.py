@@ -30,7 +30,7 @@ from .datasets import (
     stress_rows,
 )
 from .errors import InputError
-from .features import CHANNEL_COMBINATIONS, FeatureMatrix, select_features
+from .features import BP_REDUCED_NAMES, CHANNEL_COMBINATIONS, FeatureMatrix, select_features
 from .models import (
     AdaBoostR2,
     DecisionTreeRegressor,
@@ -199,12 +199,13 @@ def build_bp_dataset(
     """Reduced-feature matrix over fixed-length segments plus SBP/DBP targets."""
     segments = []
     for record in simulate_bp_records(n_records, mode, seed=seed):
-        for u, unit in enumerate(record.units):
-            segments += bp_rows(unit.ppg, unit.sbp, unit.dbp, record.record_id, f"{u}:")
+        for unit in record.units:
+            segments += [(record.record_id, *row) for row in bp_rows(unit.ppg, unit.sbp, unit.dbp)]
     if not segments:
         raise InputError("no whole BP segment in the simulated records")
-    rows, sbp_targets, dbp_targets = zip(*segments)
-    return FeatureMatrix(rows), np.asarray(sbp_targets), np.asarray(dbp_targets)
+    subject_ids, rows, sbp_targets, dbp_targets = zip(*segments)
+    matrix = FeatureMatrix(BP_REDUCED_NAMES, rows, subject_ids)
+    return matrix, np.asarray(sbp_targets), np.asarray(dbp_targets)
 
 
 def _make_regressor(name: str, seed: int, quick: bool):

@@ -28,7 +28,7 @@ from .stress import (
     st_features,
     stress_feature_matrix,
 )
-from .vectors import FeatureMatrix, FeatureVector, SelectionResult
+from .vectors import FeatureMatrix, SelectionResult
 
 __all__ = [
     "BH_ALPHA",
@@ -38,7 +38,6 @@ __all__ = [
     "CHANNEL_COMBINATIONS",
     "EDA_FEATURE_NAMES",
     "FeatureMatrix",
-    "FeatureVector",
     "IBI_FEATURE_NAMES",
     "MIN_SEGMENT_S",
     "ST_FEATURE_NAMES",

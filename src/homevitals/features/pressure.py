@@ -34,7 +34,6 @@ from ..signals import (
     spectrum,
 )
 from .stress import _skew_kurtosis
-from .vectors import FeatureVector
 
 STREAM_NAMES = ("ppg", "d1", "d2", "fft", "fft_d1", "fft_d2")
 
@@ -164,12 +163,8 @@ def _decompose(
     return processed, d1, d2, spec_series, spec.freqs_hz[peak_idx], spec.magnitudes[peak_idx]
 
 
-def _flags(peak_freqs: np.ndarray) -> tuple[str, ...]:
-    return () if peak_freqs.size else ("bp_no_spectral_peaks",)
-
-
-def bp_feature_vector(segment: SampleSeries) -> FeatureVector:
-    """All 106 named features for one PPG segment (>= 5 s)."""
+def bp_feature_vector(segment: SampleSeries) -> np.ndarray:
+    """All 106 features for one PPG segment (>= 5 s), in BP_FEATURE_NAMES order."""
     processed, d1, d2, spec_series, peak_freqs, peak_amps = _decompose(segment)
     values: list[float] = []
     for stream in (
@@ -183,25 +178,21 @@ def bp_feature_vector(segment: SampleSeries) -> FeatureVector:
         values.extend(_stream_stats(stream))
     values.extend(_peak_stats(peak_freqs))
     values.extend(_peak_stats(peak_amps))
-    return FeatureVector("segment", "0", BP_FEATURE_NAMES, values, _flags(peak_freqs))
+    return np.array(values)
 
 
 def bp_reduced_features(
-    segment: SampleSeries,
-    origin: str = "0",
-    subject_id: str = "",
-    lowpass: tuple[np.ndarray, np.ndarray] | None = None,
-) -> FeatureVector:
-    """The 10-feature set: max/min of peak frequency, peak amplitude, signal,
-    first derivative, and second derivative. Only these are computed; their
-    values equal the identically named columns of the full catalog. A caller
-    with many segments at one rate passes bp_lowpass(rate) as lowpass."""
+    segment: SampleSeries, lowpass: tuple[np.ndarray, np.ndarray] | None = None
+) -> np.ndarray:
+    """The 10-feature set, in BP_REDUCED_NAMES order: max/min of peak
+    frequency, peak amplitude, signal, first derivative, and second
+    derivative. Only these are computed; their values equal the identically
+    named columns of the full catalog. A caller with many segments at one
+    rate passes bp_lowpass(rate) as lowpass."""
     processed, d1, d2, _, peak_freqs, peak_amps = _decompose(segment, lowpass)
     values: list[float] = []
     for peaks in (peak_freqs, peak_amps):
         values += [float(peaks.max()), float(peaks.min())] if peaks.size else [0.0, 0.0]
     for stream in (processed.values, d1.values, d2.values):
         values += [float(stream.max()), float(stream.min())]
-    return FeatureVector(
-        subject_id or "segment", origin, BP_REDUCED_NAMES, values, _flags(peak_freqs)
-    )
+    return np.array(values)

@@ -1,9 +1,9 @@
 """Per-window stress feature extractors for the four wristband streams.
 
-Catalog sizes are fixed: 18 EDA, 17 BVP, 6 IBI, 6 ST (47 in total). Windows
-that cannot support an estimator (no peaks, fewer than two beat events) fall
-back to 0 for the affected features and carry a quality flag, so matrices
-stay rectangular and free of NaN.
+Catalog sizes are fixed: 18 EDA, 17 BVP, 6 IBI, 6 ST (47 in total). Each
+extractor returns a float64 array in its catalog's name order. Windows that
+cannot support an estimator (no peaks, fewer than two beat events) fall back
+to 0 for the affected features, so matrices stay rectangular and free of NaN.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from scipy.signal import filtfilt
 from ..errors import ChannelMissing
 from ..signals import Channel, SampleSeries, Window, derivative, detect_peaks, spectrum
 from ..signals.windows import hr_series_bpm
-from .vectors import FeatureMatrix, FeatureVector
+from .vectors import FeatureMatrix
 
 EDA_FEATURE_NAMES = (
     "eda_mean",
@@ -130,7 +130,7 @@ def _scr_events(phasic: SampleSeries) -> tuple[list[float], list[float]]:
     return amplitudes, rise_times
 
 
-def eda_features(w: Window) -> FeatureVector:
+def eda_features(w: Window) -> np.ndarray:
     s = w.eda
     if len(s) < 2:
         raise ChannelMissing("EDA channel has fewer than 2 samples in window")
@@ -140,7 +140,7 @@ def eda_features(w: Window) -> FeatureVector:
     phasic_series = s.with_values(phasic, channel=Channel.DERIVED)
     amps, rises = _scr_events(phasic_series)
     d1 = derivative(s, 1).values
-    values = [
+    return np.array([
         v.mean(),
         v.std(),
         v.min(),
@@ -159,12 +159,10 @@ def eda_features(w: Window) -> FeatureVector:
         d1.mean(),
         d1.std(),
         float(_zero_crossings(d1)),
-    ]
-    flags = () if amps else ("eda_no_scr",)
-    return FeatureVector(w.bundle.subject_id, str(w.index), EDA_FEATURE_NAMES, values, flags)
+    ])
 
 
-def bvp_features(w: Window) -> FeatureVector:
+def bvp_features(w: Window) -> np.ndarray:
     s = w.bvp
     if len(s) < 2 * s.rate_hz:
         raise ChannelMissing("BVP channel has fewer than 2 s of samples in window")
@@ -190,7 +188,7 @@ def bvp_features(w: Window) -> FeatureVector:
         for lo, hi in BVP_BANDS
     ]
 
-    values = [
+    return np.array([
         v.mean(),
         v.std(),
         v.min(),
@@ -206,55 +204,53 @@ def bvp_features(w: Window) -> FeatureVector:
         dominant,
         *band_energy,
         entropy,
-    ]
-    flags = () if peaks else ("bvp_no_peaks",)
-    return FeatureVector(w.bundle.subject_id, str(w.index), BVP_FEATURE_NAMES, values, flags)
+    ])
 
 
-def ibi_features(w: Window) -> FeatureVector:
+def ibi_features(w: Window) -> np.ndarray:
     events = w.ibi
     if len(events) < 2:
-        return FeatureVector(
-            w.bundle.subject_id,
-            str(w.index),
-            IBI_FEATURE_NAMES,
-            np.zeros(len(IBI_FEATURE_NAMES)),
-            ("ibi_fallback",),
-        )
+        return np.zeros(len(IBI_FEATURE_NAMES))
     ibi = events.ibi_s
     diffs = np.diff(ibi)
-    values = [
+    return np.array([
         float(ibi.mean()),
         float(np.median(ibi)),
         float(ibi.std()),
         float(np.sqrt(np.mean(diffs**2))),
         float(100.0 * np.mean(np.abs(diffs) > 0.050)),
         float(hr_series_bpm(events).mean()),
-    ]
-    return FeatureVector(w.bundle.subject_id, str(w.index), IBI_FEATURE_NAMES, values)
+    ])
 
 
-def st_features(w: Window) -> FeatureVector:
+def st_features(w: Window) -> np.ndarray:
     s = w.st
     if len(s) < 2:
         raise ChannelMissing("ST channel has fewer than 2 samples in window")
     v = s.values
-    values = [
+    return np.array([
         v.mean(),
         v.std(),
         v.min(),
         v.max(),
         _slope_per_second(v, s.rate_hz),
         v.max() - v.min(),
-    ]
-    return FeatureVector(w.bundle.subject_id, str(w.index), ST_FEATURE_NAMES, values)
+    ])
 
 
+# Each channel's extractor and catalog, in two tables: a dict value that is
+# the function itself is re-pointed by wrappers patched over it by name.
 _EXTRACTORS = {
     "EDA": eda_features,
     "BVP": bvp_features,
     "IBI": ibi_features,
     "ST": st_features,
+}
+_NAMES = {
+    "EDA": EDA_FEATURE_NAMES,
+    "BVP": BVP_FEATURE_NAMES,
+    "IBI": IBI_FEATURE_NAMES,
+    "ST": ST_FEATURE_NAMES,
 }
 
 #: The four channel combinations reported for the stress classifier.
@@ -277,8 +273,7 @@ def stress_feature_matrix(
     unknown = [c for c in channels if c not in _EXTRACTORS]
     if unknown:
         raise ChannelMissing(f"unknown channels: {unknown}")
-    ordered = [c for c in ("EDA", "BVP", "IBI", "ST") if c in channels]
-    rows = [
-        FeatureVector.concat([_EXTRACTORS[c](w) for c in ordered]) for w in windows
-    ]
-    return FeatureMatrix(rows)
+    ordered = [c for c in _EXTRACTORS if c in channels]
+    X = np.array([np.concatenate([_EXTRACTORS[c](w) for c in ordered]) for w in windows])
+    names = tuple(name for c in ordered for name in _NAMES[c])
+    return FeatureMatrix(names, X, [w.bundle.subject_id for w in windows])

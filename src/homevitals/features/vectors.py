@@ -1,6 +1,6 @@
-"""Feature containers: named per-window/per-segment vectors, feature
-matrices held as one array with each row's subject id and an optional label
-column, and selection results.
+"""Feature containers: feature matrices held as one array (a row per window
+or segment, a column per catalog name) with each row's subject id and an
+optional label column, and selection results.
 
 Feature names are the stable public contract: model artifacts record them and
 queries check them before predicting.
@@ -16,76 +16,34 @@ import numpy as np
 from ..errors import InputError
 
 
-@dataclass(frozen=True)
-class FeatureVector:
-    subject_id: str
-    origin: str
-    names: tuple[str, ...]
-    values: np.ndarray
-    flags: tuple[str, ...] = ()
-
-    def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=np.float64).copy()
-        if values.ndim != 1 or values.size != len(self.names):
-            raise InputError(
-                f"feature vector has {values.size} values for {len(self.names)} names"
-            )
-        if len(set(self.names)) != len(self.names):
-            raise InputError("feature names must be unique")
-        if values.size and not np.all(np.isfinite(values)):
-            bad = self.names[int(np.flatnonzero(~np.isfinite(values))[0])]
-            raise InputError(f"non-finite feature value for '{bad}'")
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "names", tuple(self.names))
-        object.__setattr__(self, "flags", tuple(self.flags))
-
-    def __getitem__(self, name: str) -> float:
-        try:
-            return float(self.values[self.names.index(name)])
-        except ValueError as exc:
-            raise KeyError(name) from exc
-
-    @staticmethod
-    def concat(parts: Sequence["FeatureVector"]) -> "FeatureVector":
-        if not parts:
-            raise InputError("nothing to concatenate")
-        first = parts[0]
-        names: list[str] = []
-        flags: list[str] = []
-        for p in parts:
-            if p.subject_id != first.subject_id or p.origin != first.origin:
-                raise InputError("cannot concatenate vectors from different origins")
-            names.extend(p.names)
-            flags.extend(p.flags)
-        return FeatureVector(
-            subject_id=first.subject_id,
-            origin=first.origin,
-            names=tuple(names),
-            values=np.concatenate([p.values for p in parts]),
-            flags=tuple(dict.fromkeys(flags)),
-        )
-
-
 class FeatureMatrix:
     """Read-only float64 X (a row per window or segment, a column per name),
     each row's subject id and optional read-only labels, held as arrays."""
 
     def __init__(
         self,
-        rows: Sequence[FeatureVector],
+        names: Sequence[str],
+        X: np.ndarray,
+        subject_ids: Sequence[str],
         labels: Sequence[float] | np.ndarray | None = None,
     ) -> None:
-        rows = list(rows)
-        if not rows:
-            raise InputError("feature matrix needs at least one row")
-        for r in rows:
-            if r.names != rows[0].names:
-                raise InputError("all rows must share one feature-name list")
-            if not r.subject_id:
-                raise InputError("subject ids must be non-empty")
-        subject_ids = tuple(r.subject_id for r in rows)
-        self._set(rows[0].names, np.vstack([r.values for r in rows]), subject_ids, labels)
+        names, subject_ids = tuple(names), tuple(subject_ids)
+        X = np.array(X, dtype=np.float64)
+        if X.ndim != 2:
+            raise InputError(f"X must be 2-D, got shape {X.shape}")
+        if len(set(names)) != len(names):
+            raise InputError("feature names must be unique")
+        if X.shape[1] != len(names):
+            raise InputError(f"X has {X.shape[1]} columns for {len(names)} names")
+        if len(subject_ids) != X.shape[0]:
+            raise InputError(f"{len(subject_ids)} subject ids for {X.shape[0]} rows")
+        if not all(subject_ids):
+            raise InputError("subject ids must be non-empty")
+        bad = ~np.isfinite(X)
+        if bad.any():
+            name = names[int(np.flatnonzero(bad)[0]) % X.shape[1]]
+            raise InputError(f"non-finite feature value for '{name}'")
+        self._set(names, X, subject_ids, labels)
 
     def _set(self, names, X: np.ndarray, subject_ids: tuple[str, ...], labels) -> None:
         """Hold X, which nothing else writes to, and a copy of the labels."""

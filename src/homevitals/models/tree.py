@@ -49,6 +49,8 @@ def _validate_xy(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     y = np.asarray(y)
     if X.ndim != 2:
         raise InputError(f"X must be 2-D, got shape {X.shape}")
+    if X.shape[1] == 0:
+        raise InputError("X has no feature columns")
     if y.shape != (X.shape[0],):
         raise InputError(f"y length {y.shape} does not match {X.shape[0]} rows")
     if X.size and not np.all(np.isfinite(X)):
@@ -274,43 +276,6 @@ def _column_ranks(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ranks, values
 
 
-def _sorted_block(columns, idx: np.ndarray, features: np.ndarray):
-    """The node's rows in value order for each candidate column, the order a
-    stable argsort of the values gives, as a (features x rows) block;
-    returns (sort order, ranks in that order). The keys rank * rows +
-    position are distinct, so one integer sort gives the stable order,
-    which matters because float prefix sums over tied rows depend on it."""
-    ranks, _values = columns
-    n = idx.size
-    keys = ranks[features[:, None], idx] * n
-    keys += np.arange(n)
-    keys.sort(axis=1)
-    ranked, order = np.divmod(keys, n)
-    return order, ranked
-
-
-def _pick_split(cost, ranked, values, features, min_leaf):
-    """Return (cost, position in features, threshold) for the lowest-cost
-    valid boundary.
-
-    cost[f, i] scores splitting candidate f after sorted position i, whose
-    rank is ranked[f, i]; a boundary is valid between distinct values with
-    min_leaf rows each side, and its threshold is their midpoint.
-    """
-    n = ranked.shape[1]
-    n_left = np.arange(1, n)
-    valid = (ranked[:, :-1] < ranked[:, 1:]) & (n_left >= min_leaf) & (n - n_left >= min_leaf)
-    cost = np.where(valid, cost, np.inf)
-    at = np.argmin(cost, axis=1)
-    per_feature = cost[np.arange(cost.shape[0]), at]
-    f = int(np.argmin(per_feature))
-    if per_feature[f] == np.inf:
-        return None
-    i = at[f]
-    column = values[features[f]]
-    return float(per_feature[f]), f, float((column[ranked[f, i]] + column[ranked[f, i + 1]]) / 2.0)
-
-
 def _class_sum(terms: list) -> np.ndarray:
     """Sum per-class arrays in the order numpy's pairwise summation adds a
     contiguous axis of len(terms) values: one running sum below eight
@@ -440,11 +405,25 @@ def _gini_sum(counts: list, n_side: np.ndarray) -> np.ndarray:
 
 
 def _best_split_regression(columns, idx, features, y, min_leaf):
-    """Best variance-reduction split of rows idx over the candidate features,
-    or None; columns is _column_ranks(X)."""
-    order, ranked = _sorted_block(columns, idx, features)
-    ys = y[order]
+    """Best variance-reduction split of rows idx over the candidate features:
+    (cost, position in features, threshold), or None; columns is
+    _column_ranks(X).
+
+    The node's rows are put in value order for each candidate column, the
+    order a stable argsort of the values gives, as a (features x rows)
+    block. The keys rank * rows + position are distinct, so one integer sort
+    gives the stable order, which matters because float prefix sums over
+    tied rows depend on it. A boundary after sorted position i is valid
+    between distinct values with min_leaf rows each side, and its threshold
+    is their midpoint.
+    """
+    ranks, values = columns
     n = idx.size
+    keys = ranks[features[:, None], idx] * n
+    keys += np.arange(n)
+    keys.sort(axis=1)
+    ranked, order = np.divmod(keys, n)
+    ys = y[order]
     s = np.cumsum(ys, axis=1)[:, :-1]
     s2 = np.cumsum(ys**2, axis=1)[:, :-1]
     n_left = np.arange(1, n, dtype=np.float64)
@@ -455,7 +434,16 @@ def _best_split_regression(columns, idx, features, y, min_leaf):
     sse_left = s2 - s**2 / n_left
     sse_right = (total2 - s2) - (total - s) ** 2 / n_right
     cost = (sse_left + sse_right) / n
-    return _pick_split(cost, ranked, columns[1], features, min_leaf)
+    valid = (ranked[:, :-1] < ranked[:, 1:]) & (n_left >= min_leaf) & (n_right >= min_leaf)
+    cost = np.where(valid, cost, np.inf)
+    at = np.argmin(cost, axis=1)
+    per_feature = cost[np.arange(cost.shape[0]), at]
+    f = int(np.argmin(per_feature))
+    if per_feature[f] == np.inf:
+        return None
+    i = at[f]
+    column = values[features[f]]
+    return float(per_feature[f]), f, float((column[ranked[f, i]] + column[ranked[f, i + 1]]) / 2.0)
 
 
 class DecisionTreeClassifier(_TreeBase):

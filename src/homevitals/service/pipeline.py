@@ -31,7 +31,13 @@ from ..errors import (
     RegistrationError,
     TrainingBusy,
 )
-from ..features import MIN_SEGMENT_S, FeatureMatrix, bp_reduced_features, stress_feature_matrix
+from ..features import (
+    BP_REDUCED_NAMES,
+    MIN_SEGMENT_S,
+    FeatureMatrix,
+    bp_reduced_features,
+    stress_feature_matrix,
+)
 from ..labeling import CortisolSample, LabelRule, Timepoint
 from ..location import EventLog, MatchConfig, TagKind, register, resolve_location
 from ..models import (
@@ -49,6 +55,7 @@ from ..signals import (
     SampledSpan,
     SampleSeries,
     Window,
+    int64_time,
     window_grid,
 )
 from .config import ServiceConfig
@@ -73,6 +80,11 @@ def json_int(value) -> int:
     if type(value) is not int:  # not a bool, a float or a numeric string
         raise TypeError(f"must be an integer, got {value!r}")
     return value
+
+
+def json_time(value) -> int:
+    """A time in ms: a JSON integer that fits int64."""
+    return int64_time(json_int(value))
 
 
 def json_number(value) -> float:
@@ -115,7 +127,7 @@ def payload_to_series(payload: dict, field: str = "chunk") -> SampleSeries:
         return SampleSeries(
             channel=Channel(payload["channel"]),
             rate_hz=json_field(payload, "rate_hz", json_number),
-            start_ms=json_field(payload, "start_ms", json_int),
+            start_ms=json_field(payload, "start_ms", json_time),
             values=json_field(payload, "values", json_numbers),
         )
     except (KeyError, ValueError, TypeError, OverflowError, InputError) as exc:
@@ -141,7 +153,7 @@ def payload_to_cortisol(payload: Iterable[dict], subject_id: str) -> list[Cortis
                 CortisolSample(
                     subject_id=subject_id,
                     timepoint=Timepoint(entry["timepoint"]),
-                    t_ms=json_field(entry, "t_ms", json_int),
+                    t_ms=json_field(entry, "t_ms", json_time),
                     concentration_ugdl=json_field(entry, "concentration_ugdl", json_number),
                 )
             )
@@ -268,7 +280,7 @@ class VitalsService:
         ibi_events = request.get("ibi", [])
         if ibi_events:
             try:
-                ibi = IbiSeries.from_pairs([(json_int(t), json_number(v)) for t, v in ibi_events])
+                ibi = IbiSeries.from_pairs([(json_time(t), json_number(v)) for t, v in ibi_events])
             except (InputError, ValueError, TypeError, OverflowError) as exc:
                 raise InputError(f"ibi: {exc}") from exc
             records.append(("ibi_chunk", {"events": _ibi_pairs(ibi)}))
@@ -459,11 +471,11 @@ class VitalsService:
             if any(run is None for run in runs):
                 continue
             ppg, sbp, dbp = (self._read_series(run) for run in runs)
-            segments += bp_rows(ppg, sbp, dbp, subject_id)
+            segments += [(subject_id, *row) for row in bp_rows(ppg, sbp, dbp)]
         if not segments:
             raise DegenerateTraining("no PPG records with pressure targets in store")
-        rows, sbp_targets, dbp_targets = zip(*segments)
-        matrix = FeatureMatrix(rows)
+        subject_ids, rows, sbp_targets, dbp_targets = zip(*segments)
+        matrix = FeatureMatrix(BP_REDUCED_NAMES, rows, subject_ids)
         result = {"rows": len(rows)}
         for key, targets in (("bp_sbp", sbp_targets), ("bp_dbp", dbp_targets)):
             model = AdaBoostR2(
@@ -530,11 +542,10 @@ class VitalsService:
         take = min(len(source), int(BP_SEGMENT_S * source.rate_hz))
         last = source.slice_samples(len(source) - take, len(source))
         segment = self._read_series(last)
-        features = bp_reduced_features(segment, subject_id=subject_id)
+        features = FeatureMatrix(BP_REDUCED_NAMES, [bp_reduced_features(segment)], [subject_id])
         check_feature_schema(sbp_meta["document"], features.names)
-        row = features.values.reshape(1, -1)
-        sbp = float(sbp_model.predict(row)[0])
-        dbp = float(dbp_model.predict(row)[0])
+        sbp = float(sbp_model.predict(features.X)[0])
+        dbp = float(dbp_model.predict(features.X)[0])
         swapped = sbp < dbp
         if swapped:
             sbp, dbp = dbp, sbp

@@ -361,10 +361,16 @@ def read_csv_table(path: str | Path, header: Sequence[str], parse_row: Callable)
     return rows
 
 
+def int64_time(t_ms: int) -> int:
+    """t_ms itself; a ValueError when it falls outside int64, the type times
+    are held as."""
+    if not -(2**63) <= t_ms < 2**63:
+        raise ValueError(f"time {t_ms} does not fit 64 bits")
+    return t_ms
+
+
 def _time_and_float(row: list[str]) -> tuple[int, float]:
-    t_ms = int(row[0])
-    if not -(2**63) <= t_ms < 2**63:  # times are held as int64
-        raise ValueError(f"t_ms {t_ms} does not fit 64 bits")
+    t_ms = int64_time(int(row[0]))
     value = float(row[1])
     if not math.isfinite(value):
         raise ValueError(f"{row[1]!r} is not a finite number")

@@ -145,9 +145,9 @@ def test_criterion_3_feature_counts():
         matrix = stress_feature_matrix(windows, combo)
         assert len(matrix.names) == expected[combo], combo
     segment = SampleSeries(Channel.PPG, 125.0, 0, pulse_wave(20.0, 125.0, 1.4, noise=0.01))
-    assert len(bp_feature_vector(segment).names) == 106
+    assert len(bp_feature_vector(segment)) == 106
     assert len(BP_FEATURE_NAMES) == 106
-    assert len(bp_reduced_features(segment).names) == 10
+    assert len(bp_reduced_features(segment)) == 10
     assert len(BP_REDUCED_NAMES) == 10
     report("criterion 3 PASS: channel combos give 18/35/41/47 columns; BP catalogs 106 and 10")
 

@@ -61,11 +61,13 @@ class TestBpRows:
     def test_one_reduced_row_per_whole_segment(self):
         unit = simulate_bp_records(1, "short_term", seed=6)[0].units[0]
         ppg = unit.ppg.slice_samples(0, 125 * 130)
-        segments = bp_rows(ppg, unit.sbp, unit.dbp, "R00", "0:")
+        segments = bp_rows(ppg, unit.sbp, unit.dbp)
         rows, sbp, dbp = zip(*segments)
         assert len(rows) == len(sbp) == len(dbp) == 3
-        assert [r.origin for r in rows] == ["0:0", "0:1", "0:2"]
-        assert all(r.names == BP_REDUCED_NAMES and r.subject_id == "R00" for r in rows)
+        assert all(r.shape == (len(BP_REDUCED_NAMES),) for r in rows)
+        for k, row in enumerate(rows):
+            segment = ppg.slice_samples(k * 5000, (k + 1) * 5000)
+            assert row.tobytes() == bp_reduced_features(segment).tobytes()
         assert sbp[1] == pytest.approx(unit.sbp.values[40:80].mean())
         assert dbp[2] == pytest.approx(unit.dbp.values[80:120].mean())
 
@@ -73,8 +75,10 @@ class TestBpRows:
         unit = simulate_bp_records(1, "short_term", seed=6)[0].units[0]
         ppg = unit.ppg.slice_samples(0, 125 * 120)
         short = pressure(unit.sbp.values[:40])
-        segments = bp_rows(ppg, short, short, "R00")
-        assert [row.origin for row, _, _ in segments] == ["0"]
+        segments = bp_rows(ppg, short, short)
+        assert len(segments) == 1
+        first = bp_reduced_features(ppg.slice_samples(0, 5000))
+        assert segments[0][0].tobytes() == first.tobytes()
         assert segments[0][1] == pytest.approx(unit.sbp.values[:40].mean())
 
     def test_one_filter_design_per_record(self, monkeypatch):
@@ -83,19 +87,22 @@ class TestBpRows:
         # that each design their own.
         unit = simulate_bp_records(1, "short_term", seed=6)[0].units[0]
         reference = [
-            bp_reduced_features(unit.ppg.slice_samples(i0, i0 + 5000), f"0:{k}", "R00")
-            for k, i0 in enumerate(range(0, len(unit.ppg), 5000))
+            bp_reduced_features(unit.ppg.slice_samples(i0, i0 + 5000))
+            for i0 in range(0, len(unit.ppg), 5000)
         ]
         calls = []
         butter = dsp.butter
         monkeypatch.setattr(dsp, "butter", lambda *a, **kw: calls.append(a) or butter(*a, **kw))
-        rows = [row for row, _, _ in bp_rows(unit.ppg, unit.sbp, unit.dbp, "R00", "0:")]
+        rows = [row for row, _, _ in bp_rows(unit.ppg, unit.sbp, unit.dbp)]
         assert len(calls) == 1 and len(rows) == len(reference) == 45
         for row, ref in zip(rows, reference):
-            assert (row.subject_id, row.origin, row.names, row.flags) == (
-                ref.subject_id, ref.origin, ref.names, ref.flags
-            )
-            assert row.values.tobytes() == ref.values.tobytes()
+            assert row.tobytes() == ref.tobytes()
+
+    def test_build_bp_dataset_rows_carry_their_record_ids(self):
+        matrix, sbp, _ = build_bp_dataset(2, seed=100)
+        records = simulate_bp_records(2, "short_term", seed=100)
+        assert list(dict.fromkeys(matrix.subject_ids)) == [r.record_id for r in records]
+        assert len(matrix.subject_ids) == len(sbp)
 
     def test_build_bp_dataset_rows_are_pinned(self):
         # Digests of the rows, names and targets the experiments train on, so

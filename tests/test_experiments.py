@@ -16,7 +16,7 @@ import pytest
 import homevitals
 from homevitals import experiments
 from homevitals.errors import SplitImpossible
-from homevitals.features import FeatureMatrix, FeatureVector
+from homevitals.features import FeatureMatrix
 
 SMALL_FOREST = {**experiments.FOREST_PARAMS, "n_trees": 20}
 
@@ -47,8 +47,8 @@ def tables() -> dict:
 
 
 def one_subject_matrix() -> FeatureMatrix:
-    rows = [FeatureVector("S00", str(i), ("a", "b"), np.array([i, 1.0])) for i in range(4)]
-    return FeatureMatrix(rows, labels=[0, 1, 0, 1])
+    X = [[i, 1.0] for i in range(4)]
+    return FeatureMatrix(("a", "b"), X, ["S00"] * 4, labels=[0, 1, 0, 1])
 
 
 def test_pooled_and_serial_tables_are_byte_equal(monkeypatch):

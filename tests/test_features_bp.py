@@ -24,14 +24,13 @@ def ppg_segment(duration_s=20.0, freq=1.4, noise=0.01, seed=0):
 
 
 def reduced_columns(full):
-    return full.values[[full.names.index(n) for n in BP_REDUCED_NAMES]]
+    return full[[BP_FEATURE_NAMES.index(n) for n in BP_REDUCED_NAMES]]
 
 
 def test_catalog_is_106_columns():
     fv = bp_feature_vector(ppg_segment())
-    assert len(fv.names) == 106
-    assert fv.names == BP_FEATURE_NAMES
-    assert np.all(np.isfinite(fv.values))
+    assert fv.dtype == np.float64 and fv.shape == (len(BP_FEATURE_NAMES),) == (106,)
+    assert np.all(np.isfinite(fv))
 
 
 def test_catalog_arithmetic():
@@ -68,16 +67,15 @@ def test_reduced_set_is_10_and_matches_full_catalog():
     seg = ppg_segment(seed=3)
     full = bp_feature_vector(seg)
     reduced = bp_reduced_features(seg)
-    assert len(reduced.names) == 10
-    assert reduced.names == BP_REDUCED_NAMES
-    assert set(reduced.names) <= set(full.names)
-    assert reduced.values.tobytes() == reduced_columns(full).tobytes()
+    assert reduced.dtype == np.float64 and reduced.shape == (len(BP_REDUCED_NAMES),) == (10,)
+    assert set(BP_REDUCED_NAMES) <= set(BP_FEATURE_NAMES)
+    assert reduced.tobytes() == reduced_columns(full).tobytes()
 
 
 def test_pure_sine_single_spectral_peak():
     t = np.arange(125 * 16) / 125.0
     seg = SampleSeries(Channel.PPG, 125.0, 0, np.sin(2 * np.pi * 5.0 * t))
-    fv = bp_reduced_features(seg)
+    fv = dict(zip(BP_REDUCED_NAMES, bp_reduced_features(seg)))
     assert fv["peak_freq_max"] == pytest.approx(5.0, abs=0.3)
     assert fv["peak_freq_min"] == pytest.approx(5.0, abs=0.3)
 
@@ -86,7 +84,7 @@ def test_extraction_deterministic():
     seg = ppg_segment(seed=9)
     a = bp_feature_vector(seg)
     b = bp_feature_vector(seg)
-    assert np.array_equal(a.values, b.values)
+    assert np.array_equal(a, b)
 
 
 # -- the reduced path against the full catalog ---------------------------------
@@ -117,36 +115,29 @@ def segments(draw):
     return SampleSeries(Channel.PPG, rate, draw(st.integers(0, 10**6)), values)
 
 
-def extract(extractor, segment, **labels):
+def extract(extractor, segment):
     try:
-        return extractor(segment, **labels)
+        return extractor(segment)
     except HomevitalsError as exc:
         return type(exc)
 
 
 @settings(max_examples=120, deadline=None)
-@given(segment=segments(), subject_id=st.sampled_from(["", "S07"]))
-def test_reduced_path_equals_catalog_columns_exactly(segment, subject_id):
+@given(segment=segments())
+def test_reduced_path_equals_catalog_columns_exactly(segment):
     full = extract(bp_feature_vector, segment)
-    reduced = extract(bp_reduced_features, segment, origin="7", subject_id=subject_id)
+    reduced = extract(bp_reduced_features, segment)
     if isinstance(full, type):
         assert reduced is full
         return
-    assert reduced.names == BP_REDUCED_NAMES
-    assert reduced.values.tobytes() == reduced_columns(full).tobytes()
-    assert (full.origin, full.subject_id) == ("0", "segment")
-    assert (reduced.flags, reduced.origin, reduced.subject_id) == (
-        full.flags,
-        "7",
-        subject_id or "segment",
-    )
+    assert reduced.shape == (len(BP_REDUCED_NAMES),)
+    assert reduced.tobytes() == reduced_columns(full).tobytes()
 
 
-def test_no_spectral_peaks_gives_zeros_and_flag_on_both_paths(monkeypatch):
+def test_no_spectral_peaks_gives_zeros_on_both_paths(monkeypatch):
     monkeypatch.setattr(pressure, "detect_peaks", lambda *args, **kwargs: [])
     seg = ppg_segment(seed=4)
     full = bp_feature_vector(seg)
     reduced = bp_reduced_features(seg)
-    assert full.flags == reduced.flags == ("bp_no_spectral_peaks",)
-    assert reduced.values.tobytes() == reduced_columns(full).tobytes()
-    assert reduced.values[:4].tolist() == [0.0, 0.0, 0.0, 0.0]
+    assert reduced.tobytes() == reduced_columns(full).tobytes()
+    assert reduced[:4].tolist() == [0.0, 0.0, 0.0, 0.0]

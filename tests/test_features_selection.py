@@ -13,20 +13,15 @@ import homevitals
 from homevitals.errors import LabelMissing
 from homevitals.features import (
     FeatureMatrix,
-    FeatureVector,
     benjamini_hochberg,
     mann_whitney_u,
     select_features,
 )
 
 
-def labeled_matrix(X, y, subjects=None):
+def labeled_matrix(X, y):
     names = tuple(f"f{i}" for i in range(X.shape[1]))
-    rows = [
-        FeatureVector(subjects[i] if subjects else f"S{i % 5}", str(i), names, X[i])
-        for i in range(X.shape[0])
-    ]
-    return FeatureMatrix(rows, labels=y)
+    return FeatureMatrix(names, X, [f"S{i % 5}" for i in range(X.shape[0])], labels=y)
 
 
 class TestMannWhitney:
@@ -105,11 +100,8 @@ class TestSelectFeatures:
 
     def test_labels_required(self, rng):
         X = rng.normal(size=(30, 3))
-        rows = [
-            FeatureVector("S0", str(i), ("a", "b", "c"), X[i]) for i in range(30)
-        ]
         with pytest.raises(LabelMissing):
-            select_features(FeatureMatrix(rows))
+            select_features(FeatureMatrix(("a", "b", "c"), X, ["S0"] * 30))
 
 
 def test_features_do_not_import_the_models():

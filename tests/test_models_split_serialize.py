@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from homevitals.errors import FormatError, InputError, SplitImpossible
-from homevitals.features import FeatureMatrix, FeatureVector
+from homevitals.features import FeatureMatrix
 from homevitals.models import (
     DecisionTreeRegressor,
     RandomForestClassifier,
@@ -22,12 +22,10 @@ from homevitals.models import (
 
 def matrix_with_subjects(rows_per_subject, n_features=3, seed=0):
     rng = np.random.default_rng(seed)
-    rows = []
+    subject_ids = [sid for sid, count in rows_per_subject.items() for _ in range(count)]
     names = tuple(f"f{i}" for i in range(n_features))
-    for sid, count in rows_per_subject.items():
-        for i in range(count):
-            rows.append(FeatureVector(sid, str(i), names, rng.normal(size=n_features)))
-    return FeatureMatrix(rows, labels=rng.integers(0, 2, size=len(rows)))
+    X = [rng.normal(size=n_features) for _ in subject_ids]
+    return FeatureMatrix(names, X, subject_ids, labels=rng.integers(0, 2, size=len(X)))
 
 
 class TestSubjectSplit:

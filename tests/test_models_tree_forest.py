@@ -16,6 +16,7 @@ from homevitals.models import (
     AdaBoostR2,
     DecisionTreeClassifier,
     DecisionTreeRegressor,
+    MlpRegressor,
     RandomForestClassifier,
     dumps_model,
     load_document,
@@ -677,6 +678,22 @@ def test_lockstep_growth_matches_growing_each_tree_alone(case):
 def test_features_per_split_below_one_is_refused_at_construction(cls, per_split):
     with pytest.raises(InputError, match="features_per_split"):
         cls(features_per_split=per_split)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        DecisionTreeClassifier,
+        DecisionTreeRegressor,
+        RandomForestClassifier,
+        MlpRegressor,
+        lambda: AdaBoostR2("dt"),
+    ],
+    ids=["dt-classifier", "dt-regressor", "forest", "mlp", "adaboost-dt"],
+)
+def test_fit_refuses_x_without_columns(make):
+    with pytest.raises(InputError, match="X has no feature columns"):
+        make().fit(np.zeros((4, 0)), [0, 1, 0, 1])
 
 
 class TestPredictRejectsUnusableInput:

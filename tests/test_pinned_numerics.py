@@ -11,7 +11,6 @@ import numpy as np
 from helpers import pulse_wave, single_window
 from homevitals.features import (
     FeatureMatrix,
-    FeatureVector,
     bp_reduced_features,
     eda_features,
     select_features,
@@ -55,7 +54,7 @@ def test_eda_features_bytes():
     eda = 2.0 + 0.01 * t + 0.05 * rng.normal(size=t.size)
     for onset in (12.0, 37.5, 61.0, 80.0):
         eda = eda + 0.5 * np.interp(t - onset, [0, 1, 2, 4, 8], [0, 1, 0.7, 0.3, 0])
-    assert digest(eda_features(single_window(eda=eda)).values.tobytes()) == "17e3a2ff5d880668"
+    assert digest(eda_features(single_window(eda=eda)).tobytes()) == "17e3a2ff5d880668"
 
 
 def test_bp_reduced_features_bytes():
@@ -69,7 +68,7 @@ def test_bp_reduced_features_bytes():
         drift = 0.3 * np.arange(values.size) / values.size
         values = values + drift + 0.01 * rng.normal(size=values.size)
         fv = bp_reduced_features(SampleSeries(channel, rate, 1_000, values))
-        assert digest(fv.values.tobytes()) == expected, channel
+        assert digest(fv.tobytes()) == expected, channel
 
 
 def tied_matrix() -> FeatureMatrix:
@@ -85,8 +84,7 @@ def tied_matrix() -> FeatureMatrix:
     ]
     names = tuple(f"f{j}" for j in range(len(columns)))
     X = np.column_stack(columns).astype(np.float64)
-    rows = [FeatureVector("S00", str(i), names, row) for i, row in enumerate(X)]
-    return FeatureMatrix(rows).with_labels(y)
+    return FeatureMatrix(names, X, ["S00"] * y.size).with_labels(y)
 
 
 def test_selection_ranks_and_scores_on_ties():

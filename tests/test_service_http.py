@@ -375,6 +375,10 @@ class TestRoutes:
             (ppg_chunk(start_ms=1.9), "start_ms"),
             (ppg_chunk(start_ms="7"), "start_ms"),
             (ppg_chunk(start_ms=True), "start_ms"),
+            (ppg_chunk(start_ms=2**63), "start_ms"),
+            (ppg_chunk(start_ms=2**80), "start_ms"),
+            (ppg_chunk(start_ms=-(2**70)), "start_ms"),
+            (ppg_chunk(start_ms=2**1000), "start_ms"),
             (ppg_chunk(rate_hz="4"), "rate_hz"),
             (ppg_chunk(rate_hz=True), "rate_hz"),
             ({"ibi": [[1.9, 0.8]]}, "ibi"),
@@ -385,6 +389,8 @@ class TestRoutes:
             (cortisol_entry(t_ms=1.9), "t_ms"),
             (cortisol_entry(t_ms="7"), "t_ms"),
             (cortisol_entry(t_ms=True), "t_ms"),
+            (cortisol_entry(t_ms=2**80), "t_ms"),
+            ({"ibi": [[2**80, 0.8]]}, "ibi"),
             (cortisol_entry(concentration_ugdl="0.2"), "concentration_ugdl"),
             (cortisol_entry(concentration_ugdl=True), "concentration_ugdl"),
             (ppg_chunk(values=["1.5", 2.0]), "values"),
@@ -395,10 +401,12 @@ class TestRoutes:
             (ppg_chunk(values="1.5"), "values"),
         ],
         ids=[
-            "start-float", "start-string", "start-bool", "rate-string", "rate-bool",
+            "start-float", "start-string", "start-bool", "start-2**63", "start-2**80",
+            "start--2**70", "start-2**1000", "rate-string", "rate-bool",
             "ibi-time-float", "ibi-time-string", "ibi-time-bool", "ibi-interval-string",
             "ibi-interval-bool", "cortisol-time-float", "cortisol-time-string",
-            "cortisol-time-bool", "cortisol-string", "cortisol-bool",
+            "cortisol-time-bool", "cortisol-time-2**80", "ibi-time-2**80",
+            "cortisol-string", "cortisol-bool",
             "sample-string", "sample-bool", "samples-all-bool", "sample-null",
             "sample-array", "samples-string",
         ],

@@ -11,10 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from homevitals.datasets import BP_SEGMENT_S
-from homevitals.errors import HomevitalsError, NoWindow, NotReady
-from homevitals.features import bp_reduced_features, stress_feature_matrix
+from homevitals.errors import HomevitalsError, InputError, NoWindow, NotReady
+from homevitals.features import BP_REDUCED_NAMES, bp_reduced_features, stress_feature_matrix
 from homevitals.models import check_feature_schema, load_document
-from homevitals.service import JsonlStore, ServiceConfig, VitalsService
+from homevitals.service import JsonlStore, ServiceConfig, VitalsService, pipeline
 from homevitals.service.pipeline import CONTIGUITY_SLOP_MS, _Span
 from homevitals.service.store import decode_samples, encode_samples
 from homevitals.signals import (
@@ -173,9 +173,8 @@ def reference_bp(service, subject_id):
         raise NoWindow(f"no recent pulse signal for {subject_id}")
     take = min(len(source), int(BP_SEGMENT_S * source.rate_hz))
     segment = source.slice_samples(len(source) - take, len(source))
-    features = bp_reduced_features(segment, subject_id=subject_id)
-    check_feature_schema(sbp_meta["document"], features.names)
-    row = features.values.reshape(1, -1)
+    check_feature_schema(sbp_meta["document"], BP_REDUCED_NAMES)
+    row = bp_reduced_features(segment).reshape(1, -1)
     sbp, dbp = float(sbp_model.predict(row)[0]), float(dbp_model.predict(row)[0])
     swapped = sbp < dbp
     if swapped:
@@ -405,6 +404,22 @@ class TestHistoryIndependence:
             {"model": 1, "signal_chunk": 6, "ibi_chunk": 2},
             {"model": 2, "signal_chunk": 1},
         )
+
+
+def test_non_finite_bp_feature_is_an_input_error_naming_it(model_payloads, tmp_path, monkeypatch):
+    service = seeded_service(tmp_path, model_payloads)
+    service.sync_signals(minute_payload("H0", 0, np.random.default_rng(0)))
+    extract = pipeline.bp_reduced_features
+
+    def with_inf(segment):
+        row = extract(segment)
+        row[BP_REDUCED_NAMES.index("ppg_max")] = np.inf
+        return row
+
+    monkeypatch.setattr(pipeline, "bp_reduced_features", with_inf)
+    with pytest.raises(InputError, match="non-finite feature value for 'ppg_max'"):
+        service.query_bp("H0")
+    service.store.close()
 
 
 class TestSpanGeometry:

@@ -54,3 +54,29 @@ def test_tree_node_counters_read_fitted_trees():
             step()
     nodes = sum(len(t.feature) for t in forest.trees) + len(tree.feature)
     assert tracer.counts["models.tree_nodes"] == nodes > 4
+
+
+def test_extractor_spans_are_recorded_per_window():
+    # stress_feature_matrix calls the extractors through a channel table; the
+    # wrapped functions must be the ones it calls.
+    from helpers import make_bundle
+    from homevitals.features import stress_feature_matrix
+    from homevitals.signals import WindowSpec, make_windows
+
+    hooks = {t[0]: t for t in targets()}
+    extractors = [
+        hooks[f"homevitals.features.stress:{channel}_features"]
+        for channel in ("eda", "bvp", "ibi", "st")
+    ]
+    tracer = Tracer()
+    undo = [install(tracer, target, name, after=hook) for target, name, hook, _ in extractors]
+    try:
+        windows = make_windows(make_bundle(duration_s=180.0), WindowSpec(90.0, 45.0))
+        matrix = stress_feature_matrix(windows)
+    finally:
+        for step in undo:
+            step()
+    spans = tracer.summary()["spans"]
+    assert len(matrix) == len(windows) == 3
+    for _target, name, _hook, _generator in extractors:
+        assert spans[name]["calls"] == len(windows), name
