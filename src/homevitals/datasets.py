@@ -5,11 +5,12 @@ fixed-length PPG segments with the mean SBP/DBP over each segment's time span.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .features import FeatureMatrix, bp_lowpass, bp_reduced_features, stress_feature_matrix
+from .errors import DegenerateTraining
+from .features import BP_REDUCED_NAMES, FeatureMatrix, bp_reduced_features, stress_feature_matrix
 from .labeling import CortisolSample, LabelRule, label_windows, labels_to_targets
 from .signals import MS_PER_S, ChannelBundle, SampleSeries, WindowSpec, make_windows
 
@@ -57,18 +58,30 @@ def bp_rows(
     ppg: SampleSeries, sbp: SampleSeries, dbp: SampleSeries
 ) -> list[tuple[np.ndarray, float, float]]:
     """(reduced BP features, SBP, DBP) for each whole BP_SEGMENT_S segment of
-    the PPG; segments the pressure series miss are left out. Every segment
-    shares the PPG's rate, so the low-pass is designed once, at the first
-    segment kept, and filters them all."""
+    the PPG; segments the pressure series miss are left out. Each segment is
+    low-passed by the one PPG design, order 4 at 8 Hz for the PPG's rate,
+    which signals.ppg_lowpass designs once per rate and shares."""
     out = []
-    lowpass = None
     seg_len = int(BP_SEGMENT_S * ppg.rate_hz)
     for k in range(len(ppg) // seg_len):
         i0, i1 = k * seg_len, (k + 1) * seg_len
         targets = segment_targets(ppg, sbp, dbp, i0, i1)
         if targets is not None:
-            if lowpass is None:
-                lowpass = bp_lowpass(ppg.rate_hz)
-            row = bp_reduced_features(ppg.slice_samples(i0, i1), lowpass)
-            out.append((row, *targets))
+            out.append((bp_reduced_features(ppg.slice_samples(i0, i1)), *targets))
     return out
+
+
+def bp_training_rows(
+    units: Iterable[tuple[str, SampleSeries, SampleSeries, SampleSeries]],
+) -> tuple[FeatureMatrix, np.ndarray, np.ndarray]:
+    """The matrix over BP_REDUCED_NAMES of the bp_rows of every (subject id,
+    PPG, SBP, DBP) unit, in unit order, with its SBP and DBP targets.
+    DegenerateTraining when no segment has targets."""
+    segments = [
+        (subject_id, *row) for subject_id, ppg, sbp, dbp in units for row in bp_rows(ppg, sbp, dbp)
+    ]
+    if not segments:
+        raise DegenerateTraining("no whole BP segment with pressure targets")
+    subject_ids, rows, sbp_targets, dbp_targets = zip(*segments)
+    matrix = FeatureMatrix(BP_REDUCED_NAMES, rows, subject_ids)
+    return matrix, np.asarray(sbp_targets), np.asarray(dbp_targets)

@@ -26,11 +26,10 @@ from .datasets import (
     BP_BOOST_ROUNDS,
     BP_TREE_PARAMS,
     FOREST_PARAMS,
-    bp_rows,
+    bp_training_rows,
     stress_rows,
 )
-from .errors import InputError
-from .features import BP_REDUCED_NAMES, CHANNEL_COMBINATIONS, FeatureMatrix, select_features
+from .features import CHANNEL_COMBINATIONS, FeatureMatrix, select_features
 from .models import (
     AdaBoostR2,
     DecisionTreeRegressor,
@@ -197,15 +196,11 @@ def build_bp_dataset(
     seed: int = 0,
 ) -> tuple[FeatureMatrix, np.ndarray, np.ndarray]:
     """Reduced-feature matrix over fixed-length segments plus SBP/DBP targets."""
-    segments = []
-    for record in simulate_bp_records(n_records, mode, seed=seed):
-        for unit in record.units:
-            segments += [(record.record_id, *row) for row in bp_rows(unit.ppg, unit.sbp, unit.dbp)]
-    if not segments:
-        raise InputError("no whole BP segment in the simulated records")
-    subject_ids, rows, sbp_targets, dbp_targets = zip(*segments)
-    matrix = FeatureMatrix(BP_REDUCED_NAMES, rows, subject_ids)
-    return matrix, np.asarray(sbp_targets), np.asarray(dbp_targets)
+    return bp_training_rows(
+        (record.record_id, unit.ppg, unit.sbp, unit.dbp)
+        for record in simulate_bp_records(n_records, mode, seed=seed)
+        for unit in record.units
+    )
 
 
 def _make_regressor(name: str, seed: int, quick: bool):

@@ -7,7 +7,6 @@ from .pressure import (
     STAT_NAMES,
     STREAM_NAMES,
     bp_feature_vector,
-    bp_lowpass,
     bp_reduced_features,
 )
 from .selection import (
@@ -46,7 +45,6 @@ __all__ = [
     "SelectionResult",
     "benjamini_hochberg",
     "bp_feature_vector",
-    "bp_lowpass",
     "bp_reduced_features",
     "bvp_features",
     "eda_features",

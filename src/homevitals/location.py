@@ -128,11 +128,11 @@ class EventLog:
     def __init__(
         self,
         table: LookupTable,
-        cfg: MatchConfig | None = None,
+        match: MatchConfig | None = None,
         clock: Callable[[], int] | None = None,
     ) -> None:
         self.table = table
-        self.cfg = cfg or MatchConfig()
+        self.match = match or MatchConfig()
         self._clock = clock or _now_ms
         self._events: deque[TagEvent] = deque()  # in time order: stamps are monotone
         self._lock = threading.Lock()
@@ -158,7 +158,7 @@ class EventLog:
 
     def horizon_ms(self, newest_ms: int) -> int:
         """The oldest event time kept once the log holds an event at newest_ms."""
-        return max(self._clock(), newest_ms) - int(self.cfg.search_window_s * 1000)
+        return max(self._clock(), newest_ms) - int(self.match.search_window_s * 1000)
 
     def _evict(self) -> None:
         horizon = self.horizon_ms(self._last_t_ms)
@@ -210,14 +210,14 @@ def match_events(
 def resolve_location(
     identity: str,
     log_: EventLog,
-    cfg: MatchConfig | None = None,
+    match: MatchConfig | None = None,
 ) -> LocationFix | NoFix:
-    cfg = cfg or log_.cfg
+    match = match or log_.match
     i_tag = log_.table.user_index(identity)  # raises NotFound if unknown
     events = log_.snapshot()
     user_events = [e for e in events if e.kind is TagKind.USER and e.index == i_tag]
     location_events = [e for e in events if e.kind is TagKind.LOCATION]
-    pair = match_events(user_events, location_events, cfg.tolerance_s)
+    pair = match_events(user_events, location_events, match.tolerance_s)
     if pair is None:
         return NoFix(identity=identity)
     ue, le = pair

@@ -21,8 +21,9 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from ..datasets import BP_SEGMENT_S, BP_TREE_PARAMS, FOREST_PARAMS, bp_rows, stress_rows
+from ..datasets import BP_SEGMENT_S, BP_TREE_PARAMS, FOREST_PARAMS, bp_training_rows, stress_rows
 from ..errors import (
+    ConfigError,
     DegenerateTraining,
     FormatError,
     InputError,
@@ -56,6 +57,7 @@ from ..signals import (
     SampleSeries,
     Window,
     int64_time,
+    ppg_lowpass,
     window_grid,
 )
 from .config import ServiceConfig
@@ -263,7 +265,9 @@ class VitalsService:
 
         The whole request is validated before anything is stored, so a
         rejected sync leaves the store untouched; its records are then
-        stored in one batch, with one fsync.
+        stored in one batch, with one fsync. A chunk whose samples end
+        outside int64 ms, and a PPG chunk at a rate ppg_lowpass cannot
+        filter, are refused.
         """
         subject_id = request.get("subject_id")
         if not subject_id or not isinstance(subject_id, str):
@@ -273,6 +277,17 @@ class VitalsService:
             series = payload_to_series(chunk, field=f"chunks[{i}]")
             if len(series) == 0:
                 raise InputError(f"chunks[{i}]: values must not be empty")
+            try:
+                int64_time(series.end_ms)
+            except (OverflowError, ValueError) as exc:
+                raise InputError(f"chunks[{i}]: samples end outside int64 ms: {exc}") from exc
+            if series.channel is Channel.PPG:
+                try:
+                    ppg_lowpass(series.rate_hz)
+                except ConfigError as exc:
+                    raise InputError(
+                        f"chunks[{i}]: PPG at {series.rate_hz} Hz cannot be low-passed: {exc}"
+                    ) from exc
             name = chunk.get("name")
             if name is not None and not isinstance(name, str):
                 raise InputError(f"chunks[{i}]: name must be a string")
@@ -459,8 +474,9 @@ class VitalsService:
     def train_bp(self, seed: int | None = None) -> dict:
         return self._exclusive(self._train_bp, seed)
 
-    def _train_bp(self, seed: int) -> dict:
-        segments = []
+    def _bp_units(self) -> Iterable[tuple[str, SampleSeries, SampleSeries, SampleSeries]]:
+        """(subject id, PPG, SBP, DBP) of each subject's latest runs, for every
+        subject that has all three."""
         for subject_id in self.store.subjects("signal_chunk"):
             entries = self.store.index("signal_chunk", subject_id)
             runs = (
@@ -468,15 +484,12 @@ class VitalsService:
                 _latest_run(entries, Channel.DERIVED, name="sbp_mmhg"),
                 _latest_run(entries, Channel.DERIVED, name="dbp_mmhg"),
             )
-            if any(run is None for run in runs):
-                continue
-            ppg, sbp, dbp = (self._read_series(run) for run in runs)
-            segments += [(subject_id, *row) for row in bp_rows(ppg, sbp, dbp)]
-        if not segments:
-            raise DegenerateTraining("no PPG records with pressure targets in store")
-        subject_ids, rows, sbp_targets, dbp_targets = zip(*segments)
-        matrix = FeatureMatrix(BP_REDUCED_NAMES, rows, subject_ids)
-        result = {"rows": len(rows)}
+            if all(run is not None for run in runs):
+                yield (subject_id, *(self._read_series(run) for run in runs))
+
+    def _train_bp(self, seed: int) -> dict:
+        matrix, sbp_targets, dbp_targets = bp_training_rows(self._bp_units())
+        result = {"rows": len(matrix)}
         for key, targets in (("bp_sbp", sbp_targets), ("bp_dbp", dbp_targets)):
             model = AdaBoostR2(
                 "dt",
@@ -484,8 +497,8 @@ class VitalsService:
                 seed=seed,
                 base_params=BP_TREE_PARAMS,
             )
-            model.fit(matrix.X, np.asarray(targets))
-            result[key] = self._save_model(key, model, matrix.names, seed, len(rows))
+            model.fit(matrix.X, targets)
+            result[key] = self._save_model(key, model, matrix.names, seed, len(matrix))
         return result
 
     # -- queries -----------------------------------------------------------------

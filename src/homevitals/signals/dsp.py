@@ -1,19 +1,28 @@
 """DSP primitives for the preprocessing pipeline and feature extractors.
 
-The low-pass filter is scipy's digital Butterworth design, applied with
-scipy.signal.filtfilt (forward-backward, odd-extension padding, steady-state
-initial conditions) for zero phase, so detected peak timings are not shifted.
+PPG is low-passed by one design: scipy's order-4 digital Butterworth with its
+-3 dB point at 8 Hz, placed for the record's rate by ppg_lowpass and designed
+once per rate per process. It is applied with scipy.signal.filtfilt
+(forward-backward, odd-extension padding, steady-state initial conditions)
+for zero phase, so detected peak timings are not shifted.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
 from scipy.signal import butter, filtfilt, lfilter
 
 from ..errors import ConfigError, DegenerateInput, InputError
-from .series import Channel, FilterConfig, SampleSeries, Spectrum
+from .series import Channel, SampleSeries, Spectrum
+
+#: The PPG low-pass: a Butterworth of this order with its -3 dB point at this
+#: frequency, which keeps pulse morphology through the second harmonic at high
+#: heart rates.
+PPG_LOWPASS_ORDER = 4
+PPG_LOWPASS_HZ = 8.0
 
 
 def detrend(s: SampleSeries) -> SampleSeries:
@@ -93,36 +102,26 @@ def zero_phase_filter(b: np.ndarray, a: np.ndarray, x: np.ndarray) -> np.ndarray
     return filtfilt(b, a, x)
 
 
-def butterworth_lowpass(
-    s: SampleSeries,
-    cfg: FilterConfig | None = None,
-    design: tuple[np.ndarray, np.ndarray] | None = None,
-) -> SampleSeries:
-    """Zero-phase low-pass Butterworth of cfg.order_n at cfg.cutoff_wn.
-
-    design is the (b, a) of butter_lowpass_coefficients for cfg, when the
-    caller already holds it; cfg is then not read.
-    """
-    if design is None:
-        cfg = cfg or FilterConfig()
-        design = butter_lowpass_coefficients(cfg.order_n, cfg.cutoff_wn)
-    b, a = design
-    return s.with_values(zero_phase_filter(b, a, s.values))
+@lru_cache(maxsize=8)
+def ppg_lowpass(rate_hz: float) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only (b, a) PPG at rate_hz is low-passed with: the
+    PPG_LOWPASS_ORDER Butterworth at PPG_LOWPASS_HZ. A ConfigError when
+    rate_hz is at most twice the cutoff. Designed once per rate; the bound
+    keeps the memo small, as rates come from clients."""
+    b, a = butter_lowpass_coefficients(PPG_LOWPASS_ORDER, PPG_LOWPASS_HZ / (rate_hz / 2.0))
+    b.setflags(write=False)
+    a.setflags(write=False)
+    return b, a
 
 
 def preprocess_ppg(
-    records: Sequence[SampleSeries],
-    cfg: FilterConfig | None = None,
-    on_step: Callable[[str], None] | None = None,
-    design: tuple[np.ndarray, np.ndarray] | None = None,
+    records: Sequence[SampleSeries], on_step: Callable[[str], None] | None = None
 ) -> SampleSeries:
     """Run the full preprocessing pipeline over per-subject PPG records.
 
     Steps, in fixed order: per-record mean subtraction, concatenation,
     linear detrend, min-max normalization to [0,1], subtraction of the
-    value-modulo-mean remainder, zero-phase Butterworth low-pass. A caller
-    that filters many records at one rate designs the low-pass once and
-    passes its (b, a) as design, in place of cfg.
+    value-modulo-mean remainder, zero-phase ppg_lowpass at the records' rate.
     """
     if not records:
         raise DegenerateInput("preprocess_ppg needs at least one record")
@@ -153,7 +152,7 @@ def preprocess_ppg(
         emit("normalize")
         combined = modulo_mean_correct(combined)
         emit("mod-subtract")
-        combined = butterworth_lowpass(combined, cfg, design)
+        combined = combined.with_values(zero_phase_filter(*ppg_lowpass(rate), combined.values))
         emit("filter")
     except (DegenerateInput, InputError) as exc:
         raise type(exc)(f"preprocess_ppg over {len(records)} record(s): {exc}") from exc

@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from ..errors import ConfigError, DegenerateInput, FormatError, InputError
+from ..errors import DegenerateInput, FormatError, InputError
 
 IBI_MIN_S = 0.3
 IBI_MAX_S = 2.0
@@ -300,31 +300,6 @@ class Spectrum:
 
     def __len__(self) -> int:
         return int(self.freqs_hz.size)
-
-
-@dataclass(frozen=True)
-class FilterConfig:
-    """Low-pass design parameters: order and cutoff as a fraction of Nyquist.
-
-    The default targets 8 Hz on a 125 Hz PPG stream, which keeps pulse
-    morphology through the second harmonic at high heart rates.
-    """
-
-    order_n: int = 4
-    cutoff_wn: float = 8.0 / (DEFAULT_PPG_RATE_HZ / 2.0)
-
-    def __post_init__(self) -> None:
-        if self.order_n < 1:
-            raise InputError("filter order must be a positive integer")
-        if not 0.0 < self.cutoff_wn < 1.0:
-            raise ConfigError(
-                f"cutoff_wn must lie in (0, 1) as a fraction of Nyquist, got {self.cutoff_wn}"
-            )
-
-    @classmethod
-    def for_rate(cls, rate_hz: float) -> "FilterConfig":
-        """The default order with the 8 Hz cutoff placed for rate_hz."""
-        return cls(cutoff_wn=8.0 / (rate_hz / 2.0))
 
 
 SERIES_CSV_HEADER = ("t_ms", "value")

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from helpers import make_bundle
-from homevitals.datasets import bp_rows, segment_targets, stress_rows
+from homevitals.datasets import BP_SEGMENT_S, bp_rows, bp_training_rows, segment_targets, stress_rows
+from homevitals.errors import DegenerateTraining
 from homevitals.experiments import build_bp_dataset, build_stress_dataset, stress_fusion_experiment
 from homevitals.features import BP_REDUCED_NAMES, bp_reduced_features
 from homevitals.labeling import CortisolSample, Timepoint
@@ -81,20 +82,27 @@ class TestBpRows:
         assert segments[0][0].tobytes() == first.tobytes()
         assert segments[0][1] == pytest.approx(unit.sbp.values[:40].mean())
 
-    def test_one_filter_design_per_record(self, monkeypatch):
-        # A 30-min 125 Hz record has 45 segments at one rate; the low-pass is
-        # designed once for all of them, and the rows equal those of segments
-        # that each design their own.
-        unit = simulate_bp_records(1, "short_term", seed=6)[0].units[0]
+    def test_one_filter_design_per_rate(self, monkeypatch):
+        # Two 30-min 125 Hz records (45 segments each) and a query-length
+        # segment share one low-pass design per process, and their rows equal
+        # those of the segments taken one at a time.
+        units = [record.units[0] for record in simulate_bp_records(2, "short_term", seed=6)]
+        seg_len = int(BP_SEGMENT_S * 125)
         reference = [
-            bp_reduced_features(unit.ppg.slice_samples(i0, i0 + 5000))
-            for i0 in range(0, len(unit.ppg), 5000)
+            bp_reduced_features(unit.ppg.slice_samples(i0, i0 + seg_len))
+            for unit in units
+            for i0 in range(0, len(unit.ppg), seg_len)
         ]
+        query = units[0].ppg.slice_samples(len(units[0].ppg) - seg_len, len(units[0].ppg))
+        query_row = bp_reduced_features(query)
+        dsp.ppg_lowpass.cache_clear()
         calls = []
         butter = dsp.butter
         monkeypatch.setattr(dsp, "butter", lambda *a, **kw: calls.append(a) or butter(*a, **kw))
-        rows = [row for row, _, _ in bp_rows(unit.ppg, unit.sbp, unit.dbp)]
-        assert len(calls) == 1 and len(rows) == len(reference) == 45
+        rows = [row for unit in units for row, _, _ in bp_rows(unit.ppg, unit.sbp, unit.dbp)]
+        assert bp_reduced_features(query).tobytes() == query_row.tobytes()
+        assert calls == [(4, 8.0 / (125.0 / 2.0))]
+        assert len(rows) == len(reference) == 90
         for row, ref in zip(rows, reference):
             assert row.tobytes() == ref.tobytes()
 
@@ -103,6 +111,28 @@ class TestBpRows:
         records = simulate_bp_records(2, "short_term", seed=100)
         assert list(dict.fromkeys(matrix.subject_ids)) == [r.record_id for r in records]
         assert len(matrix.subject_ids) == len(sbp)
+
+    def test_training_rows_stack_the_units_rows_in_unit_order(self):
+        units = [
+            (record.record_id, unit.ppg.slice_samples(0, 125 * 90), unit.sbp, unit.dbp)
+            for record in simulate_bp_records(2, "short_term", seed=6)
+            for unit in record.units[:1]
+        ]
+        matrix, sbp, dbp = bp_training_rows(units)
+        expected = [(sid, *row) for sid, ppg, s, d in units for row in bp_rows(ppg, s, d)]
+        assert len(expected) == 4
+        assert tuple(matrix.names) == BP_REDUCED_NAMES
+        assert list(matrix.subject_ids) == [e[0] for e in expected]
+        assert matrix.X.tobytes() == np.stack([e[1] for e in expected]).tobytes()
+        assert sbp.tolist() == [e[2] for e in expected]
+        assert dbp.tolist() == [e[3] for e in expected]
+
+    def test_training_rows_without_targets_are_degenerate_training(self):
+        ppg = simulate_bp_records(1, "short_term", seed=6)[0].units[0].ppg
+        late = pressure(np.full(10, 120.0), start_ms=ppg.end_ms + 60_000)
+        for units in ([], [("S0", ppg, late, late)]):
+            with pytest.raises(DegenerateTraining, match="no whole BP segment"):
+                bp_training_rows(units)
 
     def test_build_bp_dataset_rows_are_pinned(self):
         # Digests of the rows, names and targets the experiments train on, so

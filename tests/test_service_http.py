@@ -70,6 +70,13 @@ def post(srv, path, body):
         return response.status, json.loads(response.read())
 
 
+def post_status(srv, path, body) -> int:
+    try:
+        return post(srv, path, body)[0]
+    except urllib.error.HTTPError as exc:
+        return exc.code
+
+
 def status_of(exc: urllib.error.HTTPError):
     body = json.loads(exc.read())
     return exc.code, body
@@ -182,6 +189,45 @@ class TestRoutes:
         status, response = get(server, "/bp/B1")
         assert status == 200
         assert response["segment_end_ms"] - response["segment_start_ms"] == 1000 * MIN_SEGMENT_S
+
+    @pytest.mark.parametrize("rate_hz", [12.0, 16.0])
+    def test_ppg_the_low_pass_cannot_filter_is_refused_at_sync(self, server, rate_hz):
+        # The 8 Hz low-pass needs a rate above 16 Hz. Stored, such a chunk
+        # would fail every later BP training, for all subjects.
+        unit = simulate_bp_records(1, "short_term", seed=0)[0].units[0]
+        for i, offset in enumerate((0.0, 300.0)):
+            post(server, "/signals/sync", bp_payload(f"P{i}", unit, offset))
+        before = get(server, "/health")[1]["records"]
+        low = {
+            "subject_id": "L0",
+            "chunks": [
+                {"channel": "DERIVED", "name": "sbp_mmhg", "rate_hz": 1.0, "start_ms": 0,
+                 "values": [120.0] * 60},
+                {"channel": "PPG", "rate_hz": rate_hz, "start_ms": 0,
+                 "values": [float(i % 7) for i in range(int(60 * rate_hz))]},
+            ],
+        }
+        with pytest.raises(urllib.error.HTTPError) as err:
+            post(server, "/signals/sync", low)
+        code, reply = status_of(err.value)
+        assert code == 400 and "chunks[1]" in reply["error"] and f"{rate_hz} Hz" in reply["error"]
+        assert get(server, "/health")[1]["records"] == before
+        status, trained = post(server, "/train/bp", {"seed": 0})
+        assert status == 200 and trained["rows"] > 0
+
+    @pytest.mark.parametrize("rate_hz", [1e-307, 1e-20])
+    def test_chunk_whose_samples_end_outside_int64_ms_is_400(self, server, rate_hz):
+        # A one-sample chunk ends 1000 / rate_hz ms after its start: an
+        # infinite time at 1e-307 Hz, past int64 at 1e-20 Hz.
+        chunks = [
+            {"channel": "DERIVED", "name": "sbp_mmhg", "rate_hz": rate_hz, "start_ms": start,
+             "values": [120.0]}
+            for start in (0, 1)
+        ]
+        statuses = [post_status(server, "/signals/sync", {"subject_id": "S00", "chunks": chunks})]
+        statuses.append(post_status(server, "/train/bp", {"seed": 0}))
+        assert statuses == [400, 409]
+        assert get(server, "/health")[1]["records"] == 0
 
     def test_tag_events_and_location_message(self, server):
         post(server, "/tags/event", {"kind": "user", "index": 1})

@@ -9,18 +9,18 @@ from hypothesis import strategies as st
 from homevitals.errors import ConfigError, DegenerateInput, InputError
 from homevitals.signals import (
     Channel,
-    FilterConfig,
     SampleSeries,
     butter_lowpass_coefficients,
-    butterworth_lowpass,
     derivative,
     detect_peaks,
     detrend,
     minmax_normalize,
     modulo_mean_correct,
+    ppg_lowpass,
     preprocess_ppg,
     single_pass_filter,
     spectrum,
+    zero_phase_filter,
 )
 
 
@@ -140,24 +140,22 @@ class TestButterworth:
                 assert np.allclose(a, a_ref, atol=1e-12), (order, wn)
 
     def test_dc_gain_unity(self):
-        s = series(np.full(400, 3.7))
-        out = butterworth_lowpass(s, FilterConfig(order_n=4, cutoff_wn=0.128))
-        assert np.allclose(out.values, 3.7, atol=1e-6)
+        out = zero_phase_filter(*butter_lowpass_coefficients(4, 0.128), np.full(400, 3.7))
+        assert np.allclose(out, 3.7, atol=1e-6)
 
     def test_single_pass_cutoff_magnitude(self):
         # Sine sweep at the cutoff: single-pass gain must be 1/sqrt(2) +- 0.01,
         # so the forward-backward response is its square, 0.5 +- 0.02.
-        rate = 125.0
-        cfg = FilterConfig(order_n=4, cutoff_wn=0.2)
-        f_cut = cfg.cutoff_wn * rate / 2.0
+        rate, wn = 125.0, 0.2
+        f_cut = wn * rate / 2.0
         t = np.arange(int(rate * 60)) / rate
         x = np.sin(2 * np.pi * f_cut * t)
-        b, a = butter_lowpass_coefficients(cfg.order_n, cfg.cutoff_wn)
+        b, a = butter_lowpass_coefficients(4, wn)
         y = single_pass_filter(b, a, x)
         steady = slice(len(x) // 2, None)
         gain = np.sqrt(np.mean(y[steady] ** 2) / np.mean(x[steady] ** 2))
         assert abs(gain - 1 / np.sqrt(2)) < 0.01
-        y2 = butterworth_lowpass(series(x, rate=rate), cfg).values
+        y2 = zero_phase_filter(b, a, x)
         gain2 = np.sqrt(np.mean(y2[steady] ** 2) / np.mean(x[steady] ** 2))
         assert abs(gain2 - 0.5) < 0.02
 
@@ -166,27 +164,45 @@ class TestButterworth:
         nyq = rate / 2.0
         t = np.arange(int(rate * 30)) / rate
         x = np.sin(2 * np.pi * (0.9 * nyq) * t)
-        out = butterworth_lowpass(series(x, rate=rate), FilterConfig(order_n=4, cutoff_wn=0.1))
-        assert np.sqrt(np.mean(out.values**2)) < 0.02 * np.sqrt(np.mean(x**2))
+        out = zero_phase_filter(*butter_lowpass_coefficients(4, 0.1), x)
+        assert np.sqrt(np.mean(out**2)) < 0.02 * np.sqrt(np.mean(x**2))
 
     def test_linearity(self, rng):
         x = rng.normal(size=500)
         y = rng.normal(size=500)
-        cfg = FilterConfig(order_n=4, cutoff_wn=0.3)
-        fx = butterworth_lowpass(series(x), cfg).values
-        fy = butterworth_lowpass(series(y), cfg).values
-        fcombo = butterworth_lowpass(series(2.5 * x - 1.25 * y), cfg).values
+        b, a = butter_lowpass_coefficients(4, 0.3)
+        fx = zero_phase_filter(b, a, x)
+        fy = zero_phase_filter(b, a, y)
+        fcombo = zero_phase_filter(b, a, 2.5 * x - 1.25 * y)
         assert np.allclose(fcombo, 2.5 * fx - 1.25 * fy, atol=1e-9)
 
     def test_bad_cutoff_rejected(self):
-        with pytest.raises(ConfigError):
-            butter_lowpass_coefficients(4, 1.0)
-        with pytest.raises(ConfigError):
-            FilterConfig(order_n=4, cutoff_wn=1.2)
+        for wn in (1.0, 1.2):
+            with pytest.raises(ConfigError):
+                butter_lowpass_coefficients(4, wn)
 
     def test_too_short_rejected(self):
         with pytest.raises(DegenerateInput):
-            butterworth_lowpass(series(np.ones(12)), FilterConfig(order_n=4, cutoff_wn=0.2))
+            zero_phase_filter(*butter_lowpass_coefficients(4, 0.2), np.ones(12))
+
+
+class TestPpgLowpass:
+    def test_order_4_at_8_hz_for_the_rate(self):
+        for rate in (17.0, 64.0, 125.0, 250.0):
+            b, a = ppg_lowpass(rate)
+            b_ref, a_ref = scipy.signal.butter(4, 8 / (rate / 2))
+            assert b.tobytes() == b_ref.tobytes() and a.tobytes() == a_ref.tobytes()
+
+    def test_design_arrays_are_read_only(self):
+        for array in ppg_lowpass(125.0):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+
+    def test_rates_at_most_twice_the_cutoff_rejected(self):
+        for rate in (16.0, 12.0):
+            with pytest.raises(ConfigError, match="cutoff_wn"):
+                ppg_lowpass(rate)
 
 
 class TestPreprocessPpg:
@@ -199,13 +215,23 @@ class TestPreprocessPpg:
     def test_output_length_is_sum(self):
         r1 = series(self._pulse(100))
         r2 = series(self._pulse(50, seed=1))
-        out = preprocess_ppg([r1, r2], FilterConfig(order_n=4, cutoff_wn=0.2))
+        out = preprocess_ppg([r1, r2])
         assert len(out) == 150
 
     def test_step_order_emitted(self):
         steps = []
         preprocess_ppg([series(self._pulse(300))], on_step=steps.append)
         assert steps == ["mean-subtract", "concat", "detrend", "normalize", "mod-subtract", "filter"]
+
+    def test_filters_with_the_design_for_the_records_rate(self):
+        # The steps before the filter, then filtfilt of butter(4, 8 Hz) placed
+        # for the record's own rate.
+        for rate in (64.0, 250.0):
+            record = series(self._pulse(int(rate * 20), rate=rate), rate=rate)
+            centered = record.with_values(record.values - record.values.mean())
+            staged = modulo_mean_correct(minmax_normalize(detrend(centered))).values
+            expected = zero_phase_filter(*scipy.signal.butter(4, 8 / (rate / 2)), staged)
+            assert preprocess_ppg([record]).values.tobytes() == expected.tobytes()
 
     def test_mean_subtract_centers_each_record(self):
         records = [series(self._pulse(200, seed=s)) for s in range(3)]
