@@ -5,11 +5,12 @@ fixed-length PPG segments with the mean SBP/DBP over each segment's time span.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DegenerateTraining
+from .errors import DegenerateTraining, InputError
 from .features import BP_REDUCED_NAMES, FeatureMatrix, bp_reduced_features, stress_feature_matrix
 from .labeling import CortisolSample, LabelRule, label_windows, labels_to_targets
 from .signals import MS_PER_S, ChannelBundle, SampleSeries, WindowSpec, make_windows
@@ -54,6 +55,15 @@ def segment_targets(
     return means[0], means[1]
 
 
+def check_pressure_rate(rate_hz: float) -> None:
+    """InputError unless segment_targets can index a pressure series sampled
+    at rate_hz. Times are int64 ms, so a segment lies under 2**64 ms from the
+    series' start; its sample index must then be a finite float, kept here
+    with a factor-of-1000 margin for the arithmetic's rounding."""
+    if not math.isfinite(2.0**64 * float(rate_hz)):
+        raise InputError(f"a pressure series at {rate_hz} Hz has sample indices past float range")
+
+
 def bp_rows(
     ppg: SampleSeries, sbp: SampleSeries, dbp: SampleSeries
 ) -> list[tuple[np.ndarray, float, float]]:
@@ -72,14 +82,12 @@ def bp_rows(
 
 
 def bp_training_rows(
-    units: Iterable[tuple[str, SampleSeries, SampleSeries, SampleSeries]],
+    subject_rows: Iterable[tuple[str, Sequence[tuple[np.ndarray, float, float]]]],
 ) -> tuple[FeatureMatrix, np.ndarray, np.ndarray]:
-    """The matrix over BP_REDUCED_NAMES of the bp_rows of every (subject id,
-    PPG, SBP, DBP) unit, in unit order, with its SBP and DBP targets.
-    DegenerateTraining when no segment has targets."""
-    segments = [
-        (subject_id, *row) for subject_id, ppg, sbp, dbp in units for row in bp_rows(ppg, sbp, dbp)
-    ]
+    """The matrix over BP_REDUCED_NAMES of every (subject id, bp_rows) pair's
+    rows, in order, with its SBP and DBP targets. DegenerateTraining when no
+    segment has targets."""
+    segments = [(subject_id, *row) for subject_id, rows in subject_rows for row in rows]
     if not segments:
         raise DegenerateTraining("no whole BP segment with pressure targets")
     subject_ids, rows, sbp_targets, dbp_targets = zip(*segments)

@@ -4,12 +4,13 @@ the per-regressor blood-pressure table, and exportable ROC curves.
 These back the `evaluate` and `report` CLI commands and the acceptance suite.
 Every run is fully determined by its seeds.
 
-A table's independent jobs (one per subject, per (combination, split seed)
-or per (target, regressor, split seed)) run on min(available CPUs, jobs)
-forked worker processes, and their results are merged in submission order, so
-every table is identical to the serial run's. With one CPU, or when the caller
-runs other threads, the jobs run in the calling process. The service trains
-in its own process and does not use these pools.
+A table's independent jobs (one per stress subject, per BP record, per
+(combination, split seed) or per (target, regressor, split seed)) run on
+min(available CPUs, jobs) forked worker processes, and their results are
+merged in submission order, so every table is identical to the serial run's.
+With one CPU, or when the caller runs other threads, the jobs run in the
+calling process. The service trains in its own process and does not use
+these pools.
 """
 
 from __future__ import annotations
@@ -26,9 +27,11 @@ from .datasets import (
     BP_BOOST_ROUNDS,
     BP_TREE_PARAMS,
     FOREST_PARAMS,
+    bp_rows,
     bp_training_rows,
     stress_rows,
 )
+from .errors import InputError
 from .features import CHANNEL_COMBINATIONS, FeatureMatrix, select_features
 from .models import (
     AdaBoostR2,
@@ -41,7 +44,7 @@ from .models import (
     subject_split,
 )
 from .signals import WindowSpec
-from .simulate import BpMode, generate_cohort, simulate_bp_records, subject_session
+from .simulate import BpMode, bp_record, generate_cohort, subject_session
 
 REGRESSOR_NAMES = ("mlp", "dt", "adaboost_dt", "adaboost_mlp")
 
@@ -190,17 +193,23 @@ def stress_roc_curves(
     return {"+".join(combo): curve for combo, curve in zip(datasets, curves)}
 
 
+def _record_bp_rows(index: int, mode: BpMode | str, seed: int) -> tuple[str, list]:
+    record = bp_record(index, mode, seed)
+    rows = [row for unit in record.units for row in bp_rows(unit.ppg, unit.sbp, unit.dbp)]
+    return record.record_id, rows
+
+
 def build_bp_dataset(
     n_records: int = 20,
     mode: BpMode | str = BpMode.SHORT_TERM,
     seed: int = 0,
 ) -> tuple[FeatureMatrix, np.ndarray, np.ndarray]:
-    """Reduced-feature matrix over fixed-length segments plus SBP/DBP targets."""
-    return bp_training_rows(
-        (record.record_id, unit.ppg, unit.sbp, unit.dbp)
-        for record in simulate_bp_records(n_records, mode, seed=seed)
-        for unit in record.units
-    )
+    """Reduced-feature matrix over fixed-length segments plus SBP/DBP targets,
+    the records of simulate_bp_records(n_records, mode, seed) in order."""
+    if n_records < 1:
+        raise InputError("n_records must be >= 1")
+    jobs = [(i, mode, seed) for i in range(n_records)]
+    return bp_training_rows(_ordered_map(_record_bp_rows, jobs))
 
 
 def _make_regressor(name: str, seed: int, quick: bool):

@@ -114,8 +114,19 @@ class MlpRegressor:
         Xs = self._standardize_x(X)
         ys = (y - self.y_mean) / self.y_std
 
-        adam_m = {k: np.zeros_like(v) for k, v in self.params.items()}
-        adam_v = {k: np.zeros_like(v) for k, v in self.params.items()}
+        # Adam is elementwise, so it steps every parameter at once: the
+        # parameters and their gradients are views into two flat vectors.
+        flat = np.concatenate([v.ravel() for v in self.params.values()])
+        grad = np.empty_like(flat)
+        params, grad_views = {}, {}
+        offset = 0
+        for k, v in self.params.items():
+            params[k] = flat[offset : offset + v.size].reshape(v.shape)
+            grad_views[k] = grad[offset : offset + v.size].reshape(v.shape)
+            offset += v.size
+        self.params = params
+        adam_m = np.zeros_like(flat)
+        adam_v = np.zeros_like(flat)
         beta1, beta2, eps = 0.9, 0.999, 1e-8
         step = 0
         self.loss_history = []
@@ -129,11 +140,12 @@ class MlpRegressor:
                 batch_losses.append(loss)
                 step += 1
                 for k, g in grads.items():
-                    adam_m[k] = beta1 * adam_m[k] + (1 - beta1) * g
-                    adam_v[k] = beta2 * adam_v[k] + (1 - beta2) * g**2
-                    m_hat = adam_m[k] / (1 - beta1**step)
-                    v_hat = adam_v[k] / (1 - beta2**step)
-                    self.params[k] -= self.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
+                    grad_views[k][...] = g
+                adam_m = beta1 * adam_m + (1 - beta1) * grad
+                adam_v = beta2 * adam_v + (1 - beta2) * grad**2
+                m_hat = adam_m / (1 - beta1**step)
+                v_hat = adam_v / (1 - beta2**step)
+                flat -= self.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
             epoch_loss = float(np.mean(batch_losses))
             self.loss_history.append(epoch_loss)
             if initial_loss is None:

@@ -21,7 +21,15 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from ..datasets import BP_SEGMENT_S, BP_TREE_PARAMS, FOREST_PARAMS, bp_training_rows, stress_rows
+from ..datasets import (
+    BP_SEGMENT_S,
+    BP_TREE_PARAMS,
+    FOREST_PARAMS,
+    bp_rows,
+    bp_training_rows,
+    check_pressure_rate,
+    stress_rows,
+)
 from ..errors import (
     ConfigError,
     DegenerateTraining,
@@ -66,6 +74,8 @@ from .store import IndexEntry, JsonlStore, decode_samples, encode_samples
 log = logging.getLogger(__name__)
 
 CONTIGUITY_SLOP_MS = 2
+# The names of the DERIVED chunks BP training takes its SBP and DBP targets from.
+PRESSURE_NAMES = ("sbp_mmhg", "dbp_mmhg")
 
 
 def json_field(source: dict, key: str, convert):
@@ -221,8 +231,9 @@ def _latest_run(
 ) -> _Span | None:
     """The latest contiguous run of (channel, name) chunks: queries answer
     from fresh, gap-free signal."""
+    value = channel.value
     chunks = sorted(
-        (e for e in entries if e.meta.channel == channel.value and e.meta.name == name),
+        (e for e in entries if e.meta.channel == value and e.meta.name == name),
         key=lambda e: int(e.meta.start_ms),
     )
     if not chunks:
@@ -266,8 +277,8 @@ class VitalsService:
         The whole request is validated before anything is stored, so a
         rejected sync leaves the store untouched; its records are then
         stored in one batch, with one fsync. A chunk whose samples end
-        outside int64 ms, and a PPG chunk at a rate ppg_lowpass cannot
-        filter, are refused.
+        outside int64 ms, a PPG chunk at a rate ppg_lowpass cannot filter,
+        and a pressure chunk at a rate check_pressure_rate refuses are refused.
         """
         subject_id = request.get("subject_id")
         if not subject_id or not isinstance(subject_id, str):
@@ -281,6 +292,9 @@ class VitalsService:
                 int64_time(series.end_ms)
             except (OverflowError, ValueError) as exc:
                 raise InputError(f"chunks[{i}]: samples end outside int64 ms: {exc}") from exc
+            name = chunk.get("name")
+            if name is not None and not isinstance(name, str):
+                raise InputError(f"chunks[{i}]: name must be a string")
             if series.channel is Channel.PPG:
                 try:
                     ppg_lowpass(series.rate_hz)
@@ -288,9 +302,11 @@ class VitalsService:
                     raise InputError(
                         f"chunks[{i}]: PPG at {series.rate_hz} Hz cannot be low-passed: {exc}"
                     ) from exc
-            name = chunk.get("name")
-            if name is not None and not isinstance(name, str):
-                raise InputError(f"chunks[{i}]: name must be a string")
+            if series.channel is Channel.DERIVED and name in PRESSURE_NAMES:
+                try:
+                    check_pressure_rate(series.rate_hz)
+                except InputError as exc:
+                    raise InputError(f"chunks[{i}]: {exc}") from exc
             records.append(("signal_chunk", _stored_chunk(series, name)))
         ibi_events = request.get("ibi", [])
         if ibi_events:
@@ -474,21 +490,20 @@ class VitalsService:
     def train_bp(self, seed: int | None = None) -> dict:
         return self._exclusive(self._train_bp, seed)
 
-    def _bp_units(self) -> Iterable[tuple[str, SampleSeries, SampleSeries, SampleSeries]]:
-        """(subject id, PPG, SBP, DBP) of each subject's latest runs, for every
-        subject that has all three."""
+    def _bp_subject_rows(self) -> Iterable[tuple[str, list]]:
+        """(subject id, bp_rows) of each subject's latest PPG, SBP and DBP
+        runs, for every subject that has all three."""
         for subject_id in self.store.subjects("signal_chunk"):
             entries = self.store.index("signal_chunk", subject_id)
             runs = (
                 _latest_run(entries, Channel.PPG),
-                _latest_run(entries, Channel.DERIVED, name="sbp_mmhg"),
-                _latest_run(entries, Channel.DERIVED, name="dbp_mmhg"),
+                *(_latest_run(entries, Channel.DERIVED, name=name) for name in PRESSURE_NAMES),
             )
             if all(run is not None for run in runs):
-                yield (subject_id, *(self._read_series(run) for run in runs))
+                yield subject_id, bp_rows(*(self._read_series(run) for run in runs))
 
     def _train_bp(self, seed: int) -> dict:
-        matrix, sbp_targets, dbp_targets = bp_training_rows(self._bp_units())
+        matrix, sbp_targets, dbp_targets = bp_training_rows(self._bp_subject_rows())
         result = {"rows": len(matrix)}
         for key, targets in (("bp_sbp", sbp_targets), ("bp_dbp", dbp_targets)):
             model = AdaBoostR2(

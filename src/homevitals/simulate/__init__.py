@@ -7,6 +7,7 @@ from .bp_records import (
     LONG_TERM_UNIT_S,
     PPG_RATE_HZ,
     SHORT_TERM_UNIT_S,
+    bp_record,
     simulate_bp_records,
 )
 from .profiles import (
@@ -31,6 +32,7 @@ __all__ = [
     "SHORT_TERM_UNIT_S",
     "SessionScript",
     "SyntheticProfile",
+    "bp_record",
     "cohort_sessions",
     "default_session_script",
     "default_session_timeline",

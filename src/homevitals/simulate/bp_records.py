@@ -149,6 +149,25 @@ def _make_unit(
     )
 
 
+def bp_record(index: int, mode: BpMode | str = BpMode.SHORT_TERM, seed: int = 0) -> BpRecord:
+    """Record `index` of simulate_bp_records(n, mode, seed) for any n > index:
+    drawn from child `index` of SeedSequence(seed).spawn(n), with id R{index:02d}."""
+    mode = BpMode(mode)
+    if index < 0:
+        raise InputError("index must be >= 0")
+    # spawn(n)[i] is the child with spawn key (i,), whatever n is.
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
+    base_sbp = float(rng.uniform(110.0, 150.0))
+    if mode is BpMode.SHORT_TERM:
+        units = (_make_unit(SHORT_TERM_UNIT_S, 0, base_sbp, rng),)
+    else:
+        units = tuple(
+            _make_unit(LONG_TERM_UNIT_S, offset * 1000, base_sbp, rng)
+            for offset in LONG_TERM_UNIT_OFFSETS_S
+        )
+    return BpRecord(record_id=f"R{index:02d}", units=units)
+
+
 def simulate_bp_records(
     n_records: int = 20,
     mode: BpMode | str = BpMode.SHORT_TERM,
@@ -159,18 +178,4 @@ def simulate_bp_records(
     mode = BpMode(mode)
     if n_records < 1:
         raise InputError("n_records must be >= 1")
-    records = []
-    seeds = np.random.SeedSequence(seed).spawn(n_records)
-    for i, record_seed in enumerate(seeds):
-        rng = np.random.default_rng(record_seed)
-        base_sbp = float(rng.uniform(110.0, 150.0))
-        if mode is BpMode.SHORT_TERM:
-            units = (_make_unit(SHORT_TERM_UNIT_S, 0, base_sbp, rng),)
-        else:
-            units = tuple(
-                _make_unit(LONG_TERM_UNIT_S, offset * 1000, base_sbp, rng)
-                for offset in LONG_TERM_UNIT_OFFSETS_S
-            )
-        records.append(BpRecord(record_id=f"R{i:02d}", units=units))
-    return records
-
+    return [bp_record(i, mode, seed) for i in range(n_records)]

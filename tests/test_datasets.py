@@ -6,8 +6,15 @@ import numpy as np
 import pytest
 
 from helpers import make_bundle
-from homevitals.datasets import BP_SEGMENT_S, bp_rows, bp_training_rows, segment_targets, stress_rows
-from homevitals.errors import DegenerateTraining
+from homevitals.datasets import (
+    BP_SEGMENT_S,
+    bp_rows,
+    bp_training_rows,
+    check_pressure_rate,
+    segment_targets,
+    stress_rows,
+)
+from homevitals.errors import DegenerateTraining, InputError
 from homevitals.experiments import build_bp_dataset, build_stress_dataset, stress_fusion_experiment
 from homevitals.features import BP_REDUCED_NAMES, bp_reduced_features
 from homevitals.labeling import CortisolSample, Timepoint
@@ -26,6 +33,18 @@ def pressure(values, rate_hz=1.0, start_ms=0):
 
 
 class TestSegmentTargets:
+    def test_every_pressure_rate_the_rule_accepts_indexes_any_int64_span(self):
+        fastest = np.finfo(np.float64).max / 2.0**64
+        check_pressure_rate(fastest)
+        for rate_hz in (1e307, np.nextafter(fastest, np.inf) * 2):
+            with pytest.raises(InputError, match="past float range"):
+                check_pressure_rate(rate_hz)
+        # The farthest a PPG segment can lie from a pressure series' start.
+        ppg = SampleSeries(Channel.PPG, 125.0, 2**63 - 1 - 41_000, np.zeros(125 * 40))
+        for start_ms in (-(2**63), 2**63 - 1):
+            sbp = pressure([120.0], rate_hz=fastest, start_ms=start_ms)
+            assert segment_targets(ppg, sbp, sbp, 0, len(ppg)) is None
+
     def test_targets_align_by_each_series_rate_and_start(self):
         # 125 Hz PPG starting with its 1 Hz targets: seconds [0, 40).
         unit = simulate_bp_records(1, "short_term", seed=6)[0].units[0]
@@ -118,7 +137,7 @@ class TestBpRows:
             for record in simulate_bp_records(2, "short_term", seed=6)
             for unit in record.units[:1]
         ]
-        matrix, sbp, dbp = bp_training_rows(units)
+        matrix, sbp, dbp = bp_training_rows((sid, bp_rows(ppg, s, d)) for sid, ppg, s, d in units)
         expected = [(sid, *row) for sid, ppg, s, d in units for row in bp_rows(ppg, s, d)]
         assert len(expected) == 4
         assert tuple(matrix.names) == BP_REDUCED_NAMES
@@ -130,9 +149,10 @@ class TestBpRows:
     def test_training_rows_without_targets_are_degenerate_training(self):
         ppg = simulate_bp_records(1, "short_term", seed=6)[0].units[0].ppg
         late = pressure(np.full(10, 120.0), start_ms=ppg.end_ms + 60_000)
-        for units in ([], [("S0", ppg, late, late)]):
+        assert bp_rows(ppg, late, late) == []
+        for subject_rows in ([], [("S0", bp_rows(ppg, late, late))]):
             with pytest.raises(DegenerateTraining, match="no whole BP segment"):
-                bp_training_rows(units)
+                bp_training_rows(subject_rows)
 
     def test_build_bp_dataset_rows_are_pinned(self):
         # Digests of the rows, names and targets the experiments train on, so

@@ -15,8 +15,10 @@ import pytest
 
 import homevitals
 from homevitals import experiments
+from homevitals.datasets import bp_rows, bp_training_rows
 from homevitals.errors import SplitImpossible
 from homevitals.features import FeatureMatrix
+from homevitals.simulate import simulate_bp_records
 
 SMALL_FOREST = {**experiments.FOREST_PARAMS, "n_trees": 20}
 
@@ -59,6 +61,25 @@ def test_pooled_and_serial_tables_are_byte_equal(monkeypatch):
     assert pooled == serial
     # Recorded from the loops that ran every job in the calling process.
     assert hashlib.sha256(serial.encode()).hexdigest()[:16] == "ca0a3076d6e9139d"
+
+
+def bp_table_bytes(dataset) -> list:
+    matrix, sbp, dbp = dataset
+    return [matrix.X.tobytes(), matrix.names, matrix.subject_ids, sbp.tobytes(), dbp.tobytes()]
+
+
+@pytest.mark.parametrize("n_records, mode", [(2, "long_term"), (3, "short_term")])
+def test_pooled_and_serial_bp_datasets_are_byte_equal(monkeypatch, n_records, mode):
+    # The reference walks simulate_bp_records' records in the calling process.
+    reference = bp_table_bytes(bp_training_rows(
+        (record.record_id, [row for u in record.units for row in bp_rows(u.ppg, u.sbp, u.dbp)])
+        for record in simulate_bp_records(n_records, mode, seed=3)
+    ))
+    assert reference[2][0] == "R00" and reference[2][-1] == f"R{n_records - 1:02d}"
+    for cpus in (1, 2):
+        use_cpus(monkeypatch, cpus)
+        assert bp_table_bytes(experiments.build_bp_dataset(n_records, mode, seed=3)) == reference
+        assert multiprocessing.active_children() == []
 
 
 def test_pool_returns_in_order_and_leaves_no_worker(monkeypatch):

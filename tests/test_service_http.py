@@ -229,6 +229,27 @@ class TestRoutes:
         assert statuses == [400, 409]
         assert get(server, "/health")[1]["records"] == 0
 
+    @pytest.mark.parametrize("bad", [1, 2])
+    def test_pressure_chunk_the_segment_arithmetic_cannot_place_is_400(self, server, bad):
+        # At 1e307 Hz a pressure sample index of a PPG segment's time is past
+        # float range: stored, such a chunk would fail every later BP training.
+        unit = simulate_bp_records(1, "short_term", seed=0)[0].units[0]
+        for i, offset in enumerate((0.0, 300.0)):
+            post(server, "/signals/sync", bp_payload(f"P{i}", unit, offset))
+        before = get(server, "/health")[1]["records"]
+        chunks = [series_to_payload(unit.ppg.slice_samples(0, 125 * 60))]
+        for i, name in enumerate(("sbp_mmhg", "dbp_mmhg"), start=1):
+            rate_hz = 1e307 if i == bad else 1.0
+            chunks.append({"channel": "DERIVED", "name": name, "rate_hz": rate_hz,
+                           "start_ms": 0, "values": [120.0] * 60})
+        with pytest.raises(urllib.error.HTTPError) as err:
+            post(server, "/signals/sync", {"subject_id": "H0", "chunks": chunks})
+        code, reply = status_of(err.value)
+        assert code == 400 and f"chunks[{bad}]" in reply["error"] and "1e+307 Hz" in reply["error"]
+        assert get(server, "/health")[1]["records"] == before
+        status, trained = post(server, "/train/bp", {"seed": 0})
+        assert status == 200 and trained["rows"] > 0
+
     def test_tag_events_and_location_message(self, server):
         post(server, "/tags/event", {"kind": "user", "index": 1})
         post(server, "/tags/event", {"kind": "location", "index": 10})

@@ -9,12 +9,14 @@ from homevitals.simulate import (
     BpMode,
     COHORT_CORTISOL_MEANS_UGDL,
     COHORT_CORTISOL_T1_SD_UGDL,
+    bp_record,
     cohort_sessions,
     default_session_script,
     generate_cohort,
     simulate_bp_records,
     simulate_session,
 )
+from homevitals.simulate.bp_records import SHORT_TERM_UNIT_S, _make_unit
 from homevitals.simulate.stress_session import EDA_NOISE_US, EDA_RECOVERY_TAU_S, stress_envelope
 
 
@@ -142,3 +144,28 @@ class TestSimulateBpRecords:
         assert np.array_equal(a.units[0].ppg.values, b.units[0].ppg.values)
         assert np.array_equal(a.units[0].sbp.values, b.units[0].sbp.values)
 
+
+    @pytest.mark.parametrize("mode", list(BpMode))
+    def test_records_are_the_per_record_entry_point_in_order(self, mode):
+        def series_bytes(record):
+            return [
+                (s.channel, s.rate_hz, s.start_ms, s.values.tobytes())
+                for unit in record.units
+                for s in (unit.ppg, unit.sbp, unit.dbp)
+            ]
+
+        records = simulate_bp_records(3, mode, seed=7)
+        for i, record in enumerate(records):
+            alone = bp_record(i, mode, seed=7)
+            assert alone.record_id == record.record_id == f"R{i:02d}"
+            assert series_bytes(alone) == series_bytes(record)
+        later = simulate_bp_records(5, mode, seed=7)[2]
+        assert series_bytes(later) == series_bytes(records[2])
+
+    def test_record_i_draws_from_child_i_of_the_spawned_seeds(self):
+        rng = np.random.default_rng(np.random.SeedSequence(7).spawn(3)[2])
+        base_sbp = float(rng.uniform(110.0, 150.0))
+        unit = _make_unit(SHORT_TERM_UNIT_S, 0, base_sbp, rng)
+        record = bp_record(2, "short_term", seed=7)
+        assert record.units[0].ppg.values.tobytes() == unit.ppg.values.tobytes()
+        assert record.units[0].sbp.values.tobytes() == unit.sbp.values.tobytes()
